@@ -13,7 +13,6 @@ from .engine import (
     HTables,
     compensator_eval,
     compute_h,
-    conv_quadrature,
     default_grid,
     default_step,
     xi_eval,
@@ -37,11 +36,11 @@ from .fitting import (
     FitConfig,
     FitResult,
     StartRecord,
+    fd_gradient,
     fit,
     recovery_experiment,
 )
 from .gof import GofReport, fit_score, gof_anscombe, gof_report, gof_time_rescaling
-from .gradients import GradTables, fd_gradient, grad_h, kernel_keys
 from .hawkes import (
     hawkes_compensator,
     hawkes_intensity,
@@ -109,7 +108,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "GofReport",
-    "GradTables",
     "HTables",
     "InsufficientDataError",
     "LikelihoodConfig",
@@ -132,7 +130,6 @@ __all__ = [
     "closed_form_pmbp21",
     "compensator_eval",
     "compute_h",
-    "conv_quadrature",
     "default_grid",
     "default_step",
     "fd_gradient",
@@ -142,13 +139,11 @@ __all__ = [
     "gof_anscombe",
     "gof_report",
     "gof_time_rescaling",
-    "grad_h",
     "grad_nll",
     "hawkes_compensator",
     "hawkes_intensity",
     "icll",
     "joint_nll",
-    "kernel_keys",
     "n_free",
     "nll_and_grad",
     "pack",

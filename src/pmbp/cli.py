@@ -27,9 +27,8 @@ import numpy as np
 
 from .engine import ConvGrid, compute_h, default_step
 from .errors import PMBPError
-from .fitting import FitConfig, _param_names, fit, recovery_experiment
+from .fitting import FitConfig, _param_names, fd_gradient, fit, recovery_experiment
 from .gof import gof_report
-from .gradients import fd_gradient
 from .hawkes import sample_hawkes
 from .io import (
     censor,
@@ -113,14 +112,12 @@ def _comma_floats(text: str) -> list[float]:
         raise click.ClickException(f"expected comma-separated numbers: {exc}")
 
 
-def _grid_for(params: ModelParams, T: float, grid_step: float | None) -> ConvGrid:
-    return ConvGrid.make(T, grid_step if grid_step else default_step(params, T))
-
-
 def _tables_for(params: ModelParams, T: float, grid_step: float | None):
+    """The sampler's response tables (None without a censored block)."""
     if params.e == 0:
         return None
-    return compute_h(params, _grid_for(params, T, grid_step))
+    step = grid_step if grid_step else default_step(params, T)
+    return compute_h(params, ConvGrid.make(T, step))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +240,6 @@ def cmd_censor(config_path, events_path, dims, width, out):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--data", "data_paths", type=click.Path(exists=True),
               multiple=True, help="Dataset JSON; repeat for a joint fit.")
-@click.option("--grid-step", type=float,
-              help="Objective discretization step (default horizon/1200).")
 @click.option("--n-starts", type=int)
 @click.option("--max-iter", type=int)
 @click.option("--tol-f", type=float)
@@ -254,7 +249,7 @@ def cmd_censor(config_path, events_path, dims, width, out):
               help="Estimate the impulse weights instead of fixing them.")
 @click.option("--w-nu", type=float, help="L1 penalty weight on backgrounds.")
 @click.option("--out", type=click.Path())
-def cmd_fit(config_path, data_paths, grid_step, n_starts, max_iter, tol_f,
+def cmd_fit(config_path, data_paths, n_starts, max_iter, tol_f,
             grad_mode, seed, include_gamma, w_nu, out):
     """Maximum-likelihood fit of one or more datasets; JSON result."""
     config = _load_config(config_path)
@@ -278,13 +273,8 @@ def cmd_fit(config_path, data_paths, grid_step, n_starts, max_iter, tol_f,
             weights=config.get("weights"),
         ),
     )
-    step = _opt(config, "grid_step", grid_step, None)
-    grid = None
-    if step:
-        T_max = max(ds.T for ds in datasets)
-        grid = ConvGrid.make(T_max, float(step))
     try:
-        result = fit(datasets, cfg, grid=grid)
+        result = fit(datasets, cfg)
     except PMBPError as exc:
         raise _fail(exc)
     log.info("fit finished in %.2fs: nll=%.6f converged=%s",
@@ -305,11 +295,8 @@ def cmd_fit(config_path, data_paths, grid_step, n_starts, max_iter, tol_f,
 @click.option("--step", type=float, help="Output time spacing (default 0.1).")
 @click.option("--t-end", type=float,
               help="Evaluation horizon (default: dataset horizon).")
-@click.option("--grid-step", type=float,
-              help="Grid spacing for the response tables (default auto).")
 @click.option("--out", type=click.Path())
-def cmd_evaluate(config_path, params_path, data_path, step, t_end, grid_step,
-                 out):
+def cmd_evaluate(config_path, params_path, data_path, step, t_end, out):
     """Expected intensity and compensator on a time grid; CSV output."""
     config = _load_config(config_path)
     params = _load_params(params_path, config)
@@ -335,8 +322,7 @@ def cmd_evaluate(config_path, params_path, data_path, step, t_end, grid_step,
         n_out = max(1, int(round(T / dt_out)))
         times = np.linspace(0.0, n_out * dt_out, n_out + 1)
         times = times[times <= T * (1 + 1e-12)]
-        tables = _tables_for(params, T, _opt(config, "grid_step", grid_step, None))
-        values = PoiEvaluator(params, events, tables=tables).values(times)
+        values = PoiEvaluator(params, events).values(times)
     except PMBPError as exc:
         raise _fail(exc)
     d = params.d
@@ -364,7 +350,9 @@ def cmd_evaluate(config_path, params_path, data_path, step, t_end, grid_step,
 @click.option("--n-samples", type=int, help="Continuation samples (default 500).")
 @click.option("--seed", type=int)
 @click.option("--bound", type=click.Choice(["ub1", "ub2"]))
-@click.option("--grid-step", type=float)
+@click.option("--grid-step", type=float,
+              help="Grid spacing for the sampler's response tables "
+                   "(default auto).")
 @click.option("--out", type=click.Path())
 def cmd_predict(config_path, params_path, data_path, horizon, width,
                 n_samples, seed, bound, grid_step, out):
@@ -427,7 +415,6 @@ def cmd_predict(config_path, params_path, data_path, horizon, width,
 @click.option("--censor-widths", type=str,
               help="Comma-separated widths, e.g. '1' or '0.5,1,2'.")
 @click.option("--t-end", type=float)
-@click.option("--grid-step", type=float)
 @click.option("--seed", type=int)
 @click.option("--n-starts", type=int)
 @click.option("--max-iter", type=int)
@@ -438,7 +425,7 @@ def cmd_predict(config_path, params_path, data_path, horizon, width,
 @click.option("--out-summary", type=click.Path(),
               help="Mean/median/IQR CSV (omitted unless given).")
 def cmd_recover(config_path, params_path, n_sequences, group_size,
-                censor_widths, t_end, grid_step, seed, n_starts, max_iter,
+                censor_widths, t_end, seed, n_starts, max_iter,
                 threads, out_rows, out_summary):
     """Simulate from known parameters, refit in groups, tabulate estimates.
 
@@ -454,7 +441,6 @@ def cmd_recover(config_path, params_path, n_sequences, group_size,
     widths = (_comma_floats(widths_raw) if isinstance(widths_raw, str)
               else [float(v) for v in widths_raw])
     T = float(_opt(config, "t_end", t_end, 60.0))
-    grid_step_v = float(_opt(config, "grid_step", grid_step, 0.05))
     seed = int(_opt(config, "seed", seed, 0))
     threads = int(_opt(config, "threads", threads, os.cpu_count() or 1))
     fit_cfg = FitConfig(
@@ -465,7 +451,7 @@ def cmd_recover(config_path, params_path, n_sequences, group_size,
     try:
         rows, summary = recovery_experiment(
             params, n_sequences, group_size, widths, seed, T=T,
-            grid_step=grid_step_v, fit_config=fit_cfg, n_jobs=threads,
+            fit_config=fit_cfg, n_jobs=threads,
         )
     except PMBPError as exc:
         raise _fail(exc)
@@ -494,9 +480,8 @@ def cmd_recover(config_path, params_path, n_sequences, group_size,
 @click.option("--data", "data_path", type=click.Path(exists=True))
 @click.option("--n-draws", type=int, help="Poisson band draws (default 2000).")
 @click.option("--seed", type=int)
-@click.option("--grid-step", type=float)
 @click.option("--out", type=click.Path())
-def cmd_gof(config_path, params_path, data_path, n_draws, seed, grid_step, out):
+def cmd_gof(config_path, params_path, data_path, n_draws, seed, out):
     """Goodness-of-fit diagnostics for a fitted model on a dataset; JSON."""
     config = _load_config(config_path)
     params = _load_params(params_path, config)
@@ -505,10 +490,8 @@ def cmd_gof(config_path, params_path, data_path, n_draws, seed, grid_step, out):
         raise click.UsageError("--data is required")
     try:
         ds = read_dataset(data_path)
-        tables = _tables_for(params, ds.T,
-                             _opt(config, "grid_step", grid_step, None))
         report = gof_report(
-            params, ds, tables,
+            params, ds,
             n_draws=int(_opt(config, "n_draws", n_draws, 2000)),
             seed=int(_opt(config, "seed", seed, 0)),
         )
@@ -528,12 +511,11 @@ def cmd_gof(config_path, params_path, data_path, n_draws, seed, grid_step, out):
 @click.option("--data", "data_path", type=click.Path(exists=True))
 @click.option("--n-points", type=int, help="Random test points (default 5).")
 @click.option("--seed", type=int)
-@click.option("--grid-step", type=float)
 @click.option("--tolerance", type=float,
               help="Relative mismatch allowed (default 1e-3).")
 @click.option("--out", type=click.Path())
 def cmd_grad_check(config_path, params_path, data_path, n_points, seed,
-                   grid_step, tolerance, out):
+                   tolerance, out):
     """Compare analytic likelihood gradients with finite differences; JSON.
 
     Draws parameter points around --params (log-normal jitter, kept inside
@@ -550,8 +532,6 @@ def cmd_grad_check(config_path, params_path, data_path, n_points, seed,
     tol = float(_opt(config, "tolerance", tolerance, 1e-3))
     try:
         ds = read_dataset(data_path)
-        grid = _grid_for(params, ds.T,
-                         _opt(config, "grid_step", grid_step, None))
         names = _param_names(params.d)[:-1]  # flat layout, minus the radius
         rng = np.random.default_rng(seed)
         worst = np.zeros(n_free(params.d, False))
@@ -560,11 +540,9 @@ def cmd_grad_check(config_path, params_path, data_path, n_points, seed,
             x = pack(point, False)
 
             def f(vec):
-                return nll_and_grad(
-                    unpack(point, vec, False), ds, grid
-                )[0]
+                return nll_and_grad(unpack(point, vec, False), ds)[0]
 
-            _, g = nll_and_grad(point, ds, grid)
+            _, g = nll_and_grad(point, ds)
             g_fd = fd_gradient(f, x)
             rel = np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-6)
             worst = np.maximum(worst, rel)

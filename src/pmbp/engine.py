@@ -12,6 +12,9 @@ the E^c columns zeroed, and H(t) = int_0^t h.  All grid convolutions use the
 quadrature sum_i [F(t - t_i) - F(t - t_{i+1})] g(t_i) with F an exact
 antiderivative, which is exact for piecewise-constant g; on the uniform grid
 this is a discrete sequence convolution and is evaluated by FFT.
+
+This grid method is kept as the reference for the exact evaluator in
+`pmbp.poi` and as the source of the sampler's tables.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import scipy.fft
 
 from .decay import build_source_decays
 from .errors import (
-    DimensionError,
     DomainError,
     ParameterError,
     RegularityError,
@@ -32,15 +34,6 @@ from .errors import (
 )
 from .hawkes import hawkes_intensity, sample_conditional_hawkes
 from .params import ModelParams, column_masks, spectral_radius, validate_events_for
-
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the worker count used for FFT-based grid convolutions."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
-
 
 # ---------------------------------------------------------------------------
 # Grid
@@ -101,13 +94,13 @@ def _fft_conv(D: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     P1 = D.shape[0]
     nfft = scipy.fft.next_fast_len(2 * P1 - 1, real=True)
-    FD = scipy.fft.rfft(D, nfft, axis=0, workers=_FFT_WORKERS)
-    Fg = scipy.fft.rfft(g, nfft, axis=0, workers=_FFT_WORKERS)
+    FD = scipy.fft.rfft(D, nfft, axis=0)
+    Fg = scipy.fft.rfft(g, nfft, axis=0)
     if g.ndim == 2:
         spec = np.einsum("fij,fj->fi", FD, Fg)
     else:
         spec = np.einsum("fij,fjk->fik", FD, Fg)
-    out = scipy.fft.irfft(spec, nfft, axis=0, workers=_FFT_WORKERS)[:P1]
+    out = scipy.fft.irfft(spec, nfft, axis=0)[:P1]
     return out
 
 
@@ -115,10 +108,10 @@ def _fft_conv_right(g: np.ndarray, D: np.ndarray) -> np.ndarray:
     """out[p] = sum_{r<=p} g[p-r] @ D[r] (matrix product on the right)."""
     P1 = D.shape[0]
     nfft = scipy.fft.next_fast_len(2 * P1 - 1, real=True)
-    FD = scipy.fft.rfft(D, nfft, axis=0, workers=_FFT_WORKERS)
-    Fg = scipy.fft.rfft(g, nfft, axis=0, workers=_FFT_WORKERS)
+    FD = scipy.fft.rfft(D, nfft, axis=0)
+    Fg = scipy.fft.rfft(g, nfft, axis=0)
     spec = np.einsum("fij,fjk->fik", Fg, FD)
-    return scipy.fft.irfft(spec, nfft, axis=0, workers=_FFT_WORKERS)[:P1]
+    return scipy.fft.irfft(spec, nfft, axis=0)[:P1]
 
 
 def _grid_diffs(samples: np.ndarray) -> np.ndarray:
@@ -269,75 +262,6 @@ def compensator_eval(params: ModelParams, events, tables: HTables) -> np.ndarray
             Xi = Xi + np.einsum("pij,j->pi", tables.H, params.gamma)
         Xi = Xi + _fft_conv(_grid_diffs(tables.H), S)
     return Xi
-
-
-# ---------------------------------------------------------------------------
-# Quadrature at a single time
-
-
-def conv_quadrature(F, g: np.ndarray, grid: ConvGrid, t: float):
-    """Quadrature convolution sum_{t_i < t} [F(t-t_i) - F(t-min(t_{i+1},t))]
-    g(t_i) at a single time t.
-
-    F : callable antiderivative (t -> matrix/vector/scalar) or an array of
-    antiderivative samples aligned to the grid.  g : samples on the grid.
-    Off-grid t requires a callable F (array samples cannot be shifted).
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != grid.n + 1:
-        raise DimensionError(
-            f"g must have {grid.n + 1} rows to match the grid, got {g.shape[0]}"
-        )
-    if not np.isfinite(t) or t < 0 or t > grid.T * (1 + 1e-12) + 1e-12:
-        raise DomainError(f"t={t} outside the grid span [0, {grid.T}]")
-    dt = grid.dt
-    p = int(round(t / dt))
-    on_grid = abs(t - p * dt) <= 1e-9 * max(1.0, dt)
-    if not callable(F):
-        Farr = np.asarray(F, dtype=float)
-        if Farr.shape[0] != grid.n + 1:
-            raise DimensionError("antiderivative samples must match the grid")
-        if not on_grid:
-            raise DomainError(
-                f"t={t} is not a grid point; off-grid evaluation needs a "
-                "callable antiderivative"
-            )
-        if p == 0:
-            return np.zeros(_product_shape(Farr.shape[1:], g.shape[1:]))
-        D = Farr[1 : p + 1] - Farr[0:p]
-        return _stacked_product(D, g[p - 1 :: -1][:p])
-    if on_grid:
-        if p == 0:
-            F0 = np.asarray(F(0.0), dtype=float)
-            return np.zeros(_product_shape(F0.shape, g.shape[1:]))
-        args = dt * np.arange(p + 1)
-        Fv = np.stack([np.asarray(F(u), dtype=float) for u in args])
-        D = Fv[1:] - Fv[:-1]
-        return _stacked_product(D, g[p - 1 :: -1][:p])
-    m = int(np.floor(t / dt * (1 + 1e-15)))
-    m = min(m, grid.n)
-    lo = np.asarray(
-        [np.asarray(F(t - min((i + 1) * dt, t)), dtype=float) for i in range(m + 1)]
-    )
-    hi = np.asarray([np.asarray(F(t - i * dt), dtype=float) for i in range(m + 1)])
-    return _stacked_product(hi - lo, g[: m + 1])
-
-
-def _product_shape(f_shape, g_shape):
-    if len(f_shape) == 2 and len(g_shape) == 1:
-        return (f_shape[0],)
-    if len(f_shape) == 2 and len(g_shape) == 2:
-        return (f_shape[0], g_shape[1])
-    return np.broadcast_shapes(f_shape, g_shape)
-
-
-def _stacked_product(D: np.ndarray, g: np.ndarray):
-    """sum_r D[r] . g[r] with matrix/vector/scalar semantics."""
-    if D.ndim == 3 and g.ndim == 2:
-        return np.einsum("rij,rj->i", D, g)
-    if D.ndim == 3 and g.ndim == 3:
-        return np.einsum("rij,rjk->ik", D, g)
-    return np.sum(D * g, axis=0)
 
 
 # ---------------------------------------------------------------------------

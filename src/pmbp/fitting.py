@@ -21,13 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .engine import ConvGrid
 from .errors import (
     ConvergenceError,
     NumericalConsistencyError,
     ParameterError,
     RegularityError,
-    TruncationError,
 )
 from .hawkes import sample_hawkes
 from .likelihood import LikelihoodConfig, _as_datasets, _check_compat, nll_and_grad
@@ -232,15 +230,28 @@ def _fd_grad_box(f, x, lb, ub, step=1e-6):
     return g
 
 
-_FAILURES = (RegularityError, TruncationError, NumericalConsistencyError)
+def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function of a vector."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[i] += step
+        lo[i] -= step
+        g[i] = (f(hi) - f(lo)) / (2 * step)
+    return g
 
 
-def _make_objective(template, datasets, grid, cfg: FitConfig, lb, ub):
+_FAILURES = (RegularityError, NumericalConsistencyError)
+
+
+def _make_objective(template, datasets, cfg: FitConfig, lb, ub):
     def value_only(x):
         p = unpack(template, x, cfg.include_gamma)
         try:
             val, _ = nll_and_grad(
-                p, datasets, grid=grid, config=cfg.likelihood,
+                p, datasets, config=cfg.likelihood,
                 include_gamma=cfg.include_gamma,
             )
         except _FAILURES:
@@ -251,7 +262,7 @@ def _make_objective(template, datasets, grid, cfg: FitConfig, lb, ub):
         p = unpack(template, x, cfg.include_gamma)
         try:
             val, g = nll_and_grad(
-                p, datasets, grid=grid, config=cfg.likelihood,
+                p, datasets, config=cfg.likelihood,
                 include_gamma=cfg.include_gamma,
             )
         except _FAILURES:
@@ -337,16 +348,11 @@ def _starts(cfg: FitConfig, d: int, e: int, emp_rate: np.ndarray, lb, ub):
     return starts
 
 
-def fit(
-    datasets,
-    cfg: FitConfig | None = None,
-    grid: ConvGrid | None = None,
-) -> FitResult:
+def fit(datasets, cfg: FitConfig | None = None) -> FitResult:
     """Maximum-likelihood fit over one or more datasets with a shared split.
 
-    The grid fixes the discretization of the objective for the whole run; by
-    default it spans the longest dataset horizon with 1200 cells.  Returns the
-    best start's parameters; raises ConvergenceError if every start failed to
+    The objective is evaluated exactly (no discretization).  Returns the best
+    start's parameters; raises ConvergenceError if every start failed to
     produce a finite objective.
     """
     t_start = time.perf_counter()
@@ -356,13 +362,6 @@ def fit(
     for ds in datasets:
         if ds.d != d or ds.e != e:
             raise ParameterError("all datasets must share the same (d, e) split")
-    T_max = max(ds.T for ds in datasets)
-    if grid is None and e > 0:
-        grid = ConvGrid.make(T_max, T_max / 1200)
-    if grid is not None and grid.T < T_max * (1 - 1e-12):
-        raise ParameterError(
-            f"grid span {grid.T} shorter than the longest dataset T={T_max}"
-        )
     gamma_fixed = np.zeros(d) if cfg.gamma is None else np.asarray(cfg.gamma, float)
     template = ModelParams(
         d=d, e=e, theta=np.ones((d, d)), alpha=np.zeros((d, d)),
@@ -371,7 +370,7 @@ def fit(
     _check_compat(template, datasets)
     emp = _empirical_rates(datasets)
     lb, ub = _bounds(cfg, d, emp)
-    f_and_g = _make_objective(template, datasets, grid, cfg, lb, ub)
+    f_and_g = _make_objective(template, datasets, cfg, lb, ub)
     records = []
     best = None
     for k, x0 in enumerate(_starts(cfg, d, e, emp, lb, ub)):
@@ -422,7 +421,6 @@ def recovery_experiment(
     censor_widths,
     seed: int,
     T: float = 60.0,
-    grid_step: float = 0.05,
     fit_config: FitConfig | None = None,
     n_jobs: int = 1,
 ):
@@ -457,14 +455,14 @@ def recovery_experiment(
     names = _param_names(d)
     true_vals = _param_values(true_params)
 
-    tasks = []  # (mode, group_index, datasets, config, grid)
+    tasks = []  # (mode, group_index, datasets, config)
     for gi in range(n_groups):
         group = seqs[gi * group_size : (gi + 1) * group_size]
         pp_data = [
             Dataset(T=T, censored=(), events=tuple(h.times)) for h in group
         ]
         cfg_pp = dataclasses.replace(base_cfg, seed=base_cfg.seed + 1000 + gi)
-        tasks.append(("PP-PP", gi, pp_data, cfg_pp, None))
+        tasks.append(("PP-PP", gi, pp_data, cfg_pp))
         for wi, w in enumerate(censor_widths):
             ic_data = [
                 Dataset(
@@ -474,15 +472,14 @@ def recovery_experiment(
                 )
                 for h in group
             ]
-            grid = ConvGrid.make(T, grid_step)
             cfg_ic = dataclasses.replace(
                 base_cfg, seed=base_cfg.seed + 2000 + 1000 * wi + gi
             )
-            tasks.append((f"IC-PP[{w:g}]", gi, ic_data, cfg_ic, grid))
+            tasks.append((f"IC-PP[{w:g}]", gi, ic_data, cfg_ic))
 
     def run(task):
-        _, _, data, cfg, grid = task
-        return fit(data, cfg, grid=grid).params
+        _, _, data, cfg = task
+        return fit(data, cfg).params
 
     if n_jobs == 1:
         fitted = [run(t) for t in tasks]
@@ -492,7 +489,7 @@ def recovery_experiment(
 
     rows = []
     estimates = {}
-    for (mode, gi, _, _, _), params_hat in zip(tasks, fitted):
+    for (mode, gi, _, _), params_hat in zip(tasks, fitted):
         vals = _param_values(params_hat)
         for name, tv, est in zip(names, true_vals, vals):
             rows.append(

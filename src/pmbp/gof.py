@@ -28,7 +28,6 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import stats
 
-from .engine import HTables
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -162,8 +161,7 @@ class GofReport:
         return out
 
 
-def gof_report(params: ModelParams, dataset: Dataset,
-               tables: HTables | None = None, n_draws: int = 2000,
+def gof_report(params: ModelParams, dataset: Dataset, n_draws: int = 2000,
                seed: int = 0) -> GofReport:
     """Run every applicable diagnostic on every dimension of a dataset.
 
@@ -177,9 +175,7 @@ def gof_report(params: ModelParams, dataset: Dataset,
         raise DomainError(
             f"dataset shape ({dataset.e} censored / {dataset.d} total) does "
             f"not match the model ({e} censored / {d} total)")
-    if e > 0 and tables is None:
-        raise DomainError("tables are required when censored dimensions exist")
-    ev = PoiEvaluator(params, dataset.event_list(), tables=tables)
+    ev = PoiEvaluator(params, dataset.event_list())
     ks: dict[int, tuple[float, float]] = {}
     normality: dict[int, tuple[float, float]] = {}
     scores: dict[int, float] = {}

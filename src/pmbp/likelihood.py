@@ -5,8 +5,8 @@ increments, sum_k [DXi_k - C_k log DXi_k] (the count factorial is a constant
 and is dropped); observed dimensions contribute point-process terms
 -sum log xi(t_k) + Xi(T).  Dimension weights and an L1 penalty on the
 baseline rates are configurable.  Gradients differentiate exactly the
-computed objective, reusing the evaluator's shifted-argument machinery and
-the response-table derivative stacks.
+computed objective: its cotangents on xi and Xi go through the evaluator's
+adjoint pass.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import dataclasses
 
 import numpy as np
 
-from .engine import HTables, compute_h, default_grid
 from .errors import (
     DimensionError,
     NumericalConsistencyError,
     ParameterError,
 )
-from .gradients import GradTables, grad_h
 from .params import Dataset, ModelParams
 from .paramvec import n_free
 from .poi import PoiEvaluator
@@ -49,6 +47,29 @@ class LikelihoodConfig:
         return w
 
 
+def _window_nll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float):
+    """Poisson window terms on compensator increments: the value and its
+    derivative with respect to each increment.
+
+    Raises NumericalConsistencyError if an increment is below -1e-9; smaller
+    negatives are clipped to zero (and get a zero derivative) before the eps
+    floor inside the log.
+    """
+    inc = np.diff(Xi_bounds)
+    if inc.size and inc.min() < _INCREMENT_SLACK:
+        k = int(np.argmin(inc))
+        raise NumericalConsistencyError(
+            f"compensator increment {inc[k]:.3g} < {_INCREMENT_SLACK} on "
+            f"window {k}"
+        )
+    clipped = inc < 0
+    inc = np.clip(inc, 0.0, None)
+    value = float(np.sum(inc - counts * np.log(np.maximum(inc, eps))))
+    dinc = np.where(inc > eps, 1.0 - counts / np.maximum(inc, eps), 1.0)
+    dinc[clipped] = 0.0
+    return value, dinc
+
+
 def icll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float = 1e-10) -> float:
     """Poisson window negative log-likelihood from compensator values at the
     observation boundaries (constant count factorials dropped).
@@ -62,15 +83,7 @@ def icll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float = 1e-10) -> float
         raise DimensionError(
             f"need {counts.size + 1} boundary values for {counts.size} windows"
         )
-    inc = np.diff(Xi_bounds)
-    if inc.size and inc.min() < _INCREMENT_SLACK:
-        k = int(np.argmin(inc))
-        raise NumericalConsistencyError(
-            f"compensator increment {inc[k]:.3g} < {_INCREMENT_SLACK} on "
-            f"window {k}; refine the evaluation grid"
-        )
-    inc = np.clip(inc, 0.0, None)
-    return float(np.sum(inc - counts * np.log(np.maximum(inc, eps))))
+    return _window_nll(Xi_bounds, counts, eps)[0]
 
 
 def ppll_nll(xi_events: np.ndarray, Xi_T: float, eps: float = 1e-10) -> float:
@@ -100,21 +113,9 @@ def _check_compat(params: ModelParams, datasets) -> None:
             )
 
 
-def _shared_tables(params: ModelParams, datasets, grid, tables):
-    if params.e == 0:
-        return None
-    if tables is not None:
-        return tables
-    if grid is None:
-        grid = default_grid(params, max(ds.T for ds in datasets))
-    return compute_h(params, grid)
-
-
 def _accumulate(
     params: ModelParams,
     datasets,
-    tables: HTables | None,
-    grad_tables: GradTables | None,
     config: LikelihoodConfig,
     need_grad: bool,
     include_gamma: bool,
@@ -133,105 +134,73 @@ def _accumulate(
         for ts in ds.events:
             pieces.append(np.asarray(ts, dtype=float))
         times = np.unique(np.concatenate(pieces))
-        ev = PoiEvaluator(params, ds.event_list(), tables)
-        out = ev.values(
-            times,
-            need_grads=need_grad,
-            grad_tables=grad_tables,
-            include_gamma=include_gamma,
-        )
+        ev = PoiEvaluator(params, ds.event_list())
+        out = ev.values(times)
+        # cotangents of the objective on xi and Xi at each time
+        g_xi = np.zeros_like(out.xi)
+        g_Xi = np.zeros_like(out.Xi)
         for j, series in enumerate(ds.censored):
             pos = np.searchsorted(times, series.boundaries)
-            inc = np.diff(out.Xi[pos, j])
-            if inc.size and inc.min() < _INCREMENT_SLACK:
-                k = int(np.argmin(inc))
-                raise NumericalConsistencyError(
-                    f"dimension {j + 1}: compensator increment {inc[k]:.3g} < "
-                    f"{_INCREMENT_SLACK} on window {k}; refine the grid"
-                )
-            clipped = inc < 0
-            inc = np.clip(inc, 0.0, None)
-            total += w[j] * float(
-                np.sum(inc - series.counts * np.log(np.maximum(inc, eps)))
-            )
-            if need_grad:
-                wk = np.where(
-                    inc > eps, 1.0 - series.counts / np.maximum(inc, eps), 1.0
-                )
-                wk[clipped] = 0.0
-                dinc = np.diff(out.dXi[pos, :, j], axis=0)
-                grad += w[j] * (wk[:, None] * dinc).sum(axis=0)
+            try:
+                value, dinc = _window_nll(out.Xi[pos, j], series.counts, eps)
+            except NumericalConsistencyError as exc:
+                raise NumericalConsistencyError(f"dimension {j + 1}: {exc}") from None
+            total += w[j] * value
+            g_Xi[pos[1:], j] += w[j] * dinc
+            g_Xi[pos[:-1], j] -= w[j] * dinc
+        pos_T = np.searchsorted(times, ds.T)
         for jj, ts in enumerate(ds.events):
             j = e + jj
-            pos_T = np.searchsorted(times, ds.T)
-            if ts.size:
-                pos = np.searchsorted(times, np.asarray(ts, dtype=float))
-                xi_ev = out.xi[pos, j]
-                total += w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]), eps)
-                if need_grad:
-                    safe = xi_ev > eps
-                    coef = np.where(safe, -1.0 / np.maximum(xi_ev, eps), 0.0)
-                    grad += w[j] * (
-                        (coef[:, None] * out.dxi[pos, :, j]).sum(axis=0)
-                        + out.dXi[pos_T, :, j]
-                    )
-            else:
-                total += w[j] * float(out.Xi[pos_T, j])
-                if need_grad:
-                    grad += w[j] * out.dXi[pos_T, :, j]
+            pos = np.searchsorted(times, np.asarray(ts, dtype=float))
+            xi_ev = out.xi[pos, j]
+            total += w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]), eps)
+            g_xi[pos, j] -= w[j] * np.where(
+                xi_ev > eps, 1.0 / np.maximum(xi_ev, eps), 0.0
+            )
+            g_Xi[pos_T, j] += w[j]
+        if need_grad:
+            grad += ev.vjp(out, g_xi, g_Xi, include_gamma)
     return total, grad
 
 
 def total_nll(
     params: ModelParams,
     dataset: Dataset,
-    grid=None,
-    tables: HTables | None = None,
     config: LikelihoodConfig | None = None,
 ) -> float:
     """Weighted negative log-likelihood of one dataset."""
-    return joint_nll(params, [dataset], grid=grid, tables=tables, config=config)
+    return joint_nll(params, [dataset], config=config)
 
 
 def joint_nll(
     params: ModelParams,
     datasets,
-    grid=None,
-    tables: HTables | None = None,
     config: LikelihoodConfig | None = None,
 ) -> float:
-    """Weighted negative log-likelihood summed over datasets, sharing one set
-    of response tables (the L1 baseline penalty is applied once)."""
+    """Weighted negative log-likelihood summed over datasets (the L1 baseline
+    penalty is applied once)."""
     datasets = _as_datasets(datasets)
     _check_compat(params, datasets)
-    config = config or LikelihoodConfig()
-    tables = _shared_tables(params, datasets, grid, tables)
-    value, _ = _accumulate(params, datasets, tables, None, config, False, False)
+    value, _ = _accumulate(
+        params, datasets, config or LikelihoodConfig(), False, False
+    )
     return value
 
 
 def nll_and_grad(
     params: ModelParams,
     data,
-    grid=None,
-    tables: HTables | None = None,
-    grad_tables: GradTables | None = None,
     config: LikelihoodConfig | None = None,
     include_gamma: bool = False,
 ):
     """Objective value and its gradient in the canonical parameter layout.
 
-    `data` is a Dataset or a sequence of them.  Tables and their derivative
-    stacks are computed once if not supplied.
+    `data` is a Dataset or a sequence of them.
     """
     datasets = _as_datasets(data)
     _check_compat(params, datasets)
-    config = config or LikelihoodConfig()
-    tables = _shared_tables(params, datasets, grid, tables)
-    if params.e > 0 and grad_tables is None:
-        grad_tables = grad_h(params, tables)
     return _accumulate(
-        params, datasets, tables, grad_tables, config, True, include_gamma
+        params, datasets, config or LikelihoodConfig(), True, include_gamma
     )
 
 

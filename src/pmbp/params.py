@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionError,
-    DomainError,
     ParameterError,
 )
 
@@ -77,14 +76,6 @@ class ModelParams:
         for name, arr in (("theta", theta), ("alpha", alpha), ("gamma", gamma), ("nu", nu)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def e_dims(self) -> range:
-        return range(self.e)
-
-    @property
-    def ec_dims(self) -> range:
-        return range(self.e, self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelParams):
@@ -390,22 +381,6 @@ def phi_integral(params: ModelParams, t) -> np.ndarray:
     )
 
 
-def split_kernel(params: ModelParams):
-    """Return (phi_E, phi_Ec): the kernel with the event-observed columns
-    zeroed, and its complement.  phi_E(t) + phi_Ec(t) == phi_eval(t)."""
-    mask_E = np.zeros((params.d, params.d))
-    mask_E[:, : params.e] = 1.0
-    mask_Ec = 1.0 - mask_E
-
-    def phi_E(t):
-        return phi_eval(params, t) * mask_E
-
-    def phi_Ec(t):
-        return phi_eval(params, t) * mask_Ec
-
-    return phi_E, phi_Ec
-
-
 def column_masks(params: ModelParams):
     """(d, d) 0/1 masks selecting the censored and event-observed columns."""
     mask_E = np.zeros((params.d, params.d))
@@ -520,11 +495,3 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
             )
         out.append(ts)
     return out
-
-
-def require_nonnegative_time(t) -> np.ndarray:
-    """Validate query times >= 0 (domain of intensities/compensators)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr < 0):
-        raise DomainError("query times must be finite and >= 0")
-    return t_arr

@@ -15,16 +15,6 @@ def n_free(d: int, include_gamma: bool = False) -> int:
     return 2 * d * d + d + (d if include_gamma else 0)
 
 
-def key_list(d: int, include_gamma: bool = False):
-    """Ordered (kind, i, j) keys; j is None for the vector blocks."""
-    keys = [("alpha", i, j) for i in range(d) for j in range(d)]
-    keys += [("theta", i, j) for i in range(d) for j in range(d)]
-    keys += [("nu", i, None) for i in range(d)]
-    if include_gamma:
-        keys += [("gamma", i, None) for i in range(d)]
-    return keys
-
-
 def pack(params: ModelParams, include_gamma: bool = False) -> np.ndarray:
     parts = [params.alpha.ravel(), params.theta.ravel(), params.nu]
     if include_gamma:

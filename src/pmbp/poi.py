@@ -1,23 +1,29 @@
-"""Evaluation of the expected intensity and compensator at arbitrary times.
+"""Exact evaluation of the expected intensity and compensator at any times.
 
-The grid tables give h and H at uniform points; likelihoods and samplers need
-xi and Xi at event timestamps and censor boundaries that fall between grid
-points.  The quadrature mirrors the grid convolution over the locally
-augmented partition (grid points below t plus t itself):
+With exponential kernels, the censored block's expected response given the
+observed events solves a linear ODE that jumps only at observed events.  Its
+state is
 
-    (h * s)(t)  = sum_i h(t_i) [ S(u_i) -  S(u_{i+1})],   u_i = (t - t_i)+,
-    (h * S)(t)  = sum_i h(t_i) [IS(u_i) - IS(u_{i+1})],
+    y[i, j]  (j < e)           y_ij = phi_ij gamma_j + phi_ij * xi_j,
+    w[j, k]  (j < e, k >= e)   w_jk(t) = sum_{t_m^k < t} phi_jk(t - t_m^k),
+    I[i]                       int_0^t sum_j y_ij,
+    1                          a constant that carries nu,
 
-with S(u) = nu u + A(u) and IS(u) = nu u^2/2 + IA(u) evaluated exactly via
-the decay accumulators, so the partial cell at t needs no special casing.
-When the impulse weight gamma is active, h and H themselves are evaluated
-off-grid through the renewal identities h = phi_E + phi_E * h and
-H = Phi_E + Phi_E * h with the exact kernel antiderivatives.
+with dy_ij/dt = -theta_ij y_ij + alpha_ij theta_ij xi_j and
+xi_j = nu_j + sum_k w_jk + sum_l y_jl for j < e.  Between knots (sorted query
+and event times) the state moves by expm(M dt); an event of source k adds
+alpha_jk theta_jk to w[:, k].  Then
 
-The same shifted-argument difference arrays drive the exact derivatives of
-these discretized expressions with respect to every free parameter, which
-keeps analytic gradients consistent with finite differences of the computed
-objective (not just of its continuum limit).
+    xi_i(t) = nu_i + a_i(t) + sum_j y_ij(t),
+    Xi_i(t) = gamma_i 1{t>0} + nu_i t + A_i(t) + I_i(t),
+
+where a/A are the observed-source sums from the decay accumulators.  With
+e = 0 there is no scan and the evaluator is those sums alone.
+
+Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
+reverse (adjoint) pass gives the adjoint state at every knot.  The derivative
+of each step's expm then follows from Van Loan's (1978) block-triangular
+exponential: one 2s x 2s expm per interval, whatever the parameter count.
 """
 
 from __future__ import annotations
@@ -25,326 +31,225 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg import expm
 
 from .decay import build_source_decays
-from .errors import DomainError, ParameterError
-from .params import ModelParams, validate_events_for
+from .errors import DomainError, RegularityError
+from .params import ModelParams, spectral_radius, validate_events_for
 from .paramvec import n_free
 
-_CELL_BUDGET = 400_000  # max chunk_size * (P+1) entries per temp array
+_VAN_LOAN_BATCH = 256  # intervals per batched 2s x 2s expm
 
 
 @dataclasses.dataclass
 class PoiValues:
-    """xi/Xi rows at the query times, with optional gradient tensors
-    (m, n_free, d) in the canonical parameter layout."""
+    """xi/Xi rows (m, d) at the query times t, with what the gradient reuses:
+    the decay sums (count, esum, wsum) per observed source and the scan."""
 
     t: np.ndarray
     xi: np.ndarray
     Xi: np.ndarray
-    dxi: np.ndarray | None = None
-    dXi: np.ndarray | None = None
+    sums: dict = dataclasses.field(default_factory=dict, repr=False)
+    scan: "_Scan | None" = dataclasses.field(default=None, repr=False)
+
+
+@dataclasses.dataclass
+class _Scan:
+    """Forward pass of the censored-block state, kept for the adjoint.
+
+    inv maps query rows to unique query times, qidx those to knots; E[n]
+    steps the state from knot n to n+1; X[n] is the state just before knot
+    n's jump and counts[n, k] the events of source e + k at knot n.
+    """
+
+    inv: np.ndarray
+    qidx: np.ndarray
+    dt: np.ndarray
+    E: np.ndarray
+    X: np.ndarray
+    jumps: np.ndarray
+    counts: np.ndarray
+
+
+class _Layout:
+    """Index blocks of the scan state and the generator M."""
+
+    def __init__(self, p: ModelParams):
+        d, e = p.d, p.e
+        o = d - e
+        self.Y = np.arange(d * e).reshape(d, e)
+        self.W = d * e + np.arange(e * o).reshape(e, o)
+        self.I = d * e + e * o + np.arange(d)
+        self.s = d * e + e * o + d + 1
+        c = p.alpha * p.theta
+        M = np.zeros((self.s, self.s))
+        for i in range(d):
+            for j in range(e):
+                r = self.Y[i, j]
+                M[r, self.Y[j]] += c[i, j]
+                M[r, self.W[j]] += c[i, j]
+                M[r, -1] += c[i, j] * p.nu[j]
+                M[r, r] -= p.theta[i, j]
+                M[self.I[i], r] = 1.0
+        w = self.W.ravel()
+        M[w, w] = -p.theta[:e, e:].ravel()
+        self.M = M
+        self.x0 = np.zeros(self.s)
+        self.x0[self.Y] = c[:, :e] * p.gamma[:e]
+        self.x0[-1] = 1.0
+        # jump of the state per event of each observed source
+        self.J = np.zeros((o, self.s))
+        for k in range(o):
+            self.J[k, self.W[:, k]] = c[:e, e + k]
 
 
 class PoiEvaluator:
-    """Evaluates xi(t), Xi(t) and optional parameter derivatives, given the
-    observed E^c events and precomputed grid tables.
+    """Evaluates xi(t), Xi(t) and gradients of functions of them, given the
+    observed E^c events (censored-dimension entries are ignored).
 
-    events : per-dimension arrays (censored-dimension entries are ignored);
-    tables : HTables from compute_h, required when e > 0.  For derivatives of
-    a model with a censored block, pass grad_tables (the dh/dH stacks for the
-    censored-column kernel parameters).
+    Raises RegularityError when the censored block is not subcritical.
     """
 
-    def __init__(self, params: ModelParams, events, tables=None):
+    def __init__(self, params: ModelParams, events):
         self.params = params
         self.events = validate_events_for(params, events)
-        if params.e > 0 and tables is None:
-            raise ParameterError("grid tables are required when e > 0")
-        self.tables = tables
+        d, e = params.d, params.e
+        if e > 0:
+            rho_EE = spectral_radius(params.alpha[:e, :e])
+            if rho_EE >= 1.0:
+                raise RegularityError(
+                    f"censored-block branching radius {rho_EE:.6g} >= 1; "
+                    "the expected response diverges"
+                )
         self.decays = build_source_decays(
-            self.events, params.theta, sources=range(params.e, params.d)
+            self.events, params.theta, sources=range(e, d)
         )
-        self.use_conv = params.e > 0
-        self.has_gamma = bool(np.any(params.gamma))
+        self.layout = _Layout(params) if e > 0 else None
 
-    # -- direct (unconvolved) event sums -----------------------------------
-
-    def _direct(self, t: np.ndarray, weighted: bool):
-        p = self.params
-        m, d = t.size, p.d
-        a = np.zeros((m, d))
-        A = np.zeros((m, d))
-        raw = {}
-        for src, sd in self.decays.items():
-            al = p.alpha[:, src][None, :]
-            th = p.theta[:, src][None, :]
-            if weighted:
-                cnt, esum, wsum, tsum = sd.query(t, weighted=True)
-            else:
-                cnt, esum, tsum = sd.query(t)
-                wsum = None
-            a += al * th * esum
-            A += al * (cnt[:, None] - esum)
-            raw[src] = (cnt.astype(float), esum, wsum, tsum)
-        return a, A, raw
-
-    # -- public evaluation --------------------------------------------------
-
-    def values(
-        self,
-        times,
-        need_grads: bool = False,
-        grad_tables=None,
-        include_gamma: bool = False,
-    ) -> PoiValues:
+    def values(self, times) -> PoiValues:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(~np.isfinite(t)) or np.any(t < 0):
             raise DomainError("query times must be finite and >= 0")
-        if self.use_conv and np.any(t > self.tables.grid.T * (1 + 1e-12) + 1e-12):
-            raise DomainError("query times must lie within the grid span")
-        if need_grads and self.use_conv and grad_tables is None:
-            raise ParameterError(
-                "derivatives with a censored block require grad_tables"
-            )
         p = self.params
-        m, d = t.size, p.d
-        K = n_free(d, include_gamma)
-        out = PoiValues(
-            t=t,
-            xi=np.zeros((m, d)),
-            Xi=np.zeros((m, d)),
-            dxi=np.zeros((m, K, d)) if need_grads else None,
-            dXi=np.zeros((m, K, d)) if need_grads else None,
-        )
-        if not self.use_conv:
-            self._fill_direct_only(out, need_grads, include_gamma)
-            return out
-        P1 = self.tables.grid.n + 1
-        chunk = max(8, _CELL_BUDGET // P1)
-        for lo in range(0, m, chunk):
-            self._fill_chunk(
-                out, slice(lo, min(m, lo + chunk)), need_grads, grad_tables,
-                include_gamma,
-            )
-        return out
+        a = np.zeros((t.size, p.d))
+        A = np.zeros((t.size, p.d))
+        sums = {}
+        for src, sd in self.decays.items():
+            cnt, esum, wsum, _ = sd.query(t, weighted=True)
+            sums[src] = (cnt, esum, wsum)
+            a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
+            A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
+        xi = p.nu[None, :] + a
+        Xi = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
+        scan = None
+        if self.layout is not None and t.size:
+            scan = self._scan(t)
+            lay = self.layout
+            rows = scan.X[scan.qidx[scan.inv]]
+            xi += rows[:, lay.Y].sum(axis=2)
+            Xi += rows[:, lay.I]
+        return PoiValues(t=t, xi=xi, Xi=Xi, sums=sums, scan=scan)
 
-    # -- e = 0 fast path ----------------------------------------------------
+    def _scan(self, t: np.ndarray) -> _Scan:
+        p, lay = self.params, self.layout
+        tq, inv = np.unique(t, return_inverse=True)
+        # events at or after the last query cannot affect any output
+        sources = [
+            np.asarray(self.events[k], dtype=float) for k in range(p.e, p.d)
+        ]
+        sources = [ts[ts < tq[-1]] for ts in sources]
+        knots = np.unique(np.concatenate([[0.0], tq, *sources]))
+        counts = np.zeros((knots.size, p.d - p.e))
+        for k, ts in enumerate(sources):
+            counts[np.searchsorted(knots, ts), k] = 1.0
+        jumps = counts @ lay.J
+        dt = np.diff(knots)
+        E = expm(lay.M[None] * dt[:, None, None]) if dt.size else None
+        X = np.empty((knots.size, lay.s))
+        x = lay.x0
+        for n in range(dt.size):
+            X[n] = x
+            x = E[n] @ (x + jumps[n])
+        X[-1] = x
+        return _Scan(inv=inv, qidx=np.searchsorted(knots, tq), dt=dt, E=E,
+                     X=X, jumps=jumps, counts=counts)
 
-    def _fill_direct_only(self, out, need_grads, include_gamma):
-        p = self.params
-        t = out.t
-        d = p.d
-        a, A, raw = self._direct(t, weighted=need_grads)
-        out.xi[:] = p.nu[None, :] + a
-        out.Xi[:] = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
-        if not need_grads:
-            return
-        for src, (cnt, esum, wsum, tsum) in raw.items():
-            for i in range(d):
-                al, th = p.alpha[i, src], p.theta[i, src]
-                ka = i * d + src
-                kt = d * d + i * d + src
-                out.dxi[:, ka, i] = th * esum[:, i]
-                out.dxi[:, kt, i] = al * (esum[:, i] - th * wsum[:, i])
-                out.dXi[:, ka, i] = cnt - esum[:, i]
-                out.dXi[:, kt, i] = al * wsum[:, i]
-        for i in range(d):
-            kn = 2 * d * d + i
-            out.dxi[:, kn, i] = 1.0
-            out.dXi[:, kn, i] = t
-        if include_gamma:
-            for i in range(d):
-                out.dXi[:, 2 * d * d + d + i, i] = (t > 0).astype(float)
-
-    # -- e > 0 convolution path ---------------------------------------------
-
-    def _fill_chunk(self, out, sl, need_grads, grad_tables, include_gamma):
+    def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
+        """Gradient of sum(gxi * vals.xi + gXi * vals.Xi) with respect to the
+        free parameters, in the canonical layout; gxi and gXi have the shape
+        of vals.xi."""
         p = self.params
         d, e = p.d, p.e
-        t = out.t[sl]
-        m = t.size
-        tab = self.tables
-        dt = tab.grid.dt
-        # cells past max(t) have empty shifted arguments; truncate the grid
-        q = min(tab.grid.n, max(1, int(np.ceil(float(t.max()) / dt - 1e-9))))
-        tg = tab.grid.points[: q + 1]
-        h = tab.h[: q + 1]
-        # h reindexed to [(cell, col), row] so quadratures become matmuls
-        hT = np.ascontiguousarray(h[:q].transpose(0, 2, 1)).reshape(q * d, d)
-
-        a, A, raw = self._direct(t, weighted=need_grads)
-
-        # shifted arguments u_i = (t - t_i)+ over the live grid points
-        U = np.clip(t[:, None] - tg[None, :], 0.0, None)  # (m, q+1)
-        live = U > 0
-
-        # S(u) = nu u + A(u), IS(u) = nu u^2/2 + IA(u) at the shifted args
-        SU = p.nu[None, None, :] * U[:, :, None]
-        ISU = 0.5 * p.nu[None, None, :] * (U * U)[:, :, None]
-        rawU = {}
-        for src, sd in self.decays.items():
-            al = p.alpha[:, src][None, None, :]
-            th = p.theta[:, src][None, None, :]
-            if need_grads:
-                cntU, esumU, wsumU, tsumU = sd.query(U.ravel(), weighted=True)
-                wsumU = wsumU.reshape(m, -1, d)
-            else:
-                cntU, esumU, tsumU = sd.query(U.ravel())
-                wsumU = None
-            cntU = cntU.reshape(m, -1).astype(float)
-            esumU = esumU.reshape(m, -1, d)
-            tsumU = tsumU.reshape(m, -1)
-            SU += al * (cntU[:, :, None] - esumU)
-            ISU += al * (tsumU[:, :, None] - (cntU[:, :, None] - esumU) / th)
-            rawU[src] = (cntU, esumU, wsumU, tsumU)
-
-        WS = (SU[:, :-1, :] - SU[:, 1:, :]).reshape(m, q * d)
-        WIS = (ISU[:, :-1, :] - ISU[:, 1:, :]).reshape(m, q * d)
-
-        xi = p.nu[None, :] + a + WS @ hT
-        Xi = (
-            p.gamma[None, :] * (t > 0)[:, None]
-            + p.nu[None, :] * t[:, None]
-            + A
-            + WIS @ hT
-        )
-
-        # off-grid h/H via the renewal identities (impulse-response terms)
-        want_impulse = self.has_gamma or (need_grads and include_gamma)
-        WPhiT = WIPhiT = h_at = H_at = None
-        if want_impulse:
-            WPhi, WIPhi, phiEt, PhiEt = self._kernel_diffs(t, U, live)
-            WPhiT = np.ascontiguousarray(
-                WPhi.transpose(0, 2, 1, 3)
-            ).reshape(m * d, q * e)
-            WIPhiT = np.ascontiguousarray(
-                WIPhi.transpose(0, 2, 1, 3)
-            ).reshape(m * d, q * e)
-            hE = np.ascontiguousarray(h[:q, :e, :e]).reshape(q * e, e)
-            h_at = phiEt + (WPhiT @ hE).reshape(m, d, e)
-            H_at = PhiEt + (WIPhiT @ hE).reshape(m, d, e)
-            if self.has_gamma:
-                xi = xi + h_at @ p.gamma[:e]
-                Xi = Xi + H_at @ p.gamma[:e]
-        out.xi[sl] = xi
-        out.Xi[sl] = Xi
-        if not need_grads:
-            return
-
-        dxi = out.dxi[sl]
-        dXi = out.dXi[sl]
-
-        # nu block: the S component k gains u, IS gains u^2/2
-        h_flat = h[:q].reshape(q, d * d)
-        Qu = ((U[:, :-1] - U[:, 1:]) @ h_flat).reshape(m, d, d)
-        QIu = (0.5 * (U[:, :-1] ** 2 - U[:, 1:] ** 2) @ h_flat).reshape(m, d, d)
-        for k in range(d):
-            kn = 2 * d * d + k
-            dxi[:, kn, :] = Qu[:, :, k]
-            dxi[:, kn, k] += 1.0
-            dXi[:, kn, :] = QIu[:, :, k]
-            dXi[:, kn, k] += t
-
-        # observed-column kernel parameters: direct sums plus the S side of
-        # the quadrature (only component a_i of S depends on them)
-        for src, (cntU, esumU, wsumU, tsumU) in rawU.items():
-            cnt_t, esum_t, wsum_t, tsum_t = raw[src]
-            for a_i in range(d):
-                al, th = p.alpha[a_i, src], p.theta[a_i, src]
-                ka = a_i * d + src
-                kt = d * d + a_i * d + src
-                h_col = h[:q, :, a_i]
-                dA_a = cntU - esumU[:, :, a_i]
-                dIA_a = tsumU - dA_a / th
-                dxi[:, ka, :] += (dA_a[:, :-1] - dA_a[:, 1:]) @ h_col
-                dXi[:, ka, :] += (dIA_a[:, :-1] - dIA_a[:, 1:]) @ h_col
-                dxi[:, ka, a_i] += th * esum_t[:, a_i]
-                dXi[:, ka, a_i] += cnt_t - esum_t[:, a_i]
-                dA_t = al * wsumU[:, :, a_i]
-                dIA_t = al * (cntU - esumU[:, :, a_i] - th * wsumU[:, :, a_i]) / th**2
-                dxi[:, kt, :] += (dA_t[:, :-1] - dA_t[:, 1:]) @ h_col
-                dXi[:, kt, :] += (dIA_t[:, :-1] - dIA_t[:, 1:]) @ h_col
-                dxi[:, kt, a_i] += al * (esum_t[:, a_i] - th * wsum_t[:, a_i])
-                dXi[:, kt, a_i] += al * wsum_t[:, a_i]
-
-        # censored-column kernel parameters: flow through dh (and dH when the
-        # impulse terms are active)
-        if grad_tables is not None:
-            for kk, (kind, a_i, b) in enumerate(grad_tables.keys):
-                kidx = (d * d if kind == "theta" else 0) + a_i * d + b
-                dh_k = grad_tables.dh[kk][: q + 1]
-                dhT = np.ascontiguousarray(
-                    dh_k[:q].transpose(0, 2, 1)
-                ).reshape(q * d, d)
-                dxi[:, kidx, :] += WS @ dhT
-                dXi[:, kidx, :] += WIS @ dhT
-                if self.has_gamma:
-                    sphi, sPhi, WdPhi, WdIPhi = _seed_terms(p, kind, a_i, b, t, U, live)
-                    dhE = np.ascontiguousarray(dh_k[:q, :e, :e]).reshape(q * e, e)
-                    dh_at = (WPhiT @ dhE).reshape(m, d, e)
-                    dH_at = (WIPhiT @ dhE).reshape(m, d, e)
-                    dh_at[:, a_i, :] += WdPhi @ h[:q, b, :e]
-                    dH_at[:, a_i, :] += WdIPhi @ h[:q, b, :e]
-                    dxi[:, kidx, a_i] += sphi * p.gamma[b]
-                    dXi[:, kidx, a_i] += sPhi * p.gamma[b]
-                    dxi[:, kidx, :] += dh_at @ p.gamma[:e]
-                    dXi[:, kidx, :] += dH_at @ p.gamma[:e]
-
-        # gamma block
+        t = vals.t
+        gxi = np.asarray(gxi, dtype=float)
+        gXi = np.asarray(gXi, dtype=float)
+        grad = np.zeros(n_free(d, include_gamma))
+        g_alpha = grad[: d * d].reshape(d, d)
+        g_theta = grad[d * d : 2 * d * d].reshape(d, d)
+        g_nu = grad[2 * d * d : 2 * d * d + d]
+        for src, (cnt, esum, wsum) in vals.sums.items():
+            al, th = p.alpha[:, src], p.theta[:, src]
+            g_alpha[:, src] += np.sum(
+                gxi * th * esum + gXi * (cnt[:, None] - esum), axis=0
+            )
+            g_theta[:, src] += np.sum(
+                al * (gxi * (esum - th * wsum) + gXi * wsum), axis=0
+            )
+        g_nu += gxi.sum(axis=0) + t @ gXi
         if include_gamma:
-            for k in range(d):
-                kg = 2 * d * d + d + k
-                dXi[:, kg, k] += (t > 0).astype(float)
-                if k < e:
-                    dxi[:, kg, :] += h_at[:, :, k]
-                    dXi[:, kg, :] += H_at[:, :, k]
+            grad[2 * d * d + d :] += (t > 0) @ gXi
+        if vals.scan is None:
+            return grad
 
-    def _kernel_diffs(self, t, U, live):
-        """Cell differences of Phi_E and int Phi_E at the shifted arguments,
-        plus phi_E(t), Phi_E(t) themselves (censored columns only)."""
-        p = self.params
-        e = p.e
-        th = p.theta[None, None, :, :e]
-        al = p.alpha[None, None, :, :e]
-        decay = np.exp(-th * U[:, :, None, None])
-        alive = live[:, :, None, None]
-        PhiU = al * np.where(alive, 1.0 - decay, 0.0)
-        IPhiU = al * np.where(alive, U[:, :, None, None] - (1.0 - decay) / th, 0.0)
-        WPhi = PhiU[:, :-1] - PhiU[:, 1:]
-        WIPhi = IPhiU[:, :-1] - IPhiU[:, 1:]
-        u = t[:, None, None]
-        th_t = p.theta[None, :, :e]
-        al_t = p.alpha[None, :, :e]
-        dec_t = np.exp(-th_t * np.maximum(u, 0.0))
-        phiEt = al_t * th_t * dec_t
-        PhiEt = al_t * (1.0 - dec_t)
-        return WPhi, WIPhi, phiEt, PhiEt
+        lay, sc = self.layout, vals.scan
+        N, s = sc.X.shape
+        # cotangents on the state at each knot, then the reverse pass
+        g = np.zeros((N, s))
+        rows = sc.qidx[sc.inv]
+        np.add.at(g, (rows[:, None, None], lay.Y[None]), gxi[:, :, None])
+        np.add.at(g, (rows[:, None], lay.I[None]), gXi)
+        lam = np.empty((N, s))
+        a = lam[-1] = g[-1]
+        for n in range(N - 2, -1, -1):
+            a = lam[n] = g[n] + sc.E[n].T @ a
+        mu = lam - g  # adjoint of the state just after each knot's jump
 
+        # sum over intervals of the expm Frechet adjoints (Van Loan blocks),
+        # a bounded number of intervals at a time
+        G = np.zeros((s, s))
+        for lo in range(0, N - 1, _VAN_LOAN_BATCH):
+            n = np.arange(lo, min(N - 1, lo + _VAN_LOAN_BATCH))
+            dt = sc.dt[n, None, None]
+            blk = np.zeros((n.size, 2 * s, 2 * s))
+            blk[:, :s, :s] = blk[:, s:, s:] = lay.M.T * dt
+            blk[:, :s, s:] = (
+                lam[n + 1, :, None] * (sc.X[n] + sc.jumps[n])[:, None, :] * dt
+            )
+            G += expm(blk)[:, :s, s:].sum(axis=0)
 
-def _seed_terms(p: ModelParams, kind: str, a_i: int, b: int, t, U, live):
-    """Scalar seed pieces for one censored-column kernel parameter: the
-    point values d phi(t), d Phi(t) at entry (a_i, b) and the cell-difference
-    arrays of d Phi and d int-Phi at the shifted arguments."""
-    al, th = p.alpha[a_i, b], p.theta[a_i, b]
-    u_pos = np.maximum(t, 0.0)
-    dec_t = np.exp(-th * u_pos)
-    dec_U = np.exp(-th * U)
-    if kind == "alpha":
-        sphi = th * dec_t
-        sPhi = 1.0 - dec_t
-        dPhi_U = np.where(live, 1.0 - dec_U, 0.0)
-        dIPhi_U = np.where(live, U - (1.0 - dec_U) / th, 0.0)
-    else:
-        sphi = al * dec_t * (1.0 - th * u_pos)
-        sPhi = al * u_pos * dec_t
-        dPhi_U = np.where(live, al * U * dec_U, 0.0)
-        dIPhi_U = np.where(
-            live, al * (1.0 - dec_U - th * U * dec_U) / th**2, 0.0
-        )
-    return (
-        sphi,
-        sPhi,
-        dPhi_U[:, :-1] - dPhi_U[:, 1:],
-        dIPhi_U[:, :-1] - dIPhi_U[:, 1:],
-    )
+        # generator entries
+        R = np.zeros((d, e))
+        for i in range(d):
+            for j in range(e):
+                r = lay.Y[i, j]
+                R[i, j] = (
+                    G[r, lay.Y[j]].sum() + G[r, lay.W[j]].sum()
+                    + p.nu[j] * G[r, -1]
+                )
+        c = p.alpha * p.theta
+        diag_Y = G[lay.Y, lay.Y]
+        g_alpha[:, :e] += p.theta[:, :e] * R
+        g_theta[:, :e] += p.alpha[:, :e] * R - diag_Y
+        g_nu[:e] += np.sum(c[:, :e] * G[lay.Y, -1], axis=0)
+        g_theta[:e, e:] -= G[lay.W, lay.W]
+        # initial state y_ij(0) = alpha_ij theta_ij gamma_j
+        lam_Y = lam[0, lay.Y]
+        g_alpha[:, :e] += p.theta[:, :e] * p.gamma[:e] * lam_Y
+        g_theta[:, :e] += p.alpha[:, :e] * p.gamma[:e] * lam_Y
+        if include_gamma:
+            grad[2 * d * d + d : 2 * d * d + d + e] += np.sum(c[:, :e] * lam_Y, axis=0)
+        # event jumps alpha_jk theta_jk on w[j, k]
+        S = np.einsum("njk,nk->jk", mu[:, lay.W], sc.counts)
+        g_alpha[:e, e:] += p.theta[:e, e:] * S
+        g_theta[:e, e:] += p.alpha[:e, e:] * S
+        return grad

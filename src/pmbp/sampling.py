@@ -358,25 +358,23 @@ class Prediction:
     n_failed: int
 
 
-def predict_counts(
+def _forecast(
     params: ModelParams,
     dataset: Dataset,
     boundaries,
     n_samples: int,
     seed,
-    tables: HTables | None = None,
-    grid=None,
-    bound_mode: str = "ub2",
-    max_events: int = 1_000_000,
+    tables: HTables | None,
+    grid,
+    bound_mode: str,
+    max_events: int,
+    sample_dims,
+    measure,
 ) -> Prediction:
-    """Expected censored-block counts on a partition past the training data.
-
-    For each sample, the observed dimensions are continued past the training
-    horizon by conditional thinning; the censored-block count forecast for
-    each interval is the compensator increment given that continuation, and
-    samples are averaged.  Exploding continuations are dropped (with a
-    warning once they exceed 1% of the requested samples).
-    """
+    """Validate a forecast request, continue the dataset past its horizon
+    once per seeded sample (thinning `sample_dims`), and average
+    measure(history, boundaries), an (intervals, e) array, over the samples
+    that did not explode."""
     bnds = np.asarray(boundaries, dtype=float).reshape(-1)
     T_train = dataset.T
     if bnds.size < 2:
@@ -408,28 +406,59 @@ def predict_counts(
         try:
             hist = _thin(
                 params, ctx, T_test, rng, bound_mode, observed, T_train,
-                range(e, d), max_events, None,
+                sample_dims, max_events, None,
             )
         except ExplosionError:
             n_failed += 1
             continue
-        ev = PoiEvaluator(params, list(hist.times), tables)
-        inc = np.diff(ev.values(bnds).Xi[:, :e], axis=0)
+        value = measure(hist, bnds)
         n_ok += 1
-        delta = inc - mean
+        delta = value - mean
         mean += delta / n_ok
-        m2 += delta * (inc - mean)
+        m2 += delta * (value - mean)
     if n_ok == 0:
         raise ExplosionError("every prediction sample exploded")
     if n_failed > 0.01 * n_samples:
         warnings.warn(
             f"{n_failed} of {n_samples} prediction samples exploded and were "
             "dropped",
-            stacklevel=2,
+            stacklevel=3,
         )
     sd = np.sqrt(m2 / (n_ok - 1)) if n_ok > 1 else np.zeros_like(m2)
     return Prediction(
         boundaries=bnds, mean=mean, sd=sd, n_samples=n_ok, n_failed=n_failed
+    )
+
+
+def predict_counts(
+    params: ModelParams,
+    dataset: Dataset,
+    boundaries,
+    n_samples: int,
+    seed,
+    tables: HTables | None = None,
+    grid=None,
+    bound_mode: str = "ub2",
+    max_events: int = 1_000_000,
+) -> Prediction:
+    """Expected censored-block counts on a partition past the training data.
+
+    For each sample, the observed dimensions are continued past the training
+    horizon by conditional thinning; the censored-block count forecast for
+    each interval is the compensator increment given that continuation, and
+    samples are averaged.  Exploding continuations are dropped (with a
+    warning once they exceed 1% of the requested samples).  The grid tables
+    serve the thinning only; compensators are evaluated exactly.
+    """
+    e = params.e
+
+    def increments(hist, bnds):
+        ev = PoiEvaluator(params, list(hist.times))
+        return np.diff(ev.values(bnds).Xi[:, :e], axis=0)
+
+    return _forecast(
+        params, dataset, boundaries, n_samples, seed, tables, grid,
+        bound_mode, max_events, range(e, params.d), increments,
     )
 
 
@@ -447,48 +476,15 @@ def predict_counts_sampled(
     """Reference forecast that samples the censored dimensions as events and
     averages realized interval counts (slower, higher variance; used to
     validate the compensator-based forecast)."""
-    bnds = np.asarray(boundaries, dtype=float).reshape(-1)
-    T_train = dataset.T
-    if bnds.size < 2 or np.any(np.diff(bnds) <= 0) or bnds[0] < T_train * (1 - 1e-12):
-        raise ParameterError("invalid prediction boundaries")
-    d, e = params.d, params.e
-    T_test = float(bnds[-1])
-    if e > 0 and tables is None:
-        tables = compute_h(params, grid or default_grid(params, T_test))
-    ctx = build_bound_context(params, tables, T_test)
-    observed = validate_events_for(params, dataset.event_list())
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    K = bnds.size - 1
-    mean = np.zeros((K, e))
-    m2 = np.zeros((K, e))
-    n_ok = 0
-    n_failed = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        try:
-            hist = _thin(
-                params, ctx, T_test, rng, bound_mode, observed, T_train,
-                range(d), max_events, None,
-            )
-        except ExplosionError:
-            n_failed += 1
-            continue
-        counts = np.stack(
-            [np.histogram(hist.times[j], bnds)[0] for j in range(e)], axis=1
-        ).astype(float)
-        n_ok += 1
-        delta = counts - mean
-        mean += delta / n_ok
-        m2 += delta * (counts - mean)
-    if n_ok == 0:
-        raise ExplosionError("every prediction sample exploded")
-    if n_failed > 0.01 * n_samples:
-        warnings.warn(
-            f"{n_failed} of {n_samples} prediction samples exploded and were "
-            "dropped",
-            stacklevel=2,
-        )
-    sd = np.sqrt(m2 / (n_ok - 1)) if n_ok > 1 else np.zeros_like(m2)
-    return Prediction(
-        boundaries=bnds, mean=mean, sd=sd, n_samples=n_ok, n_failed=n_failed
+    e = params.e
+
+    def counts(hist, bnds):
+        out = np.zeros((bnds.size - 1, e))
+        for j in range(e):
+            out[:, j] = np.histogram(hist.times[j], bnds)[0]
+        return out
+
+    return _forecast(
+        params, dataset, boundaries, n_samples, seed, tables, grid,
+        bound_mode, max_events, range(params.d), counts,
     )

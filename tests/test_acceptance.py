@@ -116,7 +116,6 @@ def test_A3_analytic_gradient_matches_finite_differences():
         censored=(CensoredSeries(bounds, np.histogram(hist.times[0], bounds)[0]),),
         events=(hist.times[1],),
     )
-    grid = ConvGrid.make(T, 0.02)
     rng = np.random.default_rng(5)
     for _ in range(10):
         alpha = rng.uniform(0.05, 0.6, size=(2, 2))
@@ -131,9 +130,9 @@ def test_A3_analytic_gradient_matches_finite_differences():
         )
 
         def f(vec):
-            return nll_and_grad(unpack(point, vec), ds, grid=grid)[0]
+            return nll_and_grad(unpack(point, vec), ds)[0]
 
-        _, grad = nll_and_grad(point, ds, grid=grid)
+        _, grad = nll_and_grad(point, ds)
         g_fd = fd_gradient(f, pack(point))
         diff = np.abs(grad - g_fd)
         ok = (diff <= 1e-6) | (diff <= 1e-3 * np.abs(g_fd))
@@ -193,8 +192,8 @@ def test_A5_no_censoring_and_full_censoring_limits(hawkes2):
     assert np.array_equal(compensator_eval(full, empty, tab2),
                           compensator_eval(full, fake, tab2))
     t_q = np.array([0.0, 3.3, 12.7, 29.9])
-    v_empty = PoiEvaluator(full, empty, tab2).values(t_q)
-    v_fake = PoiEvaluator(full, fake, tab2).values(t_q)
+    v_empty = PoiEvaluator(full, empty).values(t_q)
+    v_fake = PoiEvaluator(full, fake).values(t_q)
     assert np.array_equal(v_empty.xi, v_fake.xi)
     assert np.array_equal(v_empty.Xi, v_fake.Xi)
 
@@ -231,7 +230,7 @@ def test_A7_joint_fits_recover_branching_radius():
     assert spectral_radius(truth.alpha) == pytest.approx(0.5)
     _, summary = recovery_experiment(
         truth, n_sequences=50, group_size=10, censor_widths=[1.0], seed=2026,
-        T=60.0, grid_step=0.05,
+        T=60.0,
         fit_config=FitConfig(n_starts=2, max_iter=250, tol_f=1e-6),
     )
     med = {row["likelihood_mode"]: row["median"]
@@ -271,8 +270,7 @@ def test_A9_diagnostics_calibrated_under_the_true_model():
                      gamma=[0.0, 0.0], nu=[2.0, 2.0])
     T, width = 480.0, 4.0
     path = sample_pmbp(pp, T, seed=3)
-    tables = compute_h(pp, ConvGrid.make(T, 0.05))
-    ev = PoiEvaluator(pp, [np.zeros(0), path.times[1]], tables=tables)
+    ev = PoiEvaluator(pp, [np.zeros(0), path.times[1]])
     bounds = width * np.arange(int(T / width) + 1)
     inc = np.diff(ev.values(bounds).Xi[:, 0])
     assert inc.size == 120
@@ -319,7 +317,7 @@ def test_A10_cli_outputs_are_bitwise_reproducible(tmp_path):
     twice(["evaluate", "--params", str(pmbp_json), "--data", str(ds),
            "--step", "0.5", "--out", str(vals)], [vals])
     fitj = tmp_path / "fit.json"
-    twice(["fit", "--data", str(ds), "--grid-step", "0.1", "--n-starts", "1",
+    twice(["fit", "--data", str(ds), "--n-starts", "1",
            "--max-iter", "15", "--seed", "2", "--out", str(fitj)], [fitj])
     pred = tmp_path / "pred.csv"
     twice(["predict", "--params", str(pmbp_json), "--data", str(ds),
@@ -330,11 +328,11 @@ def test_A10_cli_outputs_are_bitwise_reproducible(tmp_path):
            "--n-draws", "200", "--seed", "1", "--out", str(gofj)], [gofj])
     gcj = tmp_path / "gc.json"
     twice(["grad-check", "--params", str(pmbp_json), "--data", str(ds),
-           "--n-points", "1", "--seed", "6", "--grid-step", "0.1",
+           "--n-points", "1", "--seed", "6",
            "--out", str(gcj)], [gcj])
     rows, summ = tmp_path / "rows.csv", tmp_path / "summary.csv"
     twice(["recover", "--params", str(hawkes_json), "--n-sequences", "2",
-           "--group-size", "1", "--t-end", "12", "--grid-step", "0.4",
+           "--group-size", "1", "--t-end", "12",
            "--censor-widths", "2", "--seed", "3", "--n-starts", "1",
            "--max-iter", "10", "--threads", "2",
            "--out-rows", str(rows), "--out-summary", str(summ)], [rows, summ])

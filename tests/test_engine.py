@@ -11,7 +11,6 @@ from pmbp import (
     TruncationError,
     compensator_eval,
     compute_h,
-    conv_quadrature,
     default_step,
     hawkes_compensator,
     hawkes_intensity,
@@ -24,9 +23,7 @@ from oracles import (
     dense_h,
     dense_xi,
     kernel,
-    kernel_integral,
     mbp11_response,
-    riemann_conv,
 )
 
 
@@ -174,31 +171,6 @@ def test_gamma_impulse_appears_at_zero_plus(mbp11):
     assert abs(Xi[0, 0]) < 1e-12
     # right after 0 the compensator jumps by at least gamma
     assert Xi[1, 0] >= 0.5
-
-
-# ---------------------------------------------------------------------------
-# Single-time quadrature
-
-
-def test_conv_quadrature_exact_for_linear_growth():
-    # F(t) = t (antiderivative of 1), g constant: conv = int_0^t g = g t
-    grid = ConvGrid.make(2.0, 0.01)
-    g = np.ones(grid.n + 1)
-    val = conv_quadrature(lambda u: np.maximum(u, 0.0), g, grid, 1.5)
-    assert val == pytest.approx(1.5, rel=1e-12)
-
-
-def test_conv_quadrature_matches_riemann_offgrid(pmbp21):
-    grid = ConvGrid.make(3.0, 0.001)
-    tg = grid.points
-    f = kernel(0.5, 1.0, tg)
-    g = np.exp(-tg)
-    F = lambda u: kernel_integral(0.5, 1.0, u)
-    ref = riemann_conv(f[:, None, None], g[:, None, None], grid.dt)[:, 0, 0]
-    for t in (0.7004, 1.5, 2.9996):
-        got = conv_quadrature(F, g, grid, t)
-        k = int(round(t / grid.dt))
-        assert got == pytest.approx(ref[k], abs=3e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ import pytest
 
 from pmbp import (
     CensoredSeries,
-    ConvGrid,
     Dataset,
     FitConfig,
     FitResult,
     ModelParams,
     ParameterError,
     fit,
+    pack,
     recovery_experiment,
     sample_hawkes,
 )
+from pmbp.fitting import _make_objective
 
 
 def _poisson_events_dataset(rate=2.0, T=60.0, seed=1):
@@ -43,7 +44,7 @@ def test_poisson_rate_mle_window_counts():
     bounds = width * np.arange(int(T / width) + 1)
     ds = Dataset(T=T, censored=(CensoredSeries(bounds, counts),), events=())
     cfg = FitConfig(alpha_max=1e-9, n_starts=2, max_iter=200, seed=3)
-    res = fit([ds], cfg, grid=ConvGrid.make(T, 0.1))
+    res = fit([ds], cfg)
     assert res.params.nu[0] == pytest.approx(counts.sum() / T, abs=5e-3)
 
 
@@ -80,12 +81,6 @@ def test_fit_result_serialization_round_trip():
     json.dumps(doc)  # must be JSON-serializable as-is
 
 
-def test_fit_rejects_short_grid():
-    ds, _ = _poisson_events_dataset(T=20.0)
-    with pytest.raises(ParameterError):
-        fit([ds], FitConfig(n_starts=1), grid=ConvGrid.make(10.0, 0.1))
-
-
 def test_fit_rejects_mixed_splits():
     ds1, _ = _poisson_events_dataset(T=20.0)
     counts = np.array([1.0, 2.0])
@@ -93,6 +88,18 @@ def test_fit_rejects_mixed_splits():
                   events=())
     with pytest.raises(ParameterError):
         fit([ds1, ds2], FitConfig(n_starts=1))
+
+
+def test_supercritical_censored_block_scores_inf():
+    ds = Dataset(T=4.0, censored=(CensoredSeries([0.0, 1.0, 2.0, 3.0, 4.0],
+                                                [1.0, 0.0, 2.0, 1.0]),),
+                 events=(np.array([0.5, 2.5]),))
+    template = ModelParams(d=2, e=1, theta=np.ones((2, 2)),
+                           alpha=np.zeros((2, 2)), gamma=np.zeros(2),
+                           nu=np.ones(2))
+    x = pack(template.replace(alpha=np.array([[1.5, 0.2], [0.2, 0.3]])))
+    f_and_g = _make_objective(template, [ds], FitConfig(), x - 1.0, x + 1.0)
+    assert f_and_g(x) == (np.inf, None)
 
 
 def test_finite_difference_mode_agrees(hawkes2):
@@ -125,7 +132,7 @@ def tiny_recovery(hawkes2):
     cfg = FitConfig(n_starts=1, max_iter=40, tol_f=1e-5)
     return dict(
         true_params=hawkes2, n_sequences=4, group_size=2,
-        censor_widths=[2.0], seed=19, T=30.0, grid_step=0.25, fit_config=cfg,
+        censor_widths=[2.0], seed=19, T=30.0, fit_config=cfg,
     )
 
 

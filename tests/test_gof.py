@@ -7,12 +7,10 @@ import pytest
 
 from pmbp import (
     CensoredSeries,
-    ConvGrid,
     Dataset,
     DomainError,
     InsufficientDataError,
     NumericalConsistencyError,
-    compute_h,
     fit_score,
     gof_anscombe,
     gof_report,
@@ -142,13 +140,12 @@ def report_setup(pmbp21_sub):
     counts = np.histogram(hist.times[0], bounds)[0]
     ds = Dataset(T=T, censored=(CensoredSeries(bounds, counts),),
                  events=(hist.times[1],))
-    tables = compute_h(pmbp21_sub, ConvGrid.make(T, 0.02))
-    return pmbp21_sub, ds, tables
+    return pmbp21_sub, ds
 
 
 def test_gof_report_structure(report_setup):
-    params, ds, tables = report_setup
-    rep = gof_report(params, ds, tables=tables, seed=3)
+    params, ds = report_setup
+    rep = gof_report(params, ds, seed=3)
     assert 1 in rep.normality and 1 in rep.fit_scores
     assert 2 in rep.ks
     assert 0.0 <= rep.fit_scores[1] <= 1.0
@@ -165,8 +162,7 @@ def test_gof_report_skips_underpowered_dimensions(pmbp21_sub):
         censored=(CensoredSeries([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0]),),
         events=(np.array([1.5]),),
     )
-    tables = compute_h(pmbp21_sub, ConvGrid.make(3.0, 0.01))
-    rep = gof_report(pmbp21_sub, ds, tables=tables)
+    rep = gof_report(pmbp21_sub, ds)
     assert 1 in rep.skipped
     assert 2 in rep.skipped
     assert 1 not in rep.normality and 2 not in rep.ks

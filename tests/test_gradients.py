@@ -1,65 +1,8 @@
-"""Derivative stacks of the grid response tables."""
+"""The finite-difference gradient helper that gradient checks rely on."""
 
 import numpy as np
-import pytest
 
-from pmbp import ConvGrid, ModelParams, compute_h, fd_gradient, grad_h, kernel_keys
-
-
-@pytest.fixture(scope="module")
-def p21():
-    return ModelParams(
-        d=2, e=1,
-        theta=[[1.2, 0.9], [0.5, 0.7]],
-        alpha=[[0.5, 0.3], [0.3, 0.2]],
-        gamma=[0.0, 0.0],
-        nu=[1.0, 1.0],
-    )
-
-
-def test_kernel_keys_layout():
-    keys = kernel_keys(3, 2)
-    # every censored-block column of alpha, then of theta, target-major
-    assert list(keys[:6]) == [("alpha", 0, 0), ("alpha", 0, 1), ("alpha", 1, 0),
-                              ("alpha", 1, 1), ("alpha", 2, 0), ("alpha", 2, 1)]
-    assert keys[6] == ("theta", 0, 0)
-    assert len(keys) == 12
-    assert len(kernel_keys(2, 0)) == 0
-
-
-def test_grad_h_matches_fd(p21):
-    grid = ConvGrid.make(5.0, 0.01)
-    tab = compute_h(p21, grid)
-    gt = grad_h(p21, tab)
-    keys = kernel_keys(2, 1)
-    assert gt.dh.shape == (len(keys), grid.n + 1, 2, 2)
-    probe = [20, 180, 400]
-    step = 1e-6
-    for k, (kind, a, b) in enumerate(keys):
-        for sgn, store in ((1, "hi"), (-1, "lo")):
-            m = np.array(getattr(p21, kind))
-            m[a, b] += sgn * step
-            tab_s = compute_h(p21.replace(**{kind: m}), grid)
-            if store == "hi":
-                hi_h, hi_H = tab_s.h, tab_s.H
-            else:
-                lo_h, lo_H = tab_s.h, tab_s.H
-        fd_h = (hi_h - lo_h) / (2 * step)
-        fd_H = (hi_H - lo_H) / (2 * step)
-        for pidx in probe:
-            assert np.allclose(gt.dh[k, pidx], fd_h[pidx],
-                               rtol=1e-4, atol=1e-7), (kind, a, b, pidx)
-            assert np.allclose(gt.dH[k, pidx], fd_H[pidx],
-                               rtol=1e-4, atol=1e-7), (kind, a, b, pidx)
-
-
-def test_grad_h_zero_for_observed_columns(p21):
-    grid = ConvGrid.make(3.0, 0.02)
-    gt = grad_h(p21, compute_h(p21, grid))
-    # derivative tables only cover censored-column kernel entries, and each
-    # stack lives in the censored columns of h
-    assert np.all(gt.dh[:, :, :, 1:] == 0.0)
-    assert np.all(gt.dH[:, :, :, 1:] == 0.0)
+from pmbp import fd_gradient
 
 
 def test_fd_gradient_on_quadratic():

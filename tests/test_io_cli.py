@@ -168,7 +168,7 @@ def test_cli_fit_predict_gof(runner, workdir):
                   "--width", "2", "--out", str(ds_path)])
 
     fit_out = workdir / "fit.json"
-    fit_args = ["fit", "--data", str(ds_path), "--grid-step", "0.1",
+    fit_args = ["fit", "--data", str(ds_path),
                 "--n-starts", "1", "--max-iter", "15", "--seed", "2",
                 "--out", str(fit_out)]
     _run_twice_identical(runner, fit_args, fit_out)
@@ -212,7 +212,7 @@ def test_cli_grad_check(runner, workdir):
     out = workdir / "gc.json"
     _run(runner, ["grad-check", "--params", str(workdir / "pmbp.json"),
                   "--data", str(ds_path), "--n-points", "2", "--seed", "6",
-                  "--grid-step", "0.1", "--out", str(out)])
+                  "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["max_relative_error"] < 1e-3
@@ -222,7 +222,7 @@ def test_cli_recover_schema_and_thread_invariance(runner, workdir):
     rows_p, sum_p = workdir / "rows.csv", workdir / "summary.csv"
     base = ["recover", "--params", str(workdir / "hawkes.json"),
             "--n-sequences", "2", "--group-size", "1", "--t-end", "12",
-            "--grid-step", "0.4", "--censor-widths", "2", "--seed", "3",
+            "--censor-widths", "2", "--seed", "3",
             "--n-starts", "1", "--max-iter", "10",
             "--out-rows", str(rows_p), "--out-summary", str(sum_p)]
     _run(runner, base + ["--threads", "1"])

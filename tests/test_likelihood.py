@@ -5,12 +5,13 @@ import pytest
 
 from pmbp import (
     CensoredSeries,
-    ConvGrid,
     Dataset,
     DimensionError,
     LikelihoodConfig,
+    ModelParams,
     NumericalConsistencyError,
-    compute_h,
+    RegularityError,
+    closed_form_pmbp21,
     grad_nll,
     joint_nll,
     nll_and_grad,
@@ -125,31 +126,28 @@ def _censored_dataset(params, T=12.0, seed=5, width=1.0):
 
 def test_nll_and_grad_matches_fd(pmbp21_sub):
     ds = _censored_dataset(pmbp21_sub)
-    grid = ConvGrid.make(ds.T, 0.02)
 
     def f(vec):
-        # response tables depend on the kernel, so rebuild them per point
-        return total_nll(unpack(pmbp21_sub, vec), ds, grid=grid)
+        return total_nll(unpack(pmbp21_sub, vec), ds)
 
     x0 = pack(pmbp21_sub)
-    val, grad = nll_and_grad(pmbp21_sub, ds, grid=grid)
+    val, grad = nll_and_grad(pmbp21_sub, ds)
     assert val == pytest.approx(f(x0), rel=1e-12)
     fd = central_fd(f, x0, step=1e-6)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
     assert rel.max() < 1e-4
-    assert np.array_equal(grad_nll(pmbp21_sub, ds, grid=grid), grad)
+    assert np.array_equal(grad_nll(pmbp21_sub, ds), grad)
 
 
 def test_nll_and_grad_fd_with_gamma(pmbp21_sub):
     params = pmbp21_sub.replace(gamma=np.array([0.6, 0.4]))
     ds = _censored_dataset(params)
-    grid = ConvGrid.make(ds.T, 0.02)
 
     def f(vec):
-        return total_nll(unpack(params, vec, include_gamma=True), ds, grid=grid)
+        return total_nll(unpack(params, vec, include_gamma=True), ds)
 
     x0 = pack(params, include_gamma=True)
-    _, grad = nll_and_grad(params, ds, grid=grid, include_gamma=True)
+    _, grad = nll_and_grad(params, ds, include_gamma=True)
     fd = central_fd(f, x0, step=1e-6)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
     assert rel.max() < 1e-4
@@ -158,9 +156,65 @@ def test_nll_and_grad_fd_with_gamma(pmbp21_sub):
 def test_gradient_over_multiple_datasets_adds(pmbp21_sub):
     ds1 = _censored_dataset(pmbp21_sub, seed=5)
     ds2 = _censored_dataset(pmbp21_sub, seed=6)
-    grid = ConvGrid.make(12.0, 0.02)
-    v12, g12 = nll_and_grad(pmbp21_sub, [ds1, ds2], grid=grid)
-    v1, g1 = nll_and_grad(pmbp21_sub, ds1, grid=grid)
-    v2, g2 = nll_and_grad(pmbp21_sub, ds2, grid=grid)
+    v12, g12 = nll_and_grad(pmbp21_sub, [ds1, ds2])
+    v1, g1 = nll_and_grad(pmbp21_sub, ds1)
+    v2, g2 = nll_and_grad(pmbp21_sub, ds2)
     assert v12 == pytest.approx(v1 + v2, rel=1e-12)
     assert np.allclose(g12, g1 + g2, rtol=1e-10, atol=1e-12)
+
+
+def _multi_censored_dataset(d, e, T=10.0, seed=8):
+    rng = np.random.default_rng(seed)
+    bounds = np.arange(T + 1.0)
+    censored = tuple(
+        CensoredSeries(boundaries=bounds, counts=rng.poisson(0.8, size=int(T)))
+        for _ in range(e)
+    )
+    events = tuple(np.sort(rng.uniform(0.0, T, size=7)) for _ in range(d - e))
+    return Dataset(T=T, censored=censored, events=events)
+
+
+@pytest.mark.parametrize("d,e", [(3, 2), (3, 3)])
+def test_nll_and_grad_fd_wide(d, e):
+    rng = np.random.default_rng(d * 10 + e)
+    params = ModelParams(
+        d=d, e=e, theta=rng.uniform(0.5, 1.5, size=(d, d)),
+        alpha=rng.uniform(0.1, 0.3, size=(d, d)),
+        gamma=rng.uniform(0.2, 0.5, size=d), nu=rng.uniform(0.4, 0.9, size=d),
+    )
+    ds = _multi_censored_dataset(d, e)
+
+    def f(vec):
+        return total_nll(unpack(params, vec, include_gamma=True), ds)
+
+    _, grad = nll_and_grad(params, ds, include_gamma=True)
+    fd = central_fd(f, pack(params, include_gamma=True), step=1e-5)
+    assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
+
+
+@pytest.mark.parametrize("theta_11", [1.0, 10.0, 100.0, 1000.0])
+def test_nll_matches_closed_form_at_fast_censored_kernels(theta_11):
+    # a discretized objective drifts upward as the censored self-kernel gets
+    # fast; the exact one must not.  theta_12 and theta_21 stay away from
+    # (1 - alpha_11) theta_11, where the closed form is degenerate.
+    params = ModelParams(
+        d=2, e=1, theta=[[theta_11, 1.0], [0.5, 1.0]],
+        alpha=[[0.3, 0.2], [0.2, 0.3]], gamma=[0.0, 0.0], nu=[0.4, 0.4],
+    )
+    ds = _censored_dataset(params.replace(theta=np.ones((2, 2))), T=30.0)
+    series = ds.censored[0]
+    events = ds.events[0]
+    times = np.unique(np.concatenate([series.boundaries, events, [ds.T]]))
+    xi, Xi = closed_form_pmbp21(params, events, times)
+    at = lambda ts: np.searchsorted(times, ts)
+    expected = icll(Xi[at(series.boundaries), 0], series.counts) + ppll_nll(
+        xi[at(events), 1], Xi[at(ds.T), 1]
+    )
+    assert total_nll(params, ds) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def test_supercritical_censored_block_raises(pmbp21_sub):
+    ds = _censored_dataset(pmbp21_sub)
+    bad = pmbp21_sub.replace(alpha=np.array([[1.2, 0.2], [0.2, 0.3]]))
+    with pytest.raises(RegularityError):
+        total_nll(bad, ds)

@@ -18,7 +18,7 @@ from pmbp import (
     phi_integral,
     spectral_radius,
 )
-from pmbp.params import column_masks, split_kernel, validate_events_for
+from pmbp.params import column_masks, validate_events_for
 
 from oracles import kernel, kernel_integral
 
@@ -107,14 +107,10 @@ def test_phi_integral_limit_is_alpha():
     assert np.allclose(phi_integral(p, 1e3), p.alpha, atol=1e-12)
 
 
-def test_split_kernel_complementary():
+def test_column_masks_complementary():
     p = make_params(d=3, e=2, theta=np.full((3, 3), 1.3),
                     alpha=np.full((3, 3), 0.1), gamma=np.zeros(3),
                     nu=np.full(3, 0.2))
-    t = 0.9
-    full = phi_eval(p, t)
-    pE, pEc = split_kernel(p)
-    assert np.allclose(pE(t) + pEc(t), full, rtol=1e-14)
     mE, mEc = column_masks(p)
     assert np.array_equal(mE + mEc, np.ones((3, 3)))
     assert np.array_equal(mE * mEc, np.zeros((3, 3)))

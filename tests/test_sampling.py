@@ -63,9 +63,7 @@ def test_censored_counts_match_compensator_paired(pmbp21_sub):
     diffs = []
     for s in range(n):
         hist = sample_pmbp(pmbp21_sub, T, seed=s, tables=tables)
-        ev = PoiEvaluator(
-            pmbp21_sub, [np.zeros(0), hist.times[1]], tables=tables
-        )
+        ev = PoiEvaluator(pmbp21_sub, [np.zeros(0), hist.times[1]])
         Xi_T = ev.values(np.array([T])).Xi[0, 0]
         diffs.append(hist.counts()[0] - Xi_T)
     diffs = np.asarray(diffs)
@@ -109,6 +107,14 @@ def test_predict_zero_alpha_is_exact():
     assert pred.n_failed == 0
 
 
+def test_predict_without_censored_block(hawkes2):
+    # no censored dimension: both forecasts return an empty count table
+    ds = Dataset(T=5.0, censored=(), events=(np.array([1.0]), np.array([2.0])))
+    for predict in (predict_counts, predict_counts_sampled):
+        pred = predict(hawkes2, ds, [5.0, 6.0, 7.0], n_samples=3, seed=0)
+        assert pred.mean.shape == (2, 0) and pred.n_samples == 3
+
+
 def test_predict_determinism(pmbp21_sub):
     ds = _trained_dataset(pmbp21_sub)
     bnds = ds.T + np.arange(3.0)
@@ -137,3 +143,14 @@ def test_predict_boundary_validation(pmbp21_sub):
         predict_counts(pmbp21_sub, ds, [10.0, 12.0, 11.0], n_samples=5, seed=0)
     with pytest.raises(ParameterError):
         predict_counts(pmbp21_sub, ds, [10.0, 12.0], n_samples=0, seed=0)
+    with pytest.raises(ParameterError):
+        predict_counts(pmbp21_sub.replace(e=0), ds, [10.0, 12.0], n_samples=5,
+                       seed=0)
+    for bad in ([5.0, 6.0], [10.0], [10.0, 12.0, 11.0]):
+        with pytest.raises(ParameterError):
+            predict_counts_sampled(pmbp21_sub, ds, bad, n_samples=5, seed=0)
+    with pytest.raises(ParameterError):
+        predict_counts_sampled(pmbp21_sub, ds, [10.0, 12.0], n_samples=0, seed=0)
+    with pytest.raises(ParameterError):
+        predict_counts_sampled(pmbp21_sub.replace(e=0), ds, [10.0, 12.0],
+                               n_samples=5, seed=0)
