@@ -82,11 +82,7 @@ from .params import (
 from .paramvec import n_free, pack, unpack
 from .poi import PoiEvaluator, PoiValues
 from .sampling import (
-    BoundContext,
     Prediction,
-    SampleStats,
-    build_bound_context,
-    pmbp_upper_bound,
     predict_counts,
     predict_counts_sampled,
     sample_pmbp,
@@ -95,7 +91,6 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundContext",
     "CensoredSeries",
     "ConvGrid",
     "ConvergenceError",
@@ -120,10 +115,8 @@ __all__ = [
     "Prediction",
     "RegularityError",
     "RegularityReport",
-    "SampleStats",
     "StartRecord",
     "TruncationError",
-    "build_bound_context",
     "censor",
     "censor_series",
     "check_subcriticality",
@@ -149,7 +142,6 @@ __all__ = [
     "pack",
     "phi_eval",
     "phi_integral",
-    "pmbp_upper_bound",
     "pp_loglik",
     "ppll_nll",
     "predict_counts",

@@ -25,7 +25,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .engine import ConvGrid, compute_h, default_step
 from .errors import PMBPError
 from .fitting import FitConfig, _param_names, fd_gradient, fit, recovery_experiment
 from .gof import gof_report
@@ -112,14 +111,6 @@ def _comma_floats(text: str) -> list[float]:
         raise click.ClickException(f"expected comma-separated numbers: {exc}")
 
 
-def _tables_for(params: ModelParams, T: float, grid_step: float | None):
-    """The sampler's response tables (None without a censored block)."""
-    if params.e == 0:
-        return None
-    step = grid_step if grid_step else default_step(params, T)
-    return compute_h(params, ConvGrid.make(T, step))
-
-
 # ---------------------------------------------------------------------------
 # Group
 
@@ -170,13 +161,9 @@ def cmd_sample_hawkes(config_path, params_path, t_end, seed, out):
 @click.option("--params", "params_path", type=click.Path(exists=True))
 @click.option("--t-end", type=float, help="Simulation horizon.")
 @click.option("--seed", type=int, help="RNG seed (default 0).")
-@click.option("--grid-step", type=float,
-              help="Grid spacing for the response tables (default auto).")
-@click.option("--bound", type=click.Choice(["ub1", "ub2"]),
-              help="Thinning envelope (default ub1).")
 @click.option("--out", type=click.Path())
-def cmd_sample_pmbp(config_path, params_path, t_end, seed, grid_step, bound, out):
-    """Simulate the partially-censored model by thinning; emit JSONL events.
+def cmd_sample_pmbp(config_path, params_path, t_end, seed, out):
+    """Simulate the partially-censored model exactly; emit JSONL events.
 
     Censored-block dimensions get materialized timestamps too (draws from
     the expected intensity); censor them afterwards if counts are wanted.
@@ -188,11 +175,8 @@ def cmd_sample_pmbp(config_path, params_path, t_end, seed, grid_step, bound, out
         raise click.UsageError("--t-end is required")
     T = float(T)
     seed = int(_opt(config, "seed", seed, 0))
-    bound = _opt(config, "bound", bound, "ub1")
-    step = _opt(config, "grid_step", grid_step, None)
     try:
-        tables = _tables_for(params, T, step)
-        hist = sample_pmbp(params, T, seed, tables=tables, bound_mode=bound)
+        hist = sample_pmbp(params, T, seed)
     except PMBPError as exc:
         raise _fail(exc)
     log.info("sampled %s events on [0, %g]",
@@ -349,13 +333,9 @@ def cmd_evaluate(config_path, params_path, data_path, step, t_end, out):
 @click.option("--width", type=float, help="Forecast interval width.")
 @click.option("--n-samples", type=int, help="Continuation samples (default 500).")
 @click.option("--seed", type=int)
-@click.option("--bound", type=click.Choice(["ub1", "ub2"]))
-@click.option("--grid-step", type=float,
-              help="Grid spacing for the sampler's response tables "
-                   "(default auto).")
 @click.option("--out", type=click.Path())
 def cmd_predict(config_path, params_path, data_path, horizon, width,
-                n_samples, seed, bound, grid_step, out):
+                n_samples, seed, out):
     """Forecast censored-dimension counts on future intervals; CSV output.
 
     Samples observed-dimension continuations and averages the censored
@@ -377,15 +357,11 @@ def cmd_predict(config_path, params_path, data_path, horizon, width,
         raise click.ClickException("--width must be > 0")
     n_samples = int(_opt(config, "n_samples", n_samples, 500))
     seed = int(_opt(config, "seed", seed, 0))
-    bound = _opt(config, "bound", bound, "ub2")
     try:
         ds = read_dataset(data_path)
         n_iv = int(np.ceil(horizon / w - 1e-12))
         bnds = ds.T + np.minimum(w * np.arange(n_iv + 1), horizon)
-        tables = _tables_for(params, ds.T + horizon,
-                             _opt(config, "grid_step", grid_step, None))
-        pred = predict_counts(params, ds, bnds, n_samples, seed,
-                              tables=tables, bound_mode=bound)
+        pred = predict_counts(params, ds, bnds, n_samples, seed)
     except PMBPError as exc:
         raise _fail(exc)
     if pred.n_failed:

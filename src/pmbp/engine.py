@@ -13,8 +13,8 @@ quadrature sum_i [F(t - t_i) - F(t - t_{i+1})] g(t_i) with F an exact
 antiderivative, which is exact for piecewise-constant g; on the uniform grid
 this is a discrete sequence convolution and is evaluated by FFT.
 
-This grid method is kept as the reference for the exact evaluator in
-`pmbp.poi` and as the source of the sampler's tables.
+This grid method is kept as the paper-faithful reference that the tests
+compare the exact evaluator in `pmbp.poi` against.
 """
 
 from __future__ import annotations
@@ -102,16 +102,6 @@ def _fft_conv(D: np.ndarray, g: np.ndarray) -> np.ndarray:
         spec = np.einsum("fij,fjk->fik", FD, Fg)
     out = scipy.fft.irfft(spec, nfft, axis=0)[:P1]
     return out
-
-
-def _fft_conv_right(g: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """out[p] = sum_{r<=p} g[p-r] @ D[r] (matrix product on the right)."""
-    P1 = D.shape[0]
-    nfft = scipy.fft.next_fast_len(2 * P1 - 1, real=True)
-    FD = scipy.fft.rfft(D, nfft, axis=0)
-    Fg = scipy.fft.rfft(g, nfft, axis=0)
-    spec = np.einsum("fij,fjk->fik", Fg, FD)
-    return scipy.fft.irfft(spec, nfft, axis=0)[:P1]
 
 
 def _grid_diffs(samples: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ alpha_jk theta_jk to w[:, k].  Then
     Xi_i(t) = gamma_i 1{t>0} + nu_i t + A_i(t) + I_i(t),
 
 where a/A are the observed-source sums from the decay accumulators.  With
-e = 0 there is no scan and the evaluator is those sums alone.
+e = 0 there is no scan and the evaluator is those sums alone.  The sampler
+(`pmbp.sampling`) steps the same ODE on a wider state, with w[i, k] for
+every target i and the integral of every xi_i.
 
 Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
 reverse (adjoint) pass gives the adjoint state at every knot.  The derivative
@@ -72,35 +74,56 @@ class _Scan:
 
 
 class _Layout:
-    """Index blocks of the scan state and the generator M."""
+    """Index blocks of a linear state, its generator M and its event jumps.
 
-    def __init__(self, p: ModelParams):
+    The scan (full=False) carries w[j, k] for the censored targets j < e and
+    I[i] = int sum_j y_ij.  The sampler (full=True) carries w[i, k] for every
+    target and I[i] = int xi_i, so that xi = R x exactly.
+
+    Raises RegularityError when the censored block is not subcritical.
+    """
+
+    def __init__(self, p: ModelParams, full: bool = False):
         d, e = p.d, p.e
+        if e > 0:
+            rho_EE = spectral_radius(p.alpha[:e, :e])
+            if rho_EE >= 1.0:
+                raise RegularityError(
+                    f"censored-block branching radius {rho_EE:.6g} >= 1; "
+                    "the expected response diverges"
+                )
         o = d - e
+        nw = d if full else e
         self.Y = np.arange(d * e).reshape(d, e)
-        self.W = d * e + np.arange(e * o).reshape(e, o)
-        self.I = d * e + e * o + np.arange(d)
-        self.s = d * e + e * o + d + 1
+        self.W = d * e + np.arange(nw * o).reshape(nw, o)
+        self.I = d * e + nw * o + np.arange(d)
+        self.s = d * e + nw * o + d + 1
         c = p.alpha * p.theta
+        # R[i] reads xi_i = nu_i + sum_k w_ik + sum_j y_ij off the state
+        R = np.zeros((nw, self.s))
+        R[:, -1] = p.nu[:nw]
+        for i in range(nw):
+            R[i, self.Y[i]] = 1.0
+            R[i, self.W[i]] = 1.0
         M = np.zeros((self.s, self.s))
-        for i in range(d):
-            for j in range(e):
-                r = self.Y[i, j]
-                M[r, self.Y[j]] += c[i, j]
-                M[r, self.W[j]] += c[i, j]
-                M[r, -1] += c[i, j] * p.nu[j]
-                M[r, r] -= p.theta[i, j]
-                M[self.I[i], r] = 1.0
-        w = self.W.ravel()
-        M[w, w] = -p.theta[:e, e:].ravel()
+        for j in range(e):
+            M[self.Y[:, j]] = c[:, j, None] * R[j]
+        M[self.Y, self.Y] -= p.theta[:, :e]
+        M[self.W, self.W] = -p.theta[:nw, e:]
+        if full:
+            M[self.I] = R
+        else:
+            for i in range(d):
+                M[self.I[i], self.Y[i]] = 1.0
         self.M = M
+        self.R = R
         self.x0 = np.zeros(self.s)
         self.x0[self.Y] = c[:, :e] * p.gamma[:e]
         self.x0[-1] = 1.0
         # jump of the state per event of each observed source
         self.J = np.zeros((o, self.s))
         for k in range(o):
-            self.J[k, self.W[:, k]] = c[:e, e + k]
+            self.J[k, self.W[:, k]] = c[:nw, e + k]
 
 
 class PoiEvaluator:
@@ -114,13 +137,6 @@ class PoiEvaluator:
         self.params = params
         self.events = validate_events_for(params, events)
         d, e = params.d, params.e
-        if e > 0:
-            rho_EE = spectral_radius(params.alpha[:e, :e])
-            if rho_EE >= 1.0:
-                raise RegularityError(
-                    f"censored-block branching radius {rho_EE:.6g} >= 1; "
-                    "the expected response diverges"
-                )
         self.decays = build_source_decays(
             self.events, params.theta, sources=range(e, d)
         )

@@ -1,18 +1,17 @@
-"""Thinning sampler and count forecasts."""
+"""Exact sampler and count forecasts."""
 
 import numpy as np
 import pytest
 
 from pmbp import (
     CensoredSeries,
-    ConvGrid,
     Dataset,
     ExplosionError,
     ModelParams,
     ParameterError,
     PoiEvaluator,
-    SampleStats,
-    compute_h,
+    RegularityError,
+    gof_time_rescaling,
     predict_counts,
     predict_counts_sampled,
     sample_hawkes,
@@ -33,8 +32,8 @@ def test_pure_poisson_counts():
 
 
 def test_matches_hawkes_sampler_in_distribution(hawkes2):
-    # no censored block: thinning targets the same law as the exact
-    # cluster-free Hawkes sampler, so count means must agree
+    # no censored block: the inversion sampler targets the same law as the
+    # thinning Hawkes sampler, so count means must agree
     T, n = 30.0, 150
     c_thin = np.array([sample_pmbp(hawkes2, T, seed=s).counts() for s in range(n)])
     c_ref = np.array(
@@ -44,31 +43,43 @@ def test_matches_hawkes_sampler_in_distribution(hawkes2):
     assert np.all(np.abs(c_thin.mean(axis=0) - c_ref.mean(axis=0)) < 4 * se)
 
 
-@pytest.mark.parametrize("mode", ["ub1", "ub2"])
-def test_bound_dominates_intensity(pmbp21_sub, mode):
-    stats = SampleStats()
-    hist = sample_pmbp(pmbp21_sub, 30.0, seed=4, bound_mode=mode, stats=stats)
-    assert stats.n_proposals > 0
-    assert stats.n_violations == 0
-    assert 0 < stats.acceptance_ratio <= 1
-    assert hist.counts().sum() > 0
+def _rescaling_model(d, e):
+    rng = np.random.default_rng(100 * d + e)
+    return ModelParams(d=d, e=e, theta=rng.uniform(0.5, 2.0, (d, d)),
+                       alpha=rng.uniform(0.05, 0.25, (d, d)),
+                       gamma=np.full(d, 0.3), nu=np.full(d, 0.5))
+
+
+@pytest.mark.parametrize("d,e", [(1, 0), (2, 1), (3, 2), (3, 3)])
+def test_time_rescaling_of_sampled_paths(d, e):
+    # mapped through the exact compensator given the path's own observed
+    # events, every dimension's waiting times are unit exponential
+    params = _rescaling_model(d, e)
+    hist = sample_pmbp(params, 200.0, seed=2021)
+    ev = PoiEvaluator(params, hist.times)
+    for dim in range(d):
+        _, _, p = gof_time_rescaling(
+            hist.times[dim], lambda t: ev.values(t).Xi[:, dim]
+        )
+        assert p >= 0.01, (dim, p)
 
 
 def test_censored_counts_match_compensator_paired(pmbp21_sub):
     # for each realization, the censored-dim count minus the compensator
-    # given that realization's own observed events is mean-zero
+    # given that realization's own observed events is mean-zero; also with
+    # a fast censored kernel
     T, n = 40.0, 200
-    grid = ConvGrid.make(T, 0.02)
-    tables = compute_h(pmbp21_sub, grid)
-    diffs = []
-    for s in range(n):
-        hist = sample_pmbp(pmbp21_sub, T, seed=s, tables=tables)
-        ev = PoiEvaluator(pmbp21_sub, [np.zeros(0), hist.times[1]])
-        Xi_T = ev.values(np.array([T])).Xi[0, 0]
-        diffs.append(hist.counts()[0] - Xi_T)
-    diffs = np.asarray(diffs)
-    se = diffs.std(ddof=1) / np.sqrt(n)
-    assert abs(diffs.mean()) < 4 * se
+    fast = pmbp21_sub.replace(theta=[[200.0, 1.0], [1.0, 1.0]])
+    for params in (pmbp21_sub, fast):
+        diffs = []
+        for s in range(n):
+            hist = sample_pmbp(params, T, seed=s)
+            ev = PoiEvaluator(params, [np.zeros(0), hist.times[1]])
+            Xi_T = ev.values(np.array([T])).Xi[0, 0]
+            diffs.append(hist.counts()[0] - Xi_T)
+        diffs = np.asarray(diffs)
+        se = diffs.std(ddof=1) / np.sqrt(n)
+        assert abs(diffs.mean()) < 4 * se
 
 
 def test_sampler_determinism(pmbp21_sub):
@@ -77,6 +88,15 @@ def test_sampler_determinism(pmbp21_sub):
     h3 = sample_pmbp(pmbp21_sub, 15.0, seed=100)
     assert all(np.array_equal(a, b) for a, b in zip(h1.times, h2.times))
     assert any(not np.array_equal(a, b) for a, b in zip(h1.times, h3.times))
+
+
+def test_supercritical_censored_block_raises(pmbp21_sub):
+    bad = pmbp21_sub.replace(alpha=[[1.0, 0.2], [0.2, 0.3]])
+    with pytest.raises(RegularityError):
+        sample_pmbp(bad, 10.0, seed=0)
+    ds = _trained_dataset(pmbp21_sub)
+    with pytest.raises(RegularityError):
+        predict_counts(bad, ds, [10.0, 11.0], n_samples=2, seed=0)
 
 
 def test_explosion_guard():
