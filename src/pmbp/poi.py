@@ -22,10 +22,15 @@ e = 0 there is no scan and the evaluator is those sums alone.  The sampler
 (`pmbp.sampling`) steps the same ODE on a wider state, with w[i, k] for
 every target i and the integral of every xi_i.
 
+Every step is expm(M dt) for the one generator M, so the steps of a scan
+come from one set of powers of M: each interval's scaling-and-squaring Pade
+approximant is a combination of those powers, evaluated for all intervals
+at once (`_Expm`).
+
 Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
 reverse (adjoint) pass gives the adjoint state at every knot.  The derivative
-of each step's expm then follows from Van Loan's (1978) block-triangular
-exponential: one 2s x 2s expm per interval, whatever the parameter count.
+of each step's expm is then a Frechet derivative of expm(M dt) in a rank-one
+direction, summed over intervals, whatever the parameter count.
 """
 
 from __future__ import annotations
@@ -33,14 +38,25 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.linalg import expm
 
 from .decay import build_source_decays
 from .errors import DomainError, RegularityError
 from .params import ModelParams, spectral_radius, validate_events_for
 from .paramvec import n_free
 
-_VAN_LOAN_BATCH = 256  # intervals per batched 2s x 2s expm
+_CHUNK = 256  # intervals per batch of (chunk, s, s) expm temporaries
+
+# Pade [13/13] coefficients and the largest ||A||_1 at which the approximant
+# meets unit roundoff backward error, for expm (Higham 2005) and for its
+# Frechet derivative (Al-Mohy & Higham 2009)
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+])
+_THETA13 = 5.371920351148152
+_ELL13 = 4.74
 
 
 @dataclasses.dataclass
@@ -71,6 +87,91 @@ class _Scan:
     X: np.ndarray
     jumps: np.ndarray
     counts: np.ndarray
+
+
+class _Expm:
+    """expm(M dt_n) for one generator M and a stack of step lengths dt_n,
+    and optionally the Frechet derivatives L(M dt_n, E_n) in a stack of
+    directions E_n, by scaling and squaring with the [13/13] Pade
+    approximant.
+
+    The powers M^0 .. M^13 (of M / ||M||_1, so that none overflows) are
+    computed once.  Each step gets its own squaring count from
+    ||M||_1 dt_n, and its scaled approximant's U and V are combinations of
+    those powers, so all steps are evaluated together, _CHUNK at a time.
+    """
+
+    # C[r, k] * a**k weighs power k of the scaled step in row r of
+    # U, V and, for the Frechet derivative, W = U / A, W1 and Z1
+    # (the names of Al-Mohy & Higham 2009, Algorithm 6.4)
+    _C = np.zeros((5, 14))
+    _C[0, 1::2] = _PADE13[1::2]
+    _C[1, 0::2] = _PADE13[0::2]
+    _C[2, 0::2] = _PADE13[1::2]
+    _C[3, [2, 4, 6]] = _PADE13[[9, 11, 13]]
+    _C[4, [2, 4, 6]] = _PADE13[[8, 10, 12]]
+
+    def __init__(self, M: np.ndarray):
+        # every layout has decay entries -theta != 0, so the norm is > 0
+        self.norm = float(np.abs(M).sum(axis=0).max())
+        P = np.empty((14,) + M.shape)
+        P[0] = np.eye(M.shape[0])
+        B = M / self.norm
+        for k in range(1, 14):
+            P[k] = P[k - 1] @ B
+        self.P = P
+
+    def __call__(self, dt, E=None):
+        """The (n, s, s) stack expm(M dt_n), and with directions E of shape
+        (n, s, s) also the stack of L(M dt_n, E_n)."""
+        dt = np.asarray(dt, dtype=float)
+        R = np.empty((dt.size,) + self.P.shape[1:])
+        L = None if E is None else np.empty_like(R)
+        for lo in range(0, dt.size, _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            if E is None:
+                R[c] = self._chunk(dt[c])
+            else:
+                R[c], L[c] = self._chunk(dt[c], E[c])
+        return R if E is None else (R, L)
+
+    def _chunk(self, dt, E=None):
+        P, b = self.P, _PADE13
+        norm = self.norm * dt
+        with np.errstate(divide="ignore"):
+            sq = np.ceil(np.log2(norm / (_THETA13 if E is None else _ELL13)))
+        sq = np.maximum(sq, 0.0)
+        scale = 2.0 ** -sq
+        a = norm * scale  # the scaled step is a * P[1]
+        rows = 2 if E is None else 5
+        coef = self._C[:rows, None, :] * a[None, :, None] ** np.arange(14)
+        U, V, *rest = np.tensordot(coef, P, 1)
+        Q = V - U
+        # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U keeps exact the columns
+        # that A leaves zero, such as the integrals', whose unit diagonal
+        # would otherwise gain an error that doubles with every squaring
+        R = 2.0 * np.linalg.solve(Q, U) + P[0]
+        L = None
+        if E is not None:
+            W, W1, Z1 = rest
+            a = a[:, None, None]
+            Es = E * scale[:, None, None]
+            M2 = a * (P[1] @ Es + Es @ P[1])
+            M4 = a**2 * (P[2] @ M2 + M2 @ P[2])
+            M6 = a**4 * (P[4] @ M2) + a**2 * (M4 @ P[2])
+            Lw = (a**6 * (P[6] @ (b[13] * M6 + b[11] * M4 + b[9] * M2))
+                  + M6 @ W1 + b[7] * M6 + b[5] * M4 + b[3] * M2)
+            Lu = a * (P[1] @ Lw) + Es @ W
+            Lv = (a**6 * (P[6] @ (b[12] * M6 + b[10] * M4 + b[8] * M2))
+                  + M6 @ Z1 + b[6] * M6 + b[4] * M4 + b[2] * M2)
+            L = np.linalg.solve(Q, Lu + Lv + (Lu - Lv) @ R)
+        for k in range(int(sq.max(initial=0.0))):
+            i = np.flatnonzero(sq > k)
+            Ri = R[i]
+            if L is not None:
+                L[i] = Ri @ L[i] + L[i] @ Ri
+            R[i] = Ri @ Ri
+        return R if E is None else (R, L)
 
 
 class _Layout:
@@ -116,6 +217,7 @@ class _Layout:
             for i in range(d):
                 M[self.I[i], self.Y[i]] = 1.0
         self.M = M
+        self.expm = _Expm(M)
         self.R = R
         self.x0 = np.zeros(self.s)
         self.x0[self.Y] = c[:, :e] * p.gamma[:e]
@@ -180,7 +282,7 @@ class PoiEvaluator:
             counts[np.searchsorted(knots, ts), k] = 1.0
         jumps = counts @ lay.J
         dt = np.diff(knots)
-        E = expm(lay.M[None] * dt[:, None, None]) if dt.size else None
+        E = lay.expm(dt)
         X = np.empty((knots.size, lay.s))
         x = lay.x0
         for n in range(dt.size):
@@ -230,18 +332,16 @@ class PoiEvaluator:
             a = lam[n] = g[n] + sc.E[n].T @ a
         mu = lam - g  # adjoint of the state just after each knot's jump
 
-        # sum over intervals of the expm Frechet adjoints (Van Loan blocks),
-        # a bounded number of intervals at a time
+        # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
+        # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
+        # every derivative is of expm(M dt) and uses its powers of M
         G = np.zeros((s, s))
-        for lo in range(0, N - 1, _VAN_LOAN_BATCH):
-            n = np.arange(lo, min(N - 1, lo + _VAN_LOAN_BATCH))
-            dt = sc.dt[n, None, None]
-            blk = np.zeros((n.size, 2 * s, 2 * s))
-            blk[:, :s, :s] = blk[:, s:, s:] = lay.M.T * dt
-            blk[:, :s, s:] = (
-                lam[n + 1, :, None] * (sc.X[n] + sc.jumps[n])[:, None, :] * dt
-            )
-            G += expm(blk)[:, :s, s:].sum(axis=0)
+        for lo in range(0, N - 1, _CHUNK):
+            n = np.arange(lo, min(N - 1, lo + _CHUNK))
+            dirs = ((sc.X[n] + sc.jumps[n])[:, :, None]
+                    * (lam[n + 1] * sc.dt[n, None])[:, None, :])
+            G += lay.expm(sc.dt[n], dirs)[1].sum(axis=0)
+        G = G.T
 
         # generator entries
         R = np.zeros((d, e))

@@ -9,6 +9,7 @@ numerical internals beyond the parameter container.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 
 # ---------------------------------------------------------------------------
@@ -164,3 +165,21 @@ def central_fd(fun, x, step=1e-6):
         lo[i] -= step
         g[i] = (fun(hi) - fun(lo)) / (2 * step)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Matrix exponential derivatives
+
+
+def van_loan_frechet_sum(M, dt, lam, x):
+    """sum_n L(M^T dt_n, lam_n x_n^T dt_n): Frechet derivatives of expm summed
+    over steps, each the upper right block of the block-triangular
+    expm([[M^T dt, lam x^T dt], [0, M^T dt]]) (Van Loan 1978)."""
+    s = M.shape[0]
+    G = np.zeros((s, s))
+    for n, h in enumerate(np.asarray(dt, dtype=float)):
+        blk = np.zeros((2 * s, 2 * s))
+        blk[:s, :s] = blk[s:, s:] = M.T * h
+        blk[:s, s:] = np.outer(lam[n], x[n]) * h
+        G += expm(blk)[:s, s:]
+    return G

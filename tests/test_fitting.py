@@ -12,6 +12,7 @@ from pmbp import (
     FitResult,
     ModelParams,
     ParameterError,
+    fd_gradient,
     fit,
     pack,
     recovery_experiment,
@@ -25,6 +26,15 @@ def _poisson_events_dataset(rate=2.0, T=60.0, seed=1):
     n = rng.poisson(rate * T)
     times = np.sort(rng.uniform(0.0, T, size=n))
     return Dataset(T=T, censored=(), events=(times,)), n / T
+
+
+def test_fd_gradient_on_quadratic():
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = np.array([1.0, -2.0])
+    f = lambda x: 0.5 * x @ A @ x + b @ x
+    x0 = np.array([0.3, -0.7])
+    g = fd_gradient(f, x0)
+    assert np.allclose(g, A @ x0 + b, rtol=1e-7, atol=1e-9)
 
 
 def test_poisson_rate_mle_events():

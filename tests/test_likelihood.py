@@ -1,7 +1,14 @@
 """Objective assembly for partially interval-censored observations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import pmbp
 
 from pmbp import (
     CensoredSeries,
@@ -190,6 +197,46 @@ def test_nll_and_grad_fd_wide(d, e):
     _, grad = nll_and_grad(params, ds, include_gamma=True)
     fd = central_fd(f, pack(params, include_gamma=True), step=1e-5)
     assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
+
+
+_WIDE_NLL_SCRIPT = """
+import numpy as np
+from pmbp import CensoredSeries, Dataset, ModelParams, nll_and_grad
+
+rng = np.random.default_rng(11)
+d, e, T = 4, 2, 400.0
+params = ModelParams(
+    d=d, e=e, theta=rng.uniform(0.5, 2.0, (d, d)),
+    alpha=rng.uniform(0.02, 0.15, (d, d)),
+    gamma=rng.uniform(0.2, 0.5, d), nu=np.full(d, 0.2),
+)
+bounds = np.arange(T + 1.0)
+ds = Dataset(
+    T=T,
+    censored=tuple(CensoredSeries(boundaries=bounds,
+                                  counts=rng.poisson(0.3, size=int(T)))
+                   for _ in range(e)),
+    events=tuple(np.sort(rng.uniform(0.0, T, size=120)) for _ in range(d - e)),
+)
+value, grad = nll_and_grad(params, ds, include_gamma=True)
+print(np.float64(value).tobytes().hex(), grad.tobytes().hex())
+"""
+
+
+def test_nll_and_grad_thread_count_invariance():
+    # the same bytes whatever the BLAS thread count, on a scan long enough
+    # to span several batches of steps
+    src = str(Path(pmbp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                   PYTHONPATH=path)
+        out.append(subprocess.run(
+            [sys.executable, "-c", _WIDE_NLL_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=300,
+        ).stdout)
+    assert out[0] and out[0] == out[1]
 
 
 @pytest.mark.parametrize("theta_11", [1.0, 10.0, 100.0, 1000.0])

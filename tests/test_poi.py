@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pmbp import (
     DomainError,
@@ -17,6 +20,9 @@ from pmbp import (
     xi_eval,
 )
 from pmbp import closed_form_pmbp21
+from pmbp.poi import _CHUNK, _Layout
+
+from oracles import van_loan_frechet_sum
 
 
 def test_consistent_with_grid_evaluator_on_grid_points(pmbp21, events21, tables21):
@@ -152,3 +158,74 @@ def test_derivatives_match_fd_e0():
             g_an = ev.vjp(vals, *cot)
             denom = np.maximum(np.abs(g_fd), 1e-4)
             assert np.max(np.abs(g_an - g_fd) / denom) < 1e-5, (which, i, j)
+
+
+def test_derivatives_match_fd_past_chunk():
+    # enough knots that the scan and the adjoint's Frechet sum span chunks
+    p = _model(4, 2, [0.4, 0.3, 0.2, 0.1])
+    rng = np.random.default_rng(42)
+    events = [np.sort(rng.uniform(0.0, 40.0, size=160)) for _ in range(p.d)]
+    t = rng.uniform(0.0, 40.0, size=30)
+    c_xi = rng.standard_normal((t.size, p.d))
+    c_Xi = rng.standard_normal((t.size, p.d))
+
+    def f(vec):
+        v = PoiEvaluator(unpack(p, vec, True), events).values(t)
+        return float(np.sum(c_xi * v.xi + c_Xi * v.Xi))
+
+    ev = PoiEvaluator(p, events)
+    vals = ev.values(t)
+    assert vals.scan.dt.size > _CHUNK
+    g_an = ev.vjp(vals, c_xi, c_Xi, True)
+    g_fd = fd_gradient(f, pack(p, True))
+    assert np.max(np.abs(g_an - g_fd) / np.maximum(np.abs(g_fd), 1e-3)) < 1e-6
+
+
+def _check_expm_stack(lay, dt, rng):
+    """lay.expm against scipy.linalg.expm step by step, and its Frechet
+    derivatives, transposed, against the Van Loan oracle, both to 1e-12 of
+    the reference's largest entry."""
+    R = lay.expm(dt)
+    x = rng.standard_normal((dt.size, lay.s))
+    lam = rng.standard_normal((dt.size, lay.s))
+    dirs = x[:, :, None] * (lam * dt[:, None])[:, None, :]
+    R2, L = lay.expm(dt, dirs)
+    # nothing feeds back from the integrals, so their columns of every step
+    # are exact unit columns; an error there doubles with each squaring
+    assert np.all(R[:, lay.I, lay.I] == 1.0)
+    for n, h in enumerate(dt):
+        ref = expm(lay.M * h)
+        for got in (R[n], R2[n]):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), h
+        ref = van_loan_frechet_sum(lay.M, dt[n : n + 1], lam[n : n + 1],
+                                   x[n : n + 1])
+        assert np.max(np.abs(L[n].T - ref)) <= 1e-12 * np.max(np.abs(ref)), h
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_expm_stack_matches_scipy_and_van_loan(d, data):
+    e = data.draw(st.integers(1, d), label="e")
+    full = data.draw(st.booleans(), label="full")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    # rows of alpha sum below 0.9, so every block is subcritical
+    p = ModelParams(
+        d=d, e=e, theta=rng.uniform(0.2, 5.0, size=(d, d)),
+        alpha=rng.uniform(0.0, 0.9 / d, size=(d, d)),
+        gamma=np.zeros(d), nu=rng.uniform(0.1, 1.0, size=d),
+    )
+    dt = np.concatenate([[0.0, 1e-12], rng.exponential(1.0, size=6), [25.0]])
+    _check_expm_stack(_Layout(p, full), dt, rng)
+
+
+@pytest.mark.parametrize("theta,dt", [
+    (1.0, [0.0, 1e-12, 0.3, 2.0, 40.0]),   # defective generator
+    (1000.0, [1e-4, 0.75, 2.0, 9.0]),      # theta * dt > 700
+], ids=["theta1", "theta1000"])
+@pytest.mark.parametrize("full", [False, True])
+def test_expm_stack_edge_cases(theta, dt, full):
+    p = ModelParams(d=3, e=2, theta=np.full((3, 3), theta),
+                    alpha=[[0.3, 0.2, 0.1], [0.2, 0.3, 0.2], [0.1, 0.1, 0.2]],
+                    gamma=np.zeros(3), nu=[0.4, 0.5, 0.6])
+    _check_expm_stack(_Layout(p, full), np.array(dt), np.random.default_rng(1))
