@@ -13,7 +13,6 @@ from .engine import (
     HTables,
     compensator_eval,
     compute_h,
-    default_grid,
     default_step,
     xi_eval,
     xi_monte_carlo,
@@ -22,7 +21,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    EvaluationError,
     ExplosionError,
     InsufficientDataError,
     NumericalConsistencyError,
@@ -42,9 +40,6 @@ from .fitting import (
 )
 from .gof import GofReport, fit_score, gof_anscombe, gof_report, gof_time_rescaling
 from .hawkes import (
-    hawkes_compensator,
-    hawkes_intensity,
-    pp_loglik,
     sample_conditional_hawkes,
     sample_hawkes,
 )
@@ -97,7 +92,6 @@ __all__ = [
     "Dataset",
     "DimensionError",
     "DomainError",
-    "EvaluationError",
     "EventHistory",
     "ExplosionError",
     "FitConfig",
@@ -123,7 +117,6 @@ __all__ = [
     "closed_form_pmbp21",
     "compensator_eval",
     "compute_h",
-    "default_grid",
     "default_step",
     "fd_gradient",
     "fit",
@@ -133,8 +126,6 @@ __all__ = [
     "gof_report",
     "gof_time_rescaling",
     "grad_nll",
-    "hawkes_compensator",
-    "hawkes_intensity",
     "icll",
     "joint_nll",
     "n_free",
@@ -142,7 +133,6 @@ __all__ = [
     "pack",
     "phi_eval",
     "phi_integral",
-    "pp_loglik",
     "ppll_nll",
     "predict_counts",
     "predict_counts_sampled",

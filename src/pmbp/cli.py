@@ -26,7 +26,14 @@ import click
 import numpy as np
 
 from .errors import PMBPError
-from .fitting import FitConfig, _param_names, fd_gradient, fit, recovery_experiment
+from .fitting import (
+    FitConfig,
+    _param_names,
+    _tame_censored_block,
+    fd_gradient,
+    fit,
+    recovery_experiment,
+)
 from .gof import gof_report
 from .hawkes import sample_hawkes
 from .io import (
@@ -39,7 +46,7 @@ from .io import (
     write_events,
 )
 from .likelihood import LikelihoodConfig, nll_and_grad
-from .params import Dataset, ModelParams, check_subcriticality, spectral_radius
+from .params import Dataset, ModelParams, check_subcriticality
 from .paramvec import n_free, pack, unpack
 from .poi import PoiEvaluator
 from .sampling import predict_counts, sample_pmbp
@@ -540,15 +547,11 @@ def cmd_grad_check(config_path, params_path, data_path, n_points, seed,
 def _jitter_params(params: ModelParams, rng: np.random.Generator) -> ModelParams:
     """Log-normal jitter of every positive parameter, tamed to keep the
     censored-block spectral radius below 0.9."""
-    d = params.d
     jit = lambda m, s: np.asarray(m) * np.exp(s * rng.standard_normal(np.shape(m)))
     alpha = jit(np.maximum(params.alpha, 0.05), 0.25)
     theta = np.clip(jit(params.theta, 0.25), 1e-3, 1e3)
     nu = np.maximum(jit(np.maximum(params.nu, 0.05), 0.25), 1e-4)
-    if params.e > 0:
-        rho = spectral_radius(alpha[: params.e, : params.e])
-        if rho >= 0.9:
-            alpha = alpha * (0.85 / rho)
+    alpha = _tame_censored_block(alpha, params.e)
     return params.replace(alpha=alpha, theta=theta, nu=nu)
 
 

@@ -1,12 +1,12 @@
 """Stable prefix accumulators for exponentially decayed event sums.
 
-Every intensity/compensator evaluation in this package reduces to sums of the
+The observed-source sums of the evaluator (`pmbp.poi`) reduce to sums of the
 form sum_{t_k < u} f(u - t_k) over the events of one source dimension, with f
-an exponential, a linearly weighted exponential, or a polynomial.  Computing
-these naively per query costs O(n) per point; the classic prefix trick with
-exp(+r t_k) overflows for r*t beyond ~700.  The recursions below reference
-each prefix to its own last event, so every stored term lies in [0, n] and
-queries cost O(log n).
+an exponential or a linearly weighted exponential.  Computing these naively
+per query costs O(n) per point; the classic prefix trick with exp(+r t_k)
+overflows for r*t beyond ~700.  The recursions below reference each prefix
+to its own last event, so every stored term lies in [0, n] and queries cost
+O(log n).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class SourceDecay:
         count(u)  = #{k : t_k < u}
         esum(u)   = sum_{t_k < u} exp(-r (u - t_k))
         wsum(u)   = sum_{t_k < u} (u - t_k) exp(-r (u - t_k))
-        tsum(u)   = sum_{t_k < u} (u - t_k)
     Events exactly at u are excluded, so an event never contributes to the
     intensity at its own timestamp.
     """
@@ -53,21 +52,17 @@ class SourceDecay:
                 q = np.exp(-rates * dts[k - 1])
                 self._B[:, k] = 1.0 + q * self._B[:, k - 1]
                 self._C[:, k] = q * (self._C[:, k - 1] + dts[k - 1] * self._B[:, k - 1])
-            self._pref_t = np.cumsum(times)
-        else:
-            self._pref_t = np.zeros(0)
 
-    def query(self, u: np.ndarray, weighted: bool = False):
-        """Return (count, esum[, wsum], tsum) at query times u (any order).
+    def query(self, u: np.ndarray):
+        """Return (count, esum, wsum) at query times u (any order).
 
-        count : (m,) int, esum/wsum : (m, d), tsum : (m,).
+        count : (m,) int, esum/wsum : (m, d).
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         m, d = u.size, self.rates.size
         count = np.searchsorted(self.times, u, side="left")
         esum = np.zeros((m, d))
-        wsum = np.zeros((m, d)) if weighted else None
-        tsum = np.zeros(m)
+        wsum = np.zeros((m, d))
         mask = count > 0
         if np.any(mask):
             idx = count[mask] - 1
@@ -75,23 +70,14 @@ class SourceDecay:
             fade = np.exp(-gap[:, None] * self.rates[None, :])
             B = self._B[:, idx].T
             esum[mask] = fade * B
-            if weighted:
-                wsum[mask] = fade * (self._C[:, idx].T + gap[:, None] * B)
-            tsum[mask] = count[mask] * u[mask] - self._pref_t[idx]
-        if weighted:
-            return count, esum, wsum, tsum
-        return count, esum, tsum
+            wsum[mask] = fade * (self._C[:, idx].T + gap[:, None] * B)
+        return count, esum, wsum
 
 
-def build_source_decays(events, theta: np.ndarray, sources=None):
-    """One SourceDecay per source dimension j, with rates theta[:, j].
-
-    events : sequence of per-dimension time arrays; sources : iterable of
-    source indices to build (default: all with at least one event).
-    """
-    d = theta.shape[0]
-    if sources is None:
-        sources = range(len(events))
+def build_source_decays(events, theta: np.ndarray, sources):
+    """One SourceDecay, with rates theta[:, j], per source dimension j in
+    `sources` that has at least one event in the per-dimension time arrays
+    `events`."""
     out = {}
     for j in sources:
         ts = np.asarray(events[j], dtype=float)

@@ -25,15 +25,15 @@ import warnings
 import numpy as np
 import scipy.fft
 
-from .decay import build_source_decays
 from .errors import (
     DomainError,
     ParameterError,
     RegularityError,
     TruncationError,
 )
-from .hawkes import hawkes_intensity, sample_conditional_hawkes
+from .hawkes import sample_conditional_hawkes
 from .params import ModelParams, column_masks, spectral_radius, validate_events_for
+from .poi import PoiEvaluator
 
 # ---------------------------------------------------------------------------
 # Grid
@@ -77,10 +77,6 @@ def default_step(params: ModelParams, T: float) -> float:
     clipped to [T/1e5, T/100]."""
     base = 0.01 / float(params.theta.max())
     return float(np.clip(base, T / 1e5, T / 100.0))
-
-
-def default_grid(params: ModelParams, T: float) -> ConvGrid:
-    return ConvGrid.make(T, default_step(params, T))
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +192,14 @@ def compute_h(
 # Observed-event input sums on the grid
 
 
-def _event_sums(params: ModelParams, events, t: np.ndarray):
-    """a(t) and A(t): kernel and kernel-integral sums over observed events.
-
-    Only the E^c source dimensions contribute; censored-dimension entries in
-    `events` are ignored by construction of the model.
-    """
-    d = params.d
+def _observed_part(params: ModelParams, events, t: np.ndarray):
+    """The process driven by the observed events alone, at times t: the e = 0
+    evaluator with the censored dimensions' events emptied, so that its xi is
+    nu + a(t) and its Xi is gamma 1{t>0} + nu t + A(t), with a/A the kernel
+    and kernel-integral sums over the E^c events."""
     ev = validate_events_for(params, events)
-    a = np.zeros((t.size, d))
-    A = np.zeros((t.size, d))
-    decays = build_source_decays(ev, params.theta, sources=range(params.e, d))
-    for src, sd in decays.items():
-        cnt, esum, _ = sd.query(t)
-        a += esum * (params.alpha[:, src] * params.theta[:, src])[None, :]
-        A += (cnt[:, None] - esum) * params.alpha[:, src][None, :]
-    return a, A
+    ev[: params.e] = [np.zeros(0)] * params.e
+    return PoiEvaluator(params.replace(e=0), ev).values(t)
 
 
 def _check_events_horizon(params: ModelParams, events, T: float) -> None:
@@ -228,9 +216,8 @@ def xi_eval(params: ModelParams, events, tables: HTables) -> np.ndarray:
     grid = tables.grid
     _check_events_horizon(params, events, grid.T)
     t = grid.points
-    a, _ = _event_sums(params, events, t)
-    s = params.nu[None, :] + a
-    xi = s.copy()
+    s = _observed_part(params, events, t).xi
+    xi = s
     if params.e > 0:
         if np.any(params.gamma):
             xi = xi + np.einsum("pij,j->pi", tables.h, params.gamma)
@@ -244,10 +231,9 @@ def compensator_eval(params: ModelParams, events, tables: HTables) -> np.ndarray
     grid = tables.grid
     _check_events_horizon(params, events, grid.T)
     t = grid.points
-    _, A = _event_sums(params, events, t)
-    S = params.nu[None, :] * t[:, None] + A
-    Xi = S + params.gamma[None, :] * (t > 0)[:, None]
+    Xi = _observed_part(params, events, t).Xi
     if params.e > 0:
+        S = Xi - params.gamma[None, :] * (t > 0)[:, None]
         if np.any(params.gamma):
             Xi = Xi + np.einsum("pij,j->pi", tables.H, params.gamma)
         Xi = Xi + _fft_conv(_grid_diffs(tables.H), S)
@@ -288,12 +274,13 @@ def xi_monte_carlo(
     if T <= 0:
         mean = np.tile(params.nu, (times.size, 1))
         return mean, np.zeros_like(mean)
+    full = params.replace(e=0)
     children = np.random.SeedSequence(seed).spawn(n_samples)
     mean = np.zeros((times.size, params.d))
     m2 = np.zeros_like(mean)
     for k, child in enumerate(children):
         merged = sample_conditional_hawkes(params, events, T, child)
-        lam = hawkes_intensity(params, merged, times)
+        lam = PoiEvaluator(full, merged.times).values(times).xi
         delta = lam - mean
         mean += delta / (k + 1)
         m2 += delta * (lam - mean)

@@ -18,11 +18,6 @@ class DomainError(PMBPError, ValueError):
     or an off-grid time where only grid samples are available)."""
 
 
-class EvaluationError(PMBPError, RuntimeError):
-    """A quantity required to be positive (e.g. an intensity at an observed
-    event) was not."""
-
-
 class NumericalConsistencyError(PMBPError, RuntimeError):
     """A numerically computed quantity violates a structural invariant beyond
     tolerance (e.g. a compensator increment is negative)."""

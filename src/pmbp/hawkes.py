@@ -1,14 +1,14 @@
-"""Multivariate Hawkes process: evaluation, likelihood, and thinning samplers.
+"""Multivariate Hawkes process: thinning samplers.
 
 The conditional intensity of target dimension i is
 
     lambda_i(t) = nu_i + sum_j sum_{t_k^j < t} alpha[i,j] theta[i,j]
-                  exp(-theta[i,j] (t - t_k^j)),
+                  exp(-theta[i,j] (t - t_k^j)).
 
-with compensator Lambda_i(t) = gamma_i 1{t > 0} + nu_i t + sum over events of
-the kernel integral.  The immigrant impulse gamma acts only through the
-compensator jump at zero; samplers never realize it as point events, and it
-is excluded from the pointwise intensity for t > 0.
+The immigrant impulse gamma acts only through the compensator jump at zero;
+samplers never realize it as point events.  The intensity and compensator
+themselves are the e = 0 case of the exact evaluator:
+`PoiEvaluator(params.replace(e=0), events).values(t)` in `pmbp.poi`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .decay import build_source_decays
-from .errors import DomainError, EvaluationError, ExplosionError, ParameterError
+from .errors import DomainError, ExplosionError, ParameterError
 from .params import EventHistory, ModelParams, validate_events_for
 
 
@@ -30,74 +29,6 @@ def _event_arrays(params: ModelParams, events) -> list:
             )
         return list(events.times)
     return validate_events_for(params, events)
-
-
-def hawkes_intensity(params: ModelParams, events, t):
-    """Intensity rows lambda(t) given the events strictly before each query.
-
-    t may be a scalar (returns (d,)) or an array (returns (m, d)).  Negative
-    query times are a domain error.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr < 0):
-        raise DomainError("intensity queries require finite t >= 0")
-    ev = _event_arrays(params, events)
-    lam = np.tile(params.nu, (t_arr.size, 1))
-    at = params.alpha * params.theta
-    for src, sd in build_source_decays(ev, params.theta).items():
-        _, esum, _ = sd.query(t_arr)
-        lam += esum * at[:, src][None, :]
-    return lam if np.ndim(t) else lam[0]
-
-
-def hawkes_compensator(params: ModelParams, events, t):
-    """Compensator rows Lambda(t), including the impulse jump at zero."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr < 0):
-        raise DomainError("compensator queries require finite t >= 0")
-    ev = _event_arrays(params, events)
-    comp = params.nu[None, :] * t_arr[:, None]
-    comp = comp + params.gamma[None, :] * (t_arr > 0)[:, None]
-    for src, sd in build_source_decays(ev, params.theta).items():
-        cnt, esum, _ = sd.query(t_arr)
-        comp += (cnt[:, None] - esum) * params.alpha[:, src][None, :]
-    return comp if np.ndim(t) else comp[0]
-
-
-def pp_loglik(params: ModelParams, events, T: float) -> float:
-    """Point-process log-likelihood sum_j [sum_k log lambda_j(t_k^j) -
-    Lambda_j(T)] over all dimensions.
-
-    Raises EvaluationError if the intensity at any observed event is not
-    strictly positive.
-    """
-    if not np.isfinite(T) or T <= 0:
-        raise DomainError(f"T must be finite and > 0, got {T}")
-    ev = _event_arrays(params, events)
-    for j, ts in enumerate(ev):
-        if ts.size and ts[-1] >= T:
-            raise ParameterError(f"dimension {j + 1}: events must lie in [0, T)")
-    decays = build_source_decays(ev, params.theta)
-    at = params.alpha * params.theta
-    ll = 0.0
-    for j in range(params.d):
-        lam_T_terms = params.gamma[j] + params.nu[j] * T
-        if ev[j].size:
-            lam = np.full(ev[j].size, params.nu[j])
-            for src, sd in decays.items():
-                _, esum, _ = sd.query(ev[j])
-                lam += at[j, src] * esum[:, j]
-            if np.any(lam <= 0):
-                raise EvaluationError(
-                    f"dimension {j + 1}: intensity is not positive at an event"
-                )
-            ll += float(np.sum(np.log(lam)))
-        comp = lam_T_terms
-        for src, sd in decays.items():
-            cnt, esum, _ = sd.query(np.array([T]))
-            comp += params.alpha[j, src] * (cnt[0] - esum[0, j])
-        ll -= comp
-    return float(ll)
 
 
 def sample_hawkes(

@@ -488,10 +488,11 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
     out = []
     for j in range(params.d):
         ts = np.asarray(events[j], dtype=float)
-        if ts.size and (np.any(np.diff(ts) <= 0) or ts[0] < 0):
+        if ts.size and (np.any(~np.isfinite(ts)) or np.any(np.diff(ts) <= 0)
+                        or ts[0] < 0):
             raise ParameterError(
-                f"dimension {j + 1}: event times must be non-negative and "
-                "strictly increasing"
+                f"dimension {j + 1}: event times must be finite, non-negative "
+                "and strictly increasing"
             )
         out.append(ts)
     return out

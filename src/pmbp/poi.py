@@ -18,9 +18,13 @@ alpha_jk theta_jk to w[:, k].  Then
     Xi_i(t) = gamma_i 1{t>0} + nu_i t + A_i(t) + I_i(t),
 
 where a/A are the observed-source sums from the decay accumulators.  With
-e = 0 there is no scan and the evaluator is those sums alone.  The sampler
-(`pmbp.sampling`) steps the same ODE on a wider state, with w[i, k] for
-every target i and the integral of every xi_i.
+e = 0 there is no scan and the evaluator is those sums alone: the intensity
+and compensator of the plain multivariate Hawkes process (Ozaki 1979), so
+`PoiEvaluator(params.replace(e=0), events)` evaluates the fully observed
+process given every dimension's events.  The sampler (`pmbp.sampling`)
+steps the same ODE on a wider state, with w[i, k] for every target i and
+the integral of every xi_i, and runs `_scan` on it over the training
+history.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each interval's scaling-and-squaring Pade
@@ -73,7 +77,7 @@ class PoiValues:
 
 @dataclasses.dataclass
 class _Scan:
-    """Forward pass of the censored-block state, kept for the adjoint.
+    """Forward pass of a layout's linear state, kept for the adjoint.
 
     inv maps query rows to unique query times, qidx those to knots; E[n]
     steps the state from knot n to n+1; X[n] is the state just before knot
@@ -228,9 +232,37 @@ class _Layout:
             self.J[k, self.W[:, k]] = c[:nw, e + k]
 
 
+def _scan(lay: _Layout, events, t: np.ndarray) -> _Scan:
+    """Step the linear state of `lay` from x0 at 0 through the events of the
+    observed sources (`events` is indexed by absolute dimension; entries
+    below e are ignored) to the query times t.  Events at or after the last
+    query cannot affect any output and are left out."""
+    d, e = lay.Y.shape
+    tq, inv = np.unique(t, return_inverse=True)
+    sources = [np.asarray(events[k], dtype=float) for k in range(e, d)]
+    sources = [ts[ts < tq[-1]] for ts in sources]
+    knots = np.unique(np.concatenate([[0.0], tq, *sources]))
+    counts = np.zeros((knots.size, d - e))
+    for k, ts in enumerate(sources):
+        counts[np.searchsorted(knots, ts), k] = 1.0
+    jumps = counts @ lay.J
+    dt = np.diff(knots)
+    E = lay.expm(dt)
+    X = np.empty((knots.size, lay.s))
+    x = lay.x0
+    for n in range(dt.size):
+        X[n] = x
+        x = E[n] @ (x + jumps[n])
+    X[-1] = x
+    return _Scan(inv=inv, qidx=np.searchsorted(knots, tq), dt=dt, E=E,
+                 X=X, jumps=jumps, counts=counts)
+
+
 class PoiEvaluator:
     """Evaluates xi(t), Xi(t) and gradients of functions of them, given the
-    observed E^c events (censored-dimension entries are ignored).
+    observed E^c events (censored-dimension entries are ignored).  At e = 0
+    these are the Hawkes intensity (left limits: an event never counts at
+    its own time) and compensator, including the impulse jump at zero.
 
     Raises RegularityError when the censored block is not subcritical.
     """
@@ -253,7 +285,7 @@ class PoiEvaluator:
         A = np.zeros((t.size, p.d))
         sums = {}
         for src, sd in self.decays.items():
-            cnt, esum, wsum, _ = sd.query(t, weighted=True)
+            cnt, esum, wsum = sd.query(t)
             sums[src] = (cnt, esum, wsum)
             a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
             A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
@@ -261,36 +293,12 @@ class PoiEvaluator:
         Xi = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
         scan = None
         if self.layout is not None and t.size:
-            scan = self._scan(t)
+            scan = _scan(self.layout, self.events, t)
             lay = self.layout
             rows = scan.X[scan.qidx[scan.inv]]
             xi += rows[:, lay.Y].sum(axis=2)
             Xi += rows[:, lay.I]
         return PoiValues(t=t, xi=xi, Xi=Xi, sums=sums, scan=scan)
-
-    def _scan(self, t: np.ndarray) -> _Scan:
-        p, lay = self.params, self.layout
-        tq, inv = np.unique(t, return_inverse=True)
-        # events at or after the last query cannot affect any output
-        sources = [
-            np.asarray(self.events[k], dtype=float) for k in range(p.e, p.d)
-        ]
-        sources = [ts[ts < tq[-1]] for ts in sources]
-        knots = np.unique(np.concatenate([[0.0], tq, *sources]))
-        counts = np.zeros((knots.size, p.d - p.e))
-        for k, ts in enumerate(sources):
-            counts[np.searchsorted(knots, ts), k] = 1.0
-        jumps = counts @ lay.J
-        dt = np.diff(knots)
-        E = lay.expm(dt)
-        X = np.empty((knots.size, lay.s))
-        x = lay.x0
-        for n in range(dt.size):
-            X[n] = x
-            x = E[n] @ (x + jumps[n])
-        X[-1] = x
-        return _Scan(inv=inv, qidx=np.searchsorted(knots, tq), dt=dt, E=E,
-                     X=X, jumps=jumps, counts=counts)
 
     def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
         """Gradient of sum(gxi * vals.xi + gXi * vals.Xi) with respect to the

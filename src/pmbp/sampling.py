@@ -34,7 +34,7 @@ from scipy.linalg import expm
 
 from .errors import DomainError, ExplosionError, ParameterError
 from .params import Dataset, EventHistory, ModelParams, validate_events_for
-from .poi import _Layout
+from .poi import _Layout, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
 _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
@@ -43,24 +43,6 @@ _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
 # the previous one, so they call scipy.linalg.expm on single matrices: on a
 # one-step stack, _Layout.expm (built for many steps of one M) took 49-148 us
 # per 7x7 matrix against SciPy's 22-44 us (2-vCPU x86-64, one BLAS thread).
-
-
-def _state_at(lay: _Layout, events, t_end: float) -> np.ndarray:
-    """The sampler state at t_end given the observed events before it, with
-    the intensity integrals set to zero."""
-    d, e = lay.Y.shape
-    ts = np.concatenate([events[k] for k in range(e, d)] + [np.zeros(0)])
-    src = np.concatenate([np.full(len(events[k]), k - e) for k in range(e, d)]
-                         + [np.zeros(0, int)])
-    order = np.argsort(ts, kind="stable")
-    ts, src = ts[order], src[order]
-    dt = np.diff(np.concatenate([[0.0], ts, [t_end]]))
-    steps = lay.expm(dt)
-    x = steps[0] @ lay.x0
-    for n in range(ts.size):
-        x = steps[n + 1] @ (x + lay.J[src[n]])
-    x[lay.I] = 0.0
-    return x
 
 
 def _invert(lay: _Layout, x, span: float, target: float, comp, rate_row):
@@ -211,7 +193,9 @@ def _forecast(
         raise ParameterError("dataset split does not match the model")
     lay = _Layout(params, full=True)
     observed = validate_events_for(params, dataset.event_list())
-    x_train = _state_at(lay, observed, T_train)
+    # the sampler state at the horizon, with the integrals restarted there
+    x_train = _scan(lay, observed, np.array([T_train])).X[-1]
+    x_train[lay.I] = 0.0
     children = np.random.SeedSequence(seed).spawn(n_samples)
     K = bnds.size - 1
     mean = np.zeros((K, e))

@@ -11,13 +11,15 @@ from pmbp import (
     DomainError,
     InsufficientDataError,
     NumericalConsistencyError,
+    PoiEvaluator,
     fit_score,
     gof_anscombe,
     gof_report,
     gof_time_rescaling,
-    hawkes_compensator,
     sample_pmbp,
 )
+
+from oracles import naive_compensator
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +42,16 @@ def test_time_rescaling_rejects_regular_grid():
 
 
 def test_time_rescaling_true_hawkes_model(hawkes2, hawkes_path):
+    ev = PoiEvaluator(hawkes2, hawkes_path.times)
     for dim in range(2):
         times = hawkes_path.times[dim]
+        assert np.allclose(
+            ev.values(times).Xi,
+            naive_compensator(hawkes2, hawkes_path.times, times),
+            rtol=1e-12,
+        )
         res, _, p = gof_time_rescaling(
-            times,
-            lambda t: np.array(
-                [hawkes_compensator(hawkes2, hawkes_path.times, float(u))[dim]
-                 for u in t]
-            ),
+            times, lambda t: ev.values(t).Xi[:, dim]
         )
         assert res.size == times.size - 1
         assert np.all(res >= 0)

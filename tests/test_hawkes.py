@@ -1,17 +1,18 @@
-"""Fully observed self-exciting engine: intensities, likelihood, sampling."""
+"""Fully observed self-exciting process: the e = 0 evaluator against direct
+summation, and the thinning samplers."""
 
 import numpy as np
 import pytest
 
 from pmbp import (
+    Dataset,
     EventHistory,
     ExplosionError,
     ModelParams,
-    hawkes_compensator,
-    hawkes_intensity,
-    pp_loglik,
+    PoiEvaluator,
     sample_conditional_hawkes,
     sample_hawkes,
+    total_nll,
 )
 
 from oracles import naive_compensator, naive_intensity, naive_pp_loglik
@@ -35,21 +36,21 @@ def ev2():
 
 def test_intensity_matches_oracle(p2, ev2):
     t = np.array([0.0, 0.5, 1.0, 1.57, 3.3])
-    got = hawkes_intensity(p2, ev2, t)
+    got = PoiEvaluator(p2, ev2).values(t).xi
     want = naive_intensity(p2, ev2, t)
     assert np.allclose(got, want, rtol=1e-12)
 
 
 def test_intensity_left_limit_excludes_own_event(p2, ev2):
     # evaluation at an event time uses events strictly before it
-    lam_at = hawkes_intensity(p2, ev2, np.array([1.1]))[0]
-    lam_before = hawkes_intensity(p2, ev2, np.array([1.1 - 1e-9]))[0]
-    assert np.allclose(lam_at, lam_before, rtol=1e-6)
+    xi = PoiEvaluator(p2, ev2).values([1.1, 1.1 - 1e-9]).xi
+    assert np.allclose(xi[0], xi[1], rtol=1e-6)
+    assert np.allclose(xi[0], naive_intensity(p2, ev2, [1.1])[0], rtol=1e-12)
 
 
 def test_compensator_matches_oracle(p2, ev2):
     t = np.array([0.0, 0.7, 1.3, 2.9, 4.0])
-    got = hawkes_compensator(p2, ev2, t)
+    got = PoiEvaluator(p2, ev2).values(t).Xi
     want = naive_compensator(p2, ev2, t)
     assert np.allclose(got, want, rtol=1e-12)
 
@@ -57,14 +58,14 @@ def test_compensator_matches_oracle(p2, ev2):
 def test_empty_history_is_poisson(p2):
     empty = [np.zeros(0), np.zeros(0)]
     t = np.array([0.5, 2.0])
-    assert np.allclose(hawkes_intensity(p2, empty, t),
-                       np.tile(p2.nu, (2, 1)))
-    assert np.allclose(hawkes_compensator(p2, empty, t),
-                       t[:, None] * p2.nu[None, :])
+    vals = PoiEvaluator(p2, empty).values(t)
+    assert np.allclose(vals.xi, np.tile(p2.nu, (2, 1)))
+    assert np.allclose(vals.Xi, t[:, None] * p2.nu[None, :])
 
 
 def test_loglik_matches_oracle(p2, ev2):
-    got = pp_loglik(p2, ev2, 4.0)
+    # the objective at e = 0 is the point-process log-likelihood, negated
+    got = -total_nll(p2, Dataset(T=4.0, censored=(), events=tuple(ev2)))
     want = naive_pp_loglik(p2, ev2, 4.0)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -72,9 +73,10 @@ def test_loglik_matches_oracle(p2, ev2):
 def test_loglik_poisson_closed_form():
     p = ModelParams(d=1, e=0, theta=[[1.0]], alpha=[[0.0]],
                     gamma=[0.0], nu=[2.0])
-    ev = [np.array([0.3, 1.2, 2.8])]
+    ev = (np.array([0.3, 1.2, 2.8]),)
     # homogeneous rate 2 on [0, 4]: 3 log 2 - 8
-    assert pp_loglik(p, ev, 4.0) == pytest.approx(3 * np.log(2.0) - 8.0)
+    got = -total_nll(p, Dataset(T=4.0, censored=(), events=ev))
+    assert got == pytest.approx(3 * np.log(2.0) - 8.0)
 
 
 def test_sampler_deterministic(p2):

@@ -12,6 +12,7 @@ from pmbp import (
     EventHistory,
     ModelParams,
     ParameterError,
+    PoiEvaluator,
     censor_series,
     check_subcriticality,
     phi_eval,
@@ -210,6 +211,26 @@ def test_validate_events_requires_full_length():
         validate_events_for(p, [np.array([1.0])])  # ambiguous short form
     with pytest.raises(ParameterError):
         validate_events_for(p, [np.array([2.0, 1.0]), np.zeros(0)])
+
+
+@pytest.mark.parametrize("times", [[0.5, np.nan, 2.0], [np.nan], [1.0, np.inf]],
+                         ids=["nan-inside", "nan-alone", "inf"])
+def test_validate_events_rejects_non_finite_times(times):
+    # NaN compares False against every ordering and sign check
+    p = make_params()  # d=2, e=1
+    with pytest.raises(ParameterError):
+        validate_events_for(p, [np.zeros(0), np.array(times)])
+    with pytest.raises(ParameterError):
+        PoiEvaluator(p, [[], times]).values([1.0, 3.0])
+
+
+def test_public_names_resolve():
+    # a stale export fails here rather than at a user's import
+    import pmbp
+
+    missing = [name for name in pmbp.__all__ if not hasattr(pmbp, name)]
+    assert missing == []
+    assert len(set(pmbp.__all__)) == len(pmbp.__all__)
 
 
 # ---------------------------------------------------------------------------

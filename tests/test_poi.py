@@ -7,22 +7,27 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pmbp import (
+    Dataset,
     DomainError,
     ModelParams,
     PoiEvaluator,
     RegularityError,
     compensator_eval,
     fd_gradient,
-    hawkes_compensator,
-    hawkes_intensity,
     pack,
+    total_nll,
     unpack,
     xi_eval,
 )
 from pmbp import closed_form_pmbp21
 from pmbp.poi import _CHUNK, _Layout
 
-from oracles import van_loan_frechet_sum
+from oracles import (
+    naive_compensator,
+    naive_intensity,
+    naive_pp_loglik,
+    van_loan_frechet_sum,
+)
 
 
 def test_consistent_with_grid_evaluator_on_grid_points(pmbp21, events21, tables21):
@@ -60,10 +65,39 @@ def test_e0_exact_hawkes(hawkes2, hawkes_path):
     ev = PoiEvaluator(hawkes2, list(hawkes_path.times))
     t = np.array([0.0, 3.21, 57.0, 119.9])
     vals = ev.values(t)
-    assert np.allclose(vals.xi, hawkes_intensity(hawkes2, list(hawkes_path.times), t),
+    assert np.allclose(vals.xi, naive_intensity(hawkes2, hawkes_path.times, t),
                        rtol=1e-12)
-    assert np.allclose(vals.Xi, hawkes_compensator(hawkes2, list(hawkes_path.times), t),
+    assert np.allclose(vals.Xi, naive_compensator(hawkes2, hawkes_path.times, t),
                        rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_e0_matches_direct_summation(d, data):
+    # any model read at e = 0 is the plain Hawkes process given all events
+    e = data.draw(st.integers(0, d), label="e")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    p = ModelParams(
+        d=d, e=e, theta=rng.uniform(0.2, 5.0, size=(d, d)),
+        alpha=rng.uniform(0.0, 0.9 / d, size=(d, d)),
+        gamma=rng.uniform(0.0, 0.5, size=d), nu=rng.uniform(0.1, 1.0, size=d),
+    ).replace(e=0)
+    T = 10.0
+    # dimensions draw from one pool of stamps, so events coincide across
+    # them, and every stamp is also a query
+    pool = np.concatenate([[0.0], np.round(rng.uniform(0.0, T - 0.01, size=11), 2)])
+    events = [np.unique(rng.choice(pool, size=rng.integers(0, 9)))
+              for _ in range(d)]
+    t = np.concatenate([pool, [T], rng.uniform(0.0, T, size=4)])
+    vals = PoiEvaluator(p, events).values(t)
+    assert np.allclose(vals.xi, naive_intensity(p, events, t),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(vals.Xi, naive_compensator(p, events, t),
+                       rtol=1e-12, atol=1e-12)
+    nll = total_nll(p, Dataset(T=T, censored=(), events=tuple(events)))
+    assert -nll == pytest.approx(naive_pp_loglik(p, events, T),
+                                 rel=1e-12, abs=1e-12)
 
 
 def test_chunking_invariance(pmbp21, events21):
