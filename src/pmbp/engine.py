@@ -194,12 +194,12 @@ def compute_h(
 
 def _observed_part(params: ModelParams, events, t: np.ndarray):
     """The process driven by the observed events alone, at times t: the e = 0
-    evaluator with the censored dimensions' events emptied, so that its xi is
-    nu + a(t) and its Xi is gamma 1{t>0} + nu t + A(t), with a/A the kernel
+    evaluator with the censored dimensions' events emptied and no impulse, so
+    that its xi is nu + a(t) and its Xi is nu t + A(t), with a/A the kernel
     and kernel-integral sums over the E^c events."""
     ev = validate_events_for(params, events)
     ev[: params.e] = [np.zeros(0)] * params.e
-    return PoiEvaluator(params.replace(e=0), ev).values(t)
+    return PoiEvaluator(params.replace(e=0, gamma=np.zeros(params.d)), ev).values(t)
 
 
 def _check_events_horizon(params: ModelParams, events, T: float) -> None:
@@ -231,9 +231,9 @@ def compensator_eval(params: ModelParams, events, tables: HTables) -> np.ndarray
     grid = tables.grid
     _check_events_horizon(params, events, grid.T)
     t = grid.points
-    Xi = _observed_part(params, events, t).Xi
+    S = _observed_part(params, events, t).Xi
+    Xi = S + params.gamma[None, :] * (t > 0)[:, None]
     if params.e > 0:
-        S = Xi - params.gamma[None, :] * (t > 0)[:, None]
         if np.any(params.gamma):
             Xi = Xi + np.einsum("pij,j->pi", tables.H, params.gamma)
         Xi = Xi + _fft_conv(_grid_diffs(tables.H), S)

@@ -17,18 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ExplosionError, ParameterError
+from .errors import DomainError, ExplosionError
 from .params import EventHistory, ModelParams, validate_events_for
-
-
-def _event_arrays(params: ModelParams, events) -> list:
-    if isinstance(events, EventHistory):
-        if events.d != params.d:
-            raise ParameterError(
-                f"history has {events.d} dimensions, model has {params.d}"
-            )
-        return list(events.times)
-    return validate_events_for(params, events)
 
 
 def sample_hawkes(
@@ -105,7 +95,7 @@ def sample_conditional_hawkes(
     if not np.isfinite(T) or T <= 0:
         raise DomainError(f"T must be finite and > 0, got {T}")
     d, e = params.d, params.e
-    ev = _event_arrays(params, observed)
+    ev = validate_events_for(params, observed)
     if e == 0:
         return EventHistory(
             times=tuple(np.asarray(ev[j], dtype=float) for j in range(d)), T=float(T)

@@ -477,8 +477,11 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
 
     Exactly d arrays are required (use empty arrays for dimensions without
     events, e.g. the censored block); anything shorter is ambiguous about
-    which dimensions the arrays belong to, so it is rejected outright.
+    which dimensions the arrays belong to, so it is rejected outright.  An
+    EventHistory stands for its per-dimension times.
     """
+    if isinstance(events, EventHistory):
+        events = events.times
     if len(events) != params.d:
         raise DimensionError(
             f"expected {params.d} per-dimension event arrays, got "

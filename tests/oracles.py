@@ -64,6 +64,26 @@ def naive_compensator(params, events, t):
     return out
 
 
+def broadcast_intensity_compensator(params, events, t):
+    """lambda(t) and Lambda(t) rows by the same direct sums as
+    naive_intensity/naive_compensator, with each source's (query x event)
+    kernel terms formed in one broadcast so that long grids stay cheap."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    d = params.d
+    lam = np.tile(np.asarray(params.nu, dtype=float), (t.size, 1))
+    Lam = np.outer(t, params.nu) + np.where(t > 0, 1.0, 0.0)[:, None] * params.gamma
+    for j in range(min(d, len(events))):
+        u = t[:, None] - np.asarray(events[j], dtype=float)[None, :]
+        before = u > 0
+        for i in range(d):
+            a, th = params.alpha[i, j], params.theta[i, j]
+            lam[:, i] += np.sum(np.where(before, kernel(a, th, u), 0.0), axis=1)
+            Lam[:, i] += np.sum(
+                np.where(before, kernel_integral(a, th, u), 0.0), axis=1
+            )
+    return lam, Lam
+
+
 def naive_pp_loglik(params, events, T):
     ll = 0.0
     lam_T = naive_compensator(params, events, np.array([T]))[0]

@@ -213,6 +213,19 @@ def test_validate_events_requires_full_length():
         validate_events_for(p, [np.array([2.0, 1.0]), np.zeros(0)])
 
 
+def test_validate_events_accepts_event_history():
+    p = make_params()  # d=2
+    hist = EventHistory(times=(np.array([0.5]), np.array([1.0, 2.0])), T=3.0)
+    got = validate_events_for(p, hist)
+    assert all(np.array_equal(a, b) for a, b in zip(got, hist.times))
+    assert np.array_equal(
+        PoiEvaluator(p.replace(e=0), hist).values([1.5, 2.5]).xi,
+        PoiEvaluator(p.replace(e=0), list(hist.times)).values([1.5, 2.5]).xi,
+    )
+    with pytest.raises(DimensionError):
+        validate_events_for(p, EventHistory(times=(np.array([0.5]),), T=3.0))
+
+
 @pytest.mark.parametrize("times", [[0.5, np.nan, 2.0], [np.nan], [1.0, np.inf]],
                          ids=["nan-inside", "nan-alone", "inf"])
 def test_validate_events_rejects_non_finite_times(times):
