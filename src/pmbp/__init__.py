@@ -55,7 +55,6 @@ from .io import (
 )
 from .likelihood import (
     LikelihoodConfig,
-    grad_nll,
     icll,
     joint_nll,
     nll_and_grad,
@@ -125,7 +124,6 @@ __all__ = [
     "gof_anscombe",
     "gof_report",
     "gof_time_rescaling",
-    "grad_nll",
     "icll",
     "joint_nll",
     "n_free",

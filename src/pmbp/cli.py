@@ -234,14 +234,13 @@ def cmd_censor(config_path, events_path, dims, width, out):
 @click.option("--n-starts", type=int)
 @click.option("--max-iter", type=int)
 @click.option("--tol-f", type=float)
-@click.option("--grad-mode", type=click.Choice(["analytic", "finite-difference"]))
 @click.option("--seed", type=int)
 @click.option("--include-gamma/--no-include-gamma", default=None,
               help="Estimate the impulse weights instead of fixing them.")
 @click.option("--w-nu", type=float, help="L1 penalty weight on backgrounds.")
 @click.option("--out", type=click.Path())
 def cmd_fit(config_path, data_paths, n_starts, max_iter, tol_f,
-            grad_mode, seed, include_gamma, w_nu, out):
+            seed, include_gamma, w_nu, out):
     """Maximum-likelihood fit of one or more datasets; JSON result."""
     config = _load_config(config_path)
     paths = list(data_paths) or list(config.get("data", []))
@@ -255,7 +254,6 @@ def cmd_fit(config_path, data_paths, n_starts, max_iter, tol_f,
         n_starts=int(_opt(config, "n_starts", n_starts, 8)),
         max_iter=int(_opt(config, "max_iter", max_iter, 500)),
         tol_f=float(_opt(config, "tol_f", tol_f, 1e-7)),
-        grad_mode=_opt(config, "grad_mode", grad_mode, "analytic"),
         seed=int(_opt(config, "seed", seed, 0)),
         include_gamma=bool(_opt(config, "include_gamma", include_gamma, False)),
         gamma=config.get("gamma"),

@@ -1,12 +1,14 @@
 """Box-constrained maximum-likelihood fitting with multi-start.
 
-The solver is an in-repo projected quasi-Newton routine: limited-memory
-curvature pairs give a search direction, iterates are projected onto the
-parameter box, and a backtracking Armijo line search guarantees monotone
-accepted steps.  Starting points are one heuristic guess plus seeded
-log-uniform draws inside the box.  Candidate parameter sets whose response
-series diverges (or whose evaluation breaks down numerically) score +inf and
-are simply rejected by the line search.
+The solver is an in-repo projected quasi-Newton routine on the objective's
+exact analytic gradient: limited-memory curvature pairs give a search
+direction, iterates are projected onto the parameter box, and a backtracking
+Armijo line search guarantees monotone accepted steps.  Starting points are
+one heuristic guess plus seeded log-uniform draws inside the box.  Candidate
+parameter sets whose response series diverges, whose evaluation breaks down
+numerically, or under which an observation is impossible (an event at zero
+intensity, a counted window with no compensator mass) score +inf and are
+simply rejected by the line search.
 
 Subcriticality is reported, not enforced: fitted kernels may be
 supercritical, and the result carries a stability report for the caller to
@@ -44,7 +46,7 @@ from .paramvec import n_free, pack, unpack
 @dataclasses.dataclass(frozen=True)
 class FitConfig:
     """Solver settings: box bounds per parameter family, multi-start count,
-    iteration/tolerance limits, gradient mode, and the objective weights.
+    iteration limit and objective tolerance, and the objective weights.
 
     nu_max defaults to 1000x the empirical mean rate of the data; gamma is a
     fixed hyperparameter unless include_gamma is set.
@@ -58,22 +60,14 @@ class FitConfig:
     n_starts: int = 8
     max_iter: int = 500
     tol_f: float = 1e-7
-    tol_pg: float = 1e-5
-    grad_mode: str = "analytic"
     seed: int = 0
     include_gamma: bool = False
     gamma: np.ndarray | None = None
-    memory: int = 8
     likelihood: LikelihoodConfig = dataclasses.field(default_factory=LikelihoodConfig)
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ParameterError("n_starts must be >= 1")
-        if self.grad_mode not in ("analytic", "finite-difference"):
-            raise ParameterError(
-                f"grad_mode must be 'analytic' or 'finite-difference', "
-                f"got {self.grad_mode!r}"
-            )
         if not (0 < self.theta_min <= self.theta_max):
             raise ParameterError("need 0 < theta_min <= theta_max")
         if self.alpha_max <= 0:
@@ -136,6 +130,9 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Projected limited-memory quasi-Newton
 
+_MEMORY = 8  # curvature pairs kept
+_TOL_PG = 1e-5  # projected-gradient stopping threshold
+
 
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     """Limited-memory inverse-Hessian application (two-loop recursion)."""
@@ -154,7 +151,7 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f, tol_pg, memory):
+def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f):
     """Minimize over a box; returns (x, f, n_iter, reason)."""
     x = np.clip(x0, lb, ub)
     fx, gx = f_and_g(x)
@@ -165,7 +162,7 @@ def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f, tol_pg, memory):
     it = 0
     for it in range(1, max_iter + 1):
         pg = x - np.clip(x - gx, lb, ub)
-        if np.max(np.abs(pg)) <= tol_pg:
+        if np.max(np.abs(pg)) <= _TOL_PG:
             reason = "projected_gradient"
             it -= 1
             break
@@ -199,7 +196,7 @@ def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f, tol_pg, memory):
         sy = s.dot(y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > memory:
+            if len(pairs) > _MEMORY:
                 pairs.pop(0)
         f_prev = fx
         x, fx, gx = xn, fn, gn
@@ -211,23 +208,6 @@ def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f, tol_pg, memory):
 
 # ---------------------------------------------------------------------------
 # Objective plumbing
-
-
-def _fd_grad_box(f, x, lb, ub, step=1e-6):
-    """Finite differences that fall back to one-sided steps at the box edge."""
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        hi = min(x[i] + step, ub[i])
-        lo = max(x[i] - step, lb[i])
-        if hi <= lo:
-            g[i] = 0.0
-            continue
-        xp = x.copy()
-        xp[i] = hi
-        xm = x.copy()
-        xm[i] = lo
-        g[i] = (f(xp) - f(xm)) / (hi - lo)
-    return g
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -246,18 +226,7 @@ def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 _FAILURES = (RegularityError, NumericalConsistencyError)
 
 
-def _make_objective(template, datasets, cfg: FitConfig, lb, ub):
-    def value_only(x):
-        p = unpack(template, x, cfg.include_gamma)
-        try:
-            val, _ = nll_and_grad(
-                p, datasets, config=cfg.likelihood,
-                include_gamma=cfg.include_gamma,
-            )
-        except _FAILURES:
-            return np.inf
-        return val if np.isfinite(val) else np.inf
-
+def _make_objective(template, datasets, cfg: FitConfig):
     def f_and_g(x):
         p = unpack(template, x, cfg.include_gamma)
         try:
@@ -269,8 +238,6 @@ def _make_objective(template, datasets, cfg: FitConfig, lb, ub):
             return np.inf, None
         if not np.isfinite(val):
             return np.inf, None
-        if cfg.grad_mode == "finite-difference":
-            g = _fd_grad_box(value_only, x, lb, ub)
         return val, g
 
     return f_and_g
@@ -370,12 +337,12 @@ def fit(datasets, cfg: FitConfig | None = None) -> FitResult:
     _check_compat(template, datasets)
     emp = _empirical_rates(datasets)
     lb, ub = _bounds(cfg, d, emp)
-    f_and_g = _make_objective(template, datasets, cfg, lb, ub)
+    f_and_g = _make_objective(template, datasets, cfg)
     records = []
     best = None
     for k, x0 in enumerate(_starts(cfg, d, e, emp, lb, ub)):
         x, fx, n_iter, reason = _minimize_box(
-            f_and_g, x0, lb, ub, cfg.max_iter, cfg.tol_f, cfg.tol_pg, cfg.memory
+            f_and_g, x0, lb, ub, cfg.max_iter, cfg.tol_f
         )
         records.append(StartRecord(k, x0, fx, n_iter, reason))
         if np.isfinite(fx) and (best is None or fx < best[1]):

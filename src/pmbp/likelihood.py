@@ -4,9 +4,11 @@ Censored dimensions contribute Poisson window terms on the compensator
 increments, sum_k [DXi_k - C_k log DXi_k] (the count factorial is a constant
 and is dropped); observed dimensions contribute point-process terms
 -sum log xi(t_k) + Xi(T).  Dimension weights and an L1 penalty on the
-baseline rates are configurable.  Gradients differentiate exactly the
-computed objective: its cotangents on xi and Xi go through the evaluator's
-adjoint pass.
+baseline rates are configurable.  The objective is exact: an observed
+event at zero intensity, or a window with a positive count and a zero
+compensator increment, scores +inf.  Gradients
+differentiate exactly the computed objective: its cotangents on xi and Xi
+go through the evaluator's adjoint pass.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ _INCREMENT_SLACK = -1e-9  # tolerated negative compensator increment
 
 @dataclasses.dataclass(frozen=True)
 class LikelihoodConfig:
-    """Objective weights: one multiplier per dimension (default 1), an L1
-    penalty weight on the baseline rates, and the floor used inside logs."""
+    """Objective weights: one multiplier per dimension (default 1) and an L1
+    penalty weight on the baseline rates."""
 
     weights: np.ndarray | None = None
     w_nu: float = 0.0
-    eps: float = 1e-10
 
     def dim_weights(self, d: int) -> np.ndarray:
         if self.weights is None:
@@ -47,13 +48,13 @@ class LikelihoodConfig:
         return w
 
 
-def _window_nll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float):
+def _window_nll(Xi_bounds: np.ndarray, counts: np.ndarray):
     """Poisson window terms on compensator increments: the value and its
     derivative with respect to each increment.
 
     Raises NumericalConsistencyError if an increment is below -1e-9; smaller
-    negatives are clipped to zero (and get a zero derivative) before the eps
-    floor inside the log.
+    negatives are clipped to zero (and get a zero derivative).  A zero
+    increment scores +inf under a positive count and 0 under a zero count.
     """
     inc = np.diff(Xi_bounds)
     if inc.size and inc.min() < _INCREMENT_SLACK:
@@ -64,18 +65,21 @@ def _window_nll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float):
         )
     clipped = inc < 0
     inc = np.clip(inc, 0.0, None)
-    value = float(np.sum(inc - counts * np.log(np.maximum(inc, eps))))
-    dinc = np.where(inc > eps, 1.0 - counts / np.maximum(inc, eps), 1.0)
+    seen = counts > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = float(np.sum(inc - np.where(seen, counts * np.log(inc), 0.0)))
+        dinc = np.where(seen, 1.0 - counts / inc, 1.0)
     dinc[clipped] = 0.0
     return value, dinc
 
 
-def icll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float = 1e-10) -> float:
+def icll(Xi_bounds: np.ndarray, counts: np.ndarray) -> float:
     """Poisson window negative log-likelihood from compensator values at the
     observation boundaries (constant count factorials dropped).
 
     Raises NumericalConsistencyError if an increment is below -1e-9; smaller
-    negatives are clipped to zero before the eps floor inside the log.
+    negatives are clipped to zero.  A window with a positive count and a zero
+    increment scores +inf.
     """
     Xi_bounds = np.asarray(Xi_bounds, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -83,13 +87,15 @@ def icll(Xi_bounds: np.ndarray, counts: np.ndarray, eps: float = 1e-10) -> float
         raise DimensionError(
             f"need {counts.size + 1} boundary values for {counts.size} windows"
         )
-    return _window_nll(Xi_bounds, counts, eps)[0]
+    return _window_nll(Xi_bounds, counts)[0]
 
 
-def ppll_nll(xi_events: np.ndarray, Xi_T: float, eps: float = 1e-10) -> float:
-    """Point-process negative log-likelihood -sum log xi(t_k) + Xi(T)."""
+def ppll_nll(xi_events: np.ndarray, Xi_T: float) -> float:
+    """Point-process negative log-likelihood -sum log xi(t_k) + Xi(T); +inf
+    when some event has zero intensity."""
     xi_events = np.asarray(xi_events, dtype=float)
-    return float(Xi_T - np.sum(np.log(np.maximum(xi_events, eps))))
+    with np.errstate(divide="ignore"):
+        return float(Xi_T - np.sum(np.log(xi_events)))
 
 
 def _as_datasets(data) -> list:
@@ -120,8 +126,9 @@ def _accumulate(
     need_grad: bool,
     include_gamma: bool,
 ):
+    """Objective value and, if need_grad, its gradient; the gradient is NaN
+    where the value is not finite."""
     d, e = params.d, params.e
-    eps = config.eps
     w = config.dim_weights(d)
     total = config.w_nu * float(np.sum(np.abs(params.nu)))
     grad = np.zeros(n_free(d, include_gamma)) if need_grad else None
@@ -140,24 +147,31 @@ def _accumulate(
         g_xi = np.zeros_like(out.xi)
         g_Xi = np.zeros_like(out.Xi)
         for j, series in enumerate(ds.censored):
+            if not w[j]:
+                continue
             pos = np.searchsorted(times, series.boundaries)
             try:
-                value, dinc = _window_nll(out.Xi[pos, j], series.counts, eps)
+                value, dinc = _window_nll(out.Xi[pos, j], series.counts)
             except NumericalConsistencyError as exc:
                 raise NumericalConsistencyError(f"dimension {j + 1}: {exc}") from None
             total += w[j] * value
+            if value == np.inf:
+                break  # no gradient at an impossible point
             g_Xi[pos[1:], j] += w[j] * dinc
             g_Xi[pos[:-1], j] -= w[j] * dinc
         pos_T = np.searchsorted(times, ds.T)
         for jj, ts in enumerate(ds.events):
             j = e + jj
+            if not w[j]:
+                continue
             pos = np.searchsorted(times, np.asarray(ts, dtype=float))
             xi_ev = out.xi[pos, j]
-            total += w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]), eps)
-            g_xi[pos, j] -= w[j] * np.where(
-                xi_ev > eps, 1.0 / np.maximum(xi_ev, eps), 0.0
-            )
+            total += w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]))
+            with np.errstate(divide="ignore"):
+                g_xi[pos, j] -= w[j] * (1.0 / xi_ev)
             g_Xi[pos_T, j] += w[j]
+        if not np.isfinite(total):
+            return total, np.full_like(grad, np.nan) if need_grad else None
         if need_grad:
             grad += ev.vjp(out, g_xi, g_Xi, include_gamma)
     return total, grad
@@ -203,7 +217,3 @@ def nll_and_grad(
         params, datasets, config or LikelihoodConfig(), True, include_gamma
     )
 
-
-def grad_nll(params: ModelParams, data, **kwargs) -> np.ndarray:
-    """Gradient of the weighted negative log-likelihood."""
-    return nll_and_grad(params, data, **kwargs)[1]

@@ -477,8 +477,9 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
 
     Exactly d arrays are required (use empty arrays for dimensions without
     events, e.g. the censored block); anything shorter is ambiguous about
-    which dimensions the arrays belong to, so it is rejected outright.  An
-    EventHistory stands for its per-dimension times.
+    which dimensions the arrays belong to, so it is rejected outright, as is
+    an entry that is not one-dimensional.  An EventHistory stands for its
+    per-dimension times.
     """
     if isinstance(events, EventHistory):
         events = events.times
@@ -491,6 +492,11 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
     out = []
     for j in range(params.d):
         ts = np.asarray(events[j], dtype=float)
+        if ts.ndim != 1:
+            raise DimensionError(
+                f"dimension {j + 1}: event times must be one-dimensional, "
+                f"got shape {ts.shape}"
+            )
         if ts.size and (np.any(~np.isfinite(ts)) or np.any(np.diff(ts) <= 0)
                         or ts[0] < 0):
             raise ParameterError(

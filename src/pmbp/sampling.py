@@ -32,7 +32,12 @@ import warnings
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DomainError, ExplosionError, ParameterError
+from .errors import (
+    DomainError,
+    ExplosionError,
+    NumericalConsistencyError,
+    ParameterError,
+)
 from .params import Dataset, EventHistory, ModelParams, validate_events_for
 from .poi import _Layout, _scan
 
@@ -48,7 +53,10 @@ _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
 def _invert(lay: _Layout, x, span: float, target: float, comp, rate_row):
     """The tau in (0, span) at which the compensator x[comp].sum(), run
     forward from x, reaches target, and the state there; the caller has
-    checked that it reaches it before span."""
+    checked that it reaches it before span.
+
+    Raises NumericalConsistencyError if the compensator is not within
+    _NEWTON_TOL of target after _NEWTON_MAX_ITER iterations."""
     lo, hi = 0.0, span
     rate = rate_row @ x
     tau = target / rate if rate * span > target else 0.5 * span
@@ -56,7 +64,7 @@ def _invert(lay: _Layout, x, span: float, target: float, comp, rate_row):
         xt = expm(lay.M * tau) @ x
         f = xt[comp].sum() - target
         if abs(f) <= _NEWTON_TOL:
-            break
+            return tau, xt
         if f < 0:
             lo = tau
         else:
@@ -64,7 +72,10 @@ def _invert(lay: _Layout, x, span: float, target: float, comp, rate_row):
         rate = rate_row @ xt
         step = tau - f / rate if rate > 0 else hi
         tau = step if lo < step < hi else 0.5 * (lo + hi)
-    return tau, xt
+    raise NumericalConsistencyError(
+        f"compensator inversion left a residual of {f:.3g} after "
+        f"{_NEWTON_MAX_ITER} iterations"
+    )
 
 
 def _continue(lay: _Layout, x, t: float, stops, sample_dims,

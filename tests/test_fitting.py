@@ -108,25 +108,13 @@ def test_supercritical_censored_block_scores_inf():
                            alpha=np.zeros((2, 2)), gamma=np.zeros(2),
                            nu=np.ones(2))
     x = pack(template.replace(alpha=np.array([[1.5, 0.2], [0.2, 0.3]])))
-    f_and_g = _make_objective(template, [ds], FitConfig(), x - 1.0, x + 1.0)
+    f_and_g = _make_objective(template, [ds], FitConfig())
     assert f_and_g(x) == (np.inf, None)
-
-
-def test_finite_difference_mode_agrees(hawkes2):
-    data = [Dataset(T=15.0, censored=(),
-                    events=tuple(sample_hawkes(hawkes2, 15.0, 31).times))]
-    cfg_a = FitConfig(n_starts=1, max_iter=80, seed=2)
-    cfg_f = FitConfig(n_starts=1, max_iter=80, seed=2,
-                      grad_mode="finite-difference")
-    ra, rf = fit(data, cfg_a), fit(data, cfg_f)
-    assert rf.nll == pytest.approx(ra.nll, rel=1e-3)
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
         FitConfig(n_starts=0)
-    with pytest.raises(ParameterError):
-        FitConfig(grad_mode="nope")
     with pytest.raises(ParameterError):
         FitConfig(theta_min=0.0)
     with pytest.raises(ParameterError):

@@ -19,7 +19,6 @@ from pmbp import (
     NumericalConsistencyError,
     RegularityError,
     closed_form_pmbp21,
-    grad_nll,
     joint_nll,
     nll_and_grad,
     pack,
@@ -46,13 +45,12 @@ def test_icll_matches_window_oracle():
     )
 
 
-def test_icll_floors_small_increments():
-    # a zero-width window contributes through the documented floor, not -inf
+def test_icll_zero_increment_scores_inf():
+    # a counted window with no compensator mass is impossible: +inf; an
+    # empty one contributes nothing
     bounds = np.array([0.0, 1.0, 1.0])
-    counts = np.array([1.0, 2.0])
-    val = icll(bounds, counts)
-    assert np.isfinite(val)
-    assert val == pytest.approx(1.0 - np.log(1.0) - 2.0 * np.log(1e-10))
+    assert icll(bounds, np.array([1.0, 2.0])) == np.inf
+    assert icll(bounds, np.array([1.0, 0.0])) == 1.0
 
 
 def test_icll_tolerates_roundoff_negatives_only():
@@ -70,8 +68,8 @@ def test_icll_boundary_count_mismatch():
 def test_ppll_nll_closed_form():
     xi = np.array([2.0, 0.5, 1.0])
     assert ppll_nll(xi, 4.0) == pytest.approx(4.0 - np.sum(np.log(xi)), rel=1e-14)
-    # zero intensity at an event goes through the floor instead of -inf
-    assert np.isfinite(ppll_nll(np.array([0.0]), 1.0))
+    # an event at zero intensity is impossible
+    assert ppll_nll(np.array([2.0, 0.0]), 1.0) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,6 @@ def test_nll_and_grad_matches_fd(pmbp21_sub):
     fd = central_fd(f, x0, step=1e-6)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
     assert rel.max() < 1e-4
-    assert np.array_equal(grad_nll(pmbp21_sub, ds), grad)
 
 
 def test_nll_and_grad_fd_with_gamma(pmbp21_sub):
@@ -264,3 +261,22 @@ def test_supercritical_censored_block_raises(pmbp21_sub):
     bad = pmbp21_sub.replace(alpha=np.array([[1.2, 0.2], [0.2, 0.3]]))
     with pytest.raises(RegularityError):
         total_nll(bad, ds)
+
+
+def test_event_at_zero_intensity_scores_inf():
+    # dimension 2 has no baseline and no excitation, so its events are
+    # impossible
+    params = ModelParams(
+        d=2, e=1, theta=np.ones((2, 2)), alpha=[[0.3, 0.2], [0.0, 0.0]],
+        gamma=[0.0, 0.0], nu=[0.4, 0.0],
+    )
+    ds = Dataset(
+        T=10.0, censored=(CensoredSeries(np.arange(11.0), np.ones(10)),),
+        events=(np.array([1.0, 2.5, 7.0]),),
+    )
+    assert joint_nll(params, [ds]) == np.inf
+    value, grad = nll_and_grad(params, ds)
+    assert value == np.inf and np.all(np.isnan(grad))
+    # a zero weight drops the impossible dimension's term altogether
+    only1 = total_nll(params, ds, config=LikelihoodConfig(weights=[1.0, 0.0]))
+    assert np.isfinite(only1)

@@ -237,6 +237,17 @@ def test_validate_events_rejects_non_finite_times(times):
         PoiEvaluator(p, [[], times]).values([1.0, 3.0])
 
 
+@pytest.mark.parametrize("entry", [[[1.0, 2.0]], [[1.0], [2.0]], 1.5],
+                         ids=["row", "column", "scalar"])
+def test_validate_events_rejects_non_1d_entries(entry):
+    # NumPy would otherwise fail later, with an error that is no PMBPError
+    p = make_params()  # d=2, e=1
+    with pytest.raises(DimensionError):
+        validate_events_for(p, [[], entry])
+    with pytest.raises(DimensionError):
+        PoiEvaluator(p, [[], entry]).values([3.0])
+
+
 def test_public_names_resolve():
     # a stale export fails here rather than at a user's import
     import pmbp

@@ -23,6 +23,7 @@ from pmbp import closed_form_pmbp21
 from pmbp.poi import _CHUNK, _Layout
 
 from oracles import (
+    mean_field_intensity,
     naive_compensator,
     naive_intensity,
     naive_pp_loglik,
@@ -98,6 +99,22 @@ def test_e0_matches_direct_summation(d, data):
     nll = total_nll(p, Dataset(T=T, censored=(), events=tuple(events)))
     assert -nll == pytest.approx(naive_pp_loglik(p, events, T),
                                  rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_full_censoring_matches_mean_field(d):
+    # at e = d no event is observed, and the evaluator is the mean-field ODE
+    rng = np.random.default_rng(50 + d)
+    p = ModelParams(
+        d=d, e=d, theta=rng.uniform(0.3, 3.0, size=(d, d)),
+        alpha=rng.uniform(0.05, 0.8 / d, size=(d, d)),
+        gamma=rng.uniform(0.2, 1.0, size=d), nu=rng.uniform(0.1, 1.0, size=d),
+    )
+    t = np.array([0.0, 0.3, 1.7, 4.0, 9.5, 25.0])
+    vals = PoiEvaluator(p, [np.zeros(0)] * d).values(t)
+    xi_ref, Xi_ref = mean_field_intensity(p, t)
+    assert np.allclose(vals.xi, xi_ref, rtol=1e-8, atol=1e-12)
+    assert np.allclose(vals.Xi, Xi_ref, rtol=1e-8, atol=1e-12)
 
 
 def test_chunking_invariance(pmbp21, events21):

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import pmbp.sampling
+
 from pmbp import (
     CensoredSeries,
     Dataset,
     ExplosionError,
     ModelParams,
+    NumericalConsistencyError,
     ParameterError,
     PoiEvaluator,
     RegularityError,
@@ -97,6 +100,14 @@ def test_supercritical_censored_block_raises(pmbp21_sub):
     ds = _trained_dataset(pmbp21_sub)
     with pytest.raises(RegularityError):
         predict_counts(bad, ds, [10.0, 11.0], n_samples=2, seed=0)
+
+
+def test_unconverged_inversion_raises(pmbp21_sub, monkeypatch):
+    # one Newton step cannot reach the tolerance on an excited path; the
+    # sampler must say so rather than return an inexact event time
+    monkeypatch.setattr(pmbp.sampling, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalConsistencyError):
+        sample_pmbp(pmbp21_sub, 15.0, seed=99)
 
 
 def test_explosion_guard():
