@@ -4,22 +4,24 @@ prediction, recovery experiments, and goodness-of-fit diagnostics.
 Conventions shared by every subcommand:
 
 * ``--config FILE`` supplies option defaults from a JSON object; explicit
-  flags override config entries, which override built-in defaults.
+  flags override config entries, which override built-in defaults.  A
+  config key is the option's name in snake_case (``--t-end`` is
+  ``t_end``); a JSON ``null`` counts as absent.  ``params``, ``gamma`` and
+  ``weights`` are config-only keys.
 * Model parameters travel as a JSON object (``--params FILE`` or the
   ``"params"`` config key) with keys d, e, theta, alpha, nu, gamma.
 * Machine output goes to stdout or ``--out``; logs go to stderr.
 * Every command is deterministic given its inputs and ``--seed``.
-* The exit code is 0 only on full success.
+* The exit code is 0 only on full success: usage errors (a missing or
+  invalid option) exit 2, library and file errors exit 1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -37,8 +39,8 @@ from .fitting import (
 from .gof import gof_report
 from .hawkes import sample_hawkes
 from .io import (
+    _open,
     censor,
-    format_float,
     read_dataset,
     read_events,
     write_csv,
@@ -46,7 +48,7 @@ from .io import (
     write_events,
 )
 from .likelihood import LikelihoodConfig, nll_and_grad
-from .params import Dataset, ModelParams, check_subcriticality
+from .params import ModelParams
 from .paramvec import n_free, pack, unpack
 from .poi import PoiEvaluator
 from .sampling import predict_counts, sample_pmbp
@@ -58,52 +60,43 @@ log = logging.getLogger("pmbp")
 # Shared helpers
 
 
-def _fail(exc: Exception) -> click.ClickException:
-    return click.ClickException(f"{type(exc).__name__}: {exc}")
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.ClickException(f"cannot read config {path}: {exc}")
+def _read_config(ctx: click.Context, param, path: str | None) -> None:
+    """Load ``--config`` into the command's default map, so that click
+    resolves every option as flag > config entry > built-in default."""
+    if path is None:
+        return
+    obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise click.ClickException(f"config {path} must hold a JSON object")
-    return obj
+    # 'params_path' names --params' parameter, not a config key
+    ctx.default_map = {k: v for k, v in obj.items()
+                       if v is not None and k != "params_path"}
 
 
-def _opt(config: dict, key: str, flag, default):
-    """Flag beats config beats default; flags use None for 'not given'."""
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+_config = click.option(
+    "--config", type=click.Path(exists=True), is_eager=True,
+    expose_value=False, callback=_read_config,
+    help="JSON object of option defaults; flags override it.")
 
 
-def _load_params(params_path: str | None, config: dict) -> ModelParams:
-    try:
-        if params_path:
-            return ModelParams.from_json(Path(params_path).read_text())
-        if "params" in config:
-            return ModelParams.from_dict(config["params"])
-    except (OSError, json.JSONDecodeError, PMBPError) as exc:
-        raise _fail(exc)
+def _config_entry(key: str):
+    """A config-only entry (``params``, ``gamma``, ``weights``) or None."""
+    return (click.get_current_context().default_map or {}).get(key)
+
+
+def _load_params(params_path: str | None) -> ModelParams:
+    if params_path:
+        return ModelParams.from_json(Path(params_path).read_text())
+    config_params = _config_entry("params")
+    if config_params is not None:
+        return ModelParams.from_dict(config_params)
     raise click.UsageError(
         "model parameters required: pass --params FILE or a 'params' "
         "object in --config")
 
 
-@contextmanager
 def _output(out: str | None):
-    if out in (None, "-"):
-        yield sys.stdout
-    else:
-        fp = open(out, "w", newline="")
-        try:
-            yield fp
-        finally:
-            fp.close()
+    return _open(sys.stdout if out in (None, "-") else out, "w")
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -111,18 +104,41 @@ def _emit_json(obj: dict, out: str | None) -> None:
         fp.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _comma_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise click.ClickException(f"expected comma-separated numbers: {exc}")
+class _NumberList(click.ParamType):
+    """A comma-separated string ('1' or '0.5,1,2') or a list, as a config
+    file gives it."""
+
+    name = "list"
+
+    def __init__(self, number: type) -> None:
+        self.number = number
+
+    def convert(self, value, param, ctx):
+        items = value.split(",") if isinstance(value, str) else value
+        try:
+            return [self.number(float(v)) for v in items if str(v).strip()]
+        except (TypeError, ValueError) as exc:
+            self.fail(f"expected comma-separated numbers: {exc}", param, ctx)
+
+
+_POSITIVE = click.FloatRange(min=0, min_open=True)
 
 
 # ---------------------------------------------------------------------------
 # Group
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports library and file errors as one line on stderr, exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (PMBPError, OSError, json.JSONDecodeError) as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@click.group(cls=_Group)
 @click.option("-v", "--verbose", count=True,
               help="Log more (-v info, -vv debug); logs go to stderr.")
 def main(verbose: int) -> None:
@@ -139,87 +155,58 @@ def main(verbose: int) -> None:
 
 
 @main.command("sample-hawkes")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True),
               help="Model parameter JSON file.")
-@click.option("--t-end", type=float, help="Simulation horizon.")
-@click.option("--seed", type=int, help="RNG seed (default 0).")
+@click.option("--t-end", type=float, required=True, help="Simulation horizon.")
+@click.option("--seed", type=int, default=0, help="RNG seed (default 0).")
 @click.option("--out", type=click.Path(), help="Output JSONL (default stdout).")
-def cmd_sample_hawkes(config_path, params_path, t_end, seed, out):
+def cmd_sample_hawkes(params_path, t_end, seed, out):
     """Simulate a self-exciting process by thinning; emit events as JSONL."""
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    T = _opt(config, "t_end", t_end, None)
-    if T is None:
-        raise click.UsageError("--t-end is required")
-    seed = int(_opt(config, "seed", seed, 0))
-    try:
-        hist = sample_hawkes(params, float(T), seed)
-    except PMBPError as exc:
-        raise _fail(exc)
+    params = _load_params(params_path)
+    hist = sample_hawkes(params, t_end, seed)
     log.info("sampled %s events on [0, %g]",
-             [len(t) for t in hist.times], float(T))
-    with _output(_opt(config, "out", out, None)) as fp:
+             [len(t) for t in hist.times], t_end)
+    with _output(out) as fp:
         write_events(hist, fp)
 
 
 @main.command("sample-pmbp")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True))
-@click.option("--t-end", type=float, help="Simulation horizon.")
-@click.option("--seed", type=int, help="RNG seed (default 0).")
+@click.option("--t-end", type=float, required=True, help="Simulation horizon.")
+@click.option("--seed", type=int, default=0, help="RNG seed (default 0).")
 @click.option("--out", type=click.Path())
-def cmd_sample_pmbp(config_path, params_path, t_end, seed, out):
+def cmd_sample_pmbp(params_path, t_end, seed, out):
     """Simulate the partially-censored model exactly; emit JSONL events.
 
     Censored-block dimensions get materialized timestamps too (draws from
     the expected intensity); censor them afterwards if counts are wanted.
     """
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    T = _opt(config, "t_end", t_end, None)
-    if T is None:
-        raise click.UsageError("--t-end is required")
-    T = float(T)
-    seed = int(_opt(config, "seed", seed, 0))
-    try:
-        hist = sample_pmbp(params, T, seed)
-    except PMBPError as exc:
-        raise _fail(exc)
+    params = _load_params(params_path)
+    hist = sample_pmbp(params, t_end, seed)
     log.info("sampled %s events on [0, %g]",
-             [len(t) for t in hist.times], T)
-    with _output(_opt(config, "out", out, None)) as fp:
+             [len(t) for t in hist.times], t_end)
+    with _output(out) as fp:
         write_events(hist, fp)
 
 
 @main.command("censor")
-@click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--events", "events_path", type=click.Path(exists=True),
+@_config
+@click.option("--events", type=click.Path(exists=True),
               help="Input events JSONL (default stdin).")
-@click.option("--dims", type=str,
+@click.option("--dims", type=_NumberList(int), required=True,
               help="Comma-separated 1-based dimensions to censor, e.g. '1'.")
-@click.option("--width", type=float, help="Censoring window width.")
+@click.option("--width", type=_POSITIVE, required=True,
+              help="Censoring window width.")
 @click.option("--out", type=click.Path())
-def cmd_censor(config_path, events_path, dims, width, out):
+def cmd_censor(events, dims, width, out):
     """Replace chosen dimensions' timestamps by interval counts."""
-    config = _load_config(config_path)
-    dims = _opt(config, "dims", dims, None)
-    width = _opt(config, "width", width, None)
-    if dims is None or width is None:
-        raise click.UsageError("--dims and --width are required")
-    if isinstance(dims, str):
-        dim_list = [int(float(tok)) for tok in dims.split(",") if tok.strip()]
-    else:
-        dim_list = [int(v) for v in dims]
-    events_path = _opt(config, "events", events_path, None)
-    try:
-        hist = read_events(events_path if events_path else sys.stdin)
-        ds = censor(hist, dim_list, float(width))
-    except PMBPError as exc:
-        raise _fail(exc)
-    log.info("censored dims %s at width %g: counts %s", dim_list, width,
+    hist = read_events(events or sys.stdin)
+    ds = censor(hist, dims, width)
+    log.info("censored dims %s at width %g: counts %s", dims, width,
              [int(s.counts.sum()) for s in ds.censored])
-    with _output(_opt(config, "out", out, None)) as fp:
+    with _output(out) as fp:
         write_dataset(ds, fp)
 
 
@@ -228,48 +215,35 @@ def cmd_censor(config_path, events_path, dims, width, out):
 
 
 @main.command("fit")
-@click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--data", "data_paths", type=click.Path(exists=True),
-              multiple=True, help="Dataset JSON; repeat for a joint fit.")
-@click.option("--n-starts", type=int)
-@click.option("--max-iter", type=int)
-@click.option("--tol-f", type=float)
-@click.option("--seed", type=int)
-@click.option("--include-gamma/--no-include-gamma", default=None,
+@_config
+@click.option("--data", type=click.Path(exists=True), multiple=True,
+              required=True, help="Dataset JSON; repeat for a joint fit.")
+@click.option("--n-starts", type=int, default=8)
+@click.option("--max-iter", type=int, default=500)
+@click.option("--tol-f", type=float, default=1e-7)
+@click.option("--seed", type=int, default=0)
+@click.option("--include-gamma/--no-include-gamma", default=False,
               help="Estimate the impulse weights instead of fixing them.")
-@click.option("--w-nu", type=float, help="L1 penalty weight on backgrounds.")
+@click.option("--w-nu", type=float, default=0.0,
+              help="L1 penalty weight on backgrounds.")
 @click.option("--out", type=click.Path())
-def cmd_fit(config_path, data_paths, n_starts, max_iter, tol_f,
-            seed, include_gamma, w_nu, out):
+def cmd_fit(data, n_starts, max_iter, tol_f, seed, include_gamma, w_nu, out):
     """Maximum-likelihood fit of one or more datasets; JSON result."""
-    config = _load_config(config_path)
-    paths = list(data_paths) or list(config.get("data", []))
-    if not paths:
-        raise click.UsageError("at least one --data dataset is required")
-    try:
-        datasets = [read_dataset(p) for p in paths]
-    except (OSError, PMBPError) as exc:
-        raise _fail(exc)
+    datasets = [read_dataset(p) for p in data]
     cfg = FitConfig(
-        n_starts=int(_opt(config, "n_starts", n_starts, 8)),
-        max_iter=int(_opt(config, "max_iter", max_iter, 500)),
-        tol_f=float(_opt(config, "tol_f", tol_f, 1e-7)),
-        seed=int(_opt(config, "seed", seed, 0)),
-        include_gamma=bool(_opt(config, "include_gamma", include_gamma, False)),
-        gamma=config.get("gamma"),
-        likelihood=LikelihoodConfig(
-            w_nu=float(_opt(config, "w_nu", w_nu, 0.0)),
-            weights=config.get("weights"),
-        ),
+        n_starts=n_starts,
+        max_iter=max_iter,
+        tol_f=tol_f,
+        seed=seed,
+        include_gamma=include_gamma,
+        gamma=_config_entry("gamma"),
+        likelihood=LikelihoodConfig(w_nu=w_nu,
+                                    weights=_config_entry("weights")),
     )
-    try:
-        result = fit(datasets, cfg)
-    except PMBPError as exc:
-        raise _fail(exc)
+    result = fit(datasets, cfg)
     log.info("fit finished in %.2fs: nll=%.6f converged=%s",
              result.wall_time_s, result.nll, result.converged)
-    _emit_json(result.to_dict(with_wall_time=False),
-               _opt(config, "out", out, None))
+    _emit_json(result.to_dict(with_wall_time=False), out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,43 +251,36 @@ def cmd_fit(config_path, data_paths, n_starts, max_iter, tol_f,
 
 
 @main.command("evaluate")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True))
-@click.option("--data", "data_path", type=click.Path(exists=True),
+@click.option("--data", type=click.Path(exists=True),
               help="Dataset JSON providing the conditioning events.")
-@click.option("--step", type=float, help="Output time spacing (default 0.1).")
+@click.option("--step", type=_POSITIVE, default=0.1,
+              help="Output time spacing (default 0.1).")
 @click.option("--t-end", type=float,
               help="Evaluation horizon (default: dataset horizon).")
 @click.option("--out", type=click.Path())
-def cmd_evaluate(config_path, params_path, data_path, step, t_end, out):
+def cmd_evaluate(params_path, data, step, t_end, out):
     """Expected intensity and compensator on a time grid; CSV output."""
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    data_path = _opt(config, "data", data_path, None)
-    try:
-        if data_path:
-            ds = read_dataset(data_path)
-            if ds.d != params.d or ds.e != params.e:
-                raise click.ClickException(
-                    f"dataset split ({ds.e}/{ds.d}) does not match the model "
-                    f"({params.e}/{params.d})")
-            events = ds.event_list()
-            T_default = ds.T
-        else:
-            events = [np.zeros(0)] * params.d
-            T_default = None
-        T = float(_opt(config, "t_end", t_end, T_default) or 0.0)
-        if T <= 0:
-            raise click.UsageError("--t-end (or a dataset) is required")
-        dt_out = float(_opt(config, "step", step, 0.1))
-        if dt_out <= 0:
-            raise click.ClickException("--step must be > 0")
-        n_out = max(1, int(round(T / dt_out)))
-        times = np.linspace(0.0, n_out * dt_out, n_out + 1)
-        times = times[times <= T * (1 + 1e-12)]
-        values = PoiEvaluator(params, events).values(times)
-    except PMBPError as exc:
-        raise _fail(exc)
+    params = _load_params(params_path)
+    if data:
+        ds = read_dataset(data)
+        if ds.d != params.d or ds.e != params.e:
+            raise click.ClickException(
+                f"dataset split ({ds.e}/{ds.d}) does not match the model "
+                f"({params.e}/{params.d})")
+        events = ds.event_list()
+        T_default = ds.T
+    else:
+        events = [np.zeros(0)] * params.d
+        T_default = None
+    T = float((T_default if t_end is None else t_end) or 0.0)
+    if T <= 0:
+        raise click.UsageError("--t-end (or a dataset) is required")
+    n_out = max(1, int(round(T / step)))
+    times = np.linspace(0.0, n_out * step, n_out + 1)
+    times = times[times <= T * (1 + 1e-12)]
+    values = PoiEvaluator(params, events).values(times)
     d = params.d
     header = (["t"] + [f"xi_{j + 1}" for j in range(d)]
               + [f"Xi_{j + 1}" for j in range(d)])
@@ -321,7 +288,7 @@ def cmd_evaluate(config_path, params_path, data_path, step, t_end, out):
         [t] + list(values.xi[i]) + list(values.Xi[i])
         for i, t in enumerate(values.t)
     )
-    with _output(_opt(config, "out", out, None)) as fp:
+    with _output(out) as fp:
         write_csv(fp, header, rows)
 
 
@@ -330,45 +297,29 @@ def cmd_evaluate(config_path, params_path, data_path, step, t_end, out):
 
 
 @main.command("predict")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True))
-@click.option("--data", "data_path", type=click.Path(exists=True),
+@click.option("--data", type=click.Path(exists=True), required=True,
               help="Training dataset JSON (history up to its horizon).")
-@click.option("--horizon", type=float, help="Forecast length past the data.")
-@click.option("--width", type=float, help="Forecast interval width.")
-@click.option("--n-samples", type=int, help="Continuation samples (default 500).")
-@click.option("--seed", type=int)
+@click.option("--horizon", type=_POSITIVE, required=True,
+              help="Forecast length past the data.")
+@click.option("--width", type=_POSITIVE, default=1.0,
+              help="Forecast interval width.")
+@click.option("--n-samples", type=int, default=500,
+              help="Continuation samples (default 500).")
+@click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path())
-def cmd_predict(config_path, params_path, data_path, horizon, width,
-                n_samples, seed, out):
+def cmd_predict(params_path, data, horizon, width, n_samples, seed, out):
     """Forecast censored-dimension counts on future intervals; CSV output.
 
     Samples observed-dimension continuations and averages the censored
     block's compensator increments over them.
     """
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    data_path = _opt(config, "data", data_path, None)
-    if not data_path:
-        raise click.UsageError("--data is required")
-    horizon = _opt(config, "horizon", horizon, None)
-    if horizon is None:
-        raise click.UsageError("--horizon is required")
-    horizon = float(horizon)
-    if horizon <= 0:
-        raise click.ClickException("--horizon must be > 0")
-    w = float(_opt(config, "width", width, 1.0))
-    if w <= 0:
-        raise click.ClickException("--width must be > 0")
-    n_samples = int(_opt(config, "n_samples", n_samples, 500))
-    seed = int(_opt(config, "seed", seed, 0))
-    try:
-        ds = read_dataset(data_path)
-        n_iv = int(np.ceil(horizon / w - 1e-12))
-        bnds = ds.T + np.minimum(w * np.arange(n_iv + 1), horizon)
-        pred = predict_counts(params, ds, bnds, n_samples, seed)
-    except PMBPError as exc:
-        raise _fail(exc)
+    params = _load_params(params_path)
+    ds = read_dataset(data)
+    n_iv = int(np.ceil(horizon / width - 1e-12))
+    bnds = ds.T + np.minimum(width * np.arange(n_iv + 1), horizon)
+    pred = predict_counts(params, ds, bnds, n_samples, seed)
     if pred.n_failed:
         log.warning("%d/%d continuation samples failed and were dropped",
                     pred.n_failed, n_samples)
@@ -379,7 +330,7 @@ def cmd_predict(config_path, params_path, data_path, horizon, width,
         for k in range(len(pred.boundaries) - 1)
         for j in range(params.e)
     )
-    with _output(_opt(config, "out", out, None)) as fp:
+    with _output(out) as fp:
         write_csv(fp, header, rows)
 
 
@@ -388,62 +339,44 @@ def cmd_predict(config_path, params_path, data_path, horizon, width,
 
 
 @main.command("recover")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True),
               help="True model parameters JSON.")
-@click.option("--n-sequences", type=int)
-@click.option("--group-size", type=int)
-@click.option("--censor-widths", type=str,
+@click.option("--n-sequences", type=int, default=50)
+@click.option("--group-size", type=int, default=10)
+@click.option("--censor-widths", type=_NumberList(float), default="1",
               help="Comma-separated widths, e.g. '1' or '0.5,1,2'.")
-@click.option("--t-end", type=float)
-@click.option("--seed", type=int)
-@click.option("--n-starts", type=int)
-@click.option("--max-iter", type=int)
-@click.option("--threads", type=int,
+@click.option("--t-end", type=float, default=60.0)
+@click.option("--seed", type=int, default=0)
+@click.option("--n-starts", type=int, default=2)
+@click.option("--max-iter", type=int, default=250)
+@click.option("--threads", type=int, default=lambda: os.cpu_count() or 1,
               help="Parallel fit workers (default: available cores).")
 @click.option("--out-rows", type=click.Path(),
               help="Per-group estimates CSV (default stdout).")
 @click.option("--out-summary", type=click.Path(),
               help="Mean/median/IQR CSV (omitted unless given).")
-def cmd_recover(config_path, params_path, n_sequences, group_size,
-                censor_widths, t_end, seed, n_starts, max_iter,
-                threads, out_rows, out_summary):
+def cmd_recover(params_path, n_sequences, group_size, censor_widths, t_end,
+                seed, n_starts, max_iter, threads, out_rows, out_summary):
     """Simulate from known parameters, refit in groups, tabulate estimates.
 
     Emits one row per (parameter, likelihood mode, group): full-event fits
     are labelled PP-PP; fits with dimension 1 censored at width w are
     labelled IC-PP[w].
     """
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    n_sequences = int(_opt(config, "n_sequences", n_sequences, 50))
-    group_size = int(_opt(config, "group_size", group_size, 10))
-    widths_raw = _opt(config, "censor_widths", censor_widths, "1")
-    widths = (_comma_floats(widths_raw) if isinstance(widths_raw, str)
-              else [float(v) for v in widths_raw])
-    T = float(_opt(config, "t_end", t_end, 60.0))
-    seed = int(_opt(config, "seed", seed, 0))
-    threads = int(_opt(config, "threads", threads, os.cpu_count() or 1))
-    fit_cfg = FitConfig(
-        n_starts=int(_opt(config, "n_starts", n_starts, 2)),
-        max_iter=int(_opt(config, "max_iter", max_iter, 250)),
-        tol_f=1e-6,
+    params = _load_params(params_path)
+    fit_cfg = FitConfig(n_starts=n_starts, max_iter=max_iter, tol_f=1e-6)
+    rows, summary = recovery_experiment(
+        params, n_sequences, group_size, censor_widths, seed, T=t_end,
+        fit_config=fit_cfg, n_jobs=threads,
     )
-    try:
-        rows, summary = recovery_experiment(
-            params, n_sequences, group_size, widths, seed, T=T,
-            fit_config=fit_cfg, n_jobs=threads,
-        )
-    except PMBPError as exc:
-        raise _fail(exc)
     log.info("recovery: %d rows over %d groups x %d modes",
-             len(rows), n_sequences // group_size, 1 + len(widths))
+             len(rows), n_sequences // group_size, 1 + len(censor_widths))
     row_header = ["param_name", "true_value", "likelihood_mode",
                   "group_index", "estimate"]
-    with _output(_opt(config, "out_rows", out_rows, None)) as fp:
+    with _output(out_rows) as fp:
         write_csv(fp, row_header,
                   ([r[k] for k in row_header] for r in rows))
-    out_summary = _opt(config, "out_summary", out_summary, None)
     if out_summary:
         s_header = ["param_name", "likelihood_mode", "mean", "median", "iqr"]
         with _output(out_summary) as fp:
@@ -456,29 +389,18 @@ def cmd_recover(config_path, params_path, n_sequences, group_size,
 
 
 @main.command("gof")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True))
-@click.option("--data", "data_path", type=click.Path(exists=True))
-@click.option("--n-draws", type=int, help="Poisson band draws (default 2000).")
-@click.option("--seed", type=int)
+@click.option("--data", type=click.Path(exists=True), required=True)
+@click.option("--n-draws", type=int, default=2000,
+              help="Poisson band draws (default 2000).")
+@click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path())
-def cmd_gof(config_path, params_path, data_path, n_draws, seed, out):
+def cmd_gof(params_path, data, n_draws, seed, out):
     """Goodness-of-fit diagnostics for a fitted model on a dataset; JSON."""
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    data_path = _opt(config, "data", data_path, None)
-    if not data_path:
-        raise click.UsageError("--data is required")
-    try:
-        ds = read_dataset(data_path)
-        report = gof_report(
-            params, ds,
-            n_draws=int(_opt(config, "n_draws", n_draws, 2000)),
-            seed=int(_opt(config, "seed", seed, 0)),
-        )
-    except PMBPError as exc:
-        raise _fail(exc)
-    _emit_json(report.to_dict(), _opt(config, "out", out, None))
+    params = _load_params(params_path)
+    report = gof_report(params, read_dataset(data), n_draws=n_draws, seed=seed)
+    _emit_json(report.to_dict(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -486,60 +408,51 @@ def cmd_gof(config_path, params_path, data_path, n_draws, seed, out):
 
 
 @main.command("grad-check")
-@click.option("--config", "config_path", type=click.Path(exists=True))
+@_config
 @click.option("--params", "params_path", type=click.Path(exists=True),
               help="Center of the random parameter draws.")
-@click.option("--data", "data_path", type=click.Path(exists=True))
-@click.option("--n-points", type=int, help="Random test points (default 5).")
-@click.option("--seed", type=int)
-@click.option("--tolerance", type=float,
+@click.option("--data", type=click.Path(exists=True), required=True)
+@click.option("--n-points", type=int, default=5,
+              help="Random test points (default 5).")
+@click.option("--seed", type=int, default=0)
+@click.option("--tolerance", type=float, default=1e-3,
               help="Relative mismatch allowed (default 1e-3).")
 @click.option("--out", type=click.Path())
-def cmd_grad_check(config_path, params_path, data_path, n_points, seed,
-                   tolerance, out):
+def cmd_grad_check(params_path, data, n_points, seed, tolerance, out):
     """Compare analytic likelihood gradients with finite differences; JSON.
 
     Draws parameter points around --params (log-normal jitter, kept inside
     the stable region), reports the worst relative mismatch per parameter,
     and exits nonzero if any exceeds the tolerance.
     """
-    config = _load_config(config_path)
-    params = _load_params(params_path, config)
-    data_path = _opt(config, "data", data_path, None)
-    if not data_path:
-        raise click.UsageError("--data is required")
-    n_points = int(_opt(config, "n_points", n_points, 5))
-    seed = int(_opt(config, "seed", seed, 0))
-    tol = float(_opt(config, "tolerance", tolerance, 1e-3))
-    try:
-        ds = read_dataset(data_path)
-        names = _param_names(params.d)[:-1]  # flat layout, minus the radius
-        rng = np.random.default_rng(seed)
-        worst = np.zeros(n_free(params.d, False))
-        for _ in range(n_points):
-            point = _jitter_params(params, rng)
-            x = pack(point, False)
+    params = _load_params(params_path)
+    ds = read_dataset(data)
+    names = _param_names(params.d)[:-1]  # flat layout, minus the radius
+    rng = np.random.default_rng(seed)
+    worst = np.zeros(n_free(params.d, False))
+    for _ in range(n_points):
+        point = _jitter_params(params, rng)
+        x = pack(point, False)
 
-            def f(vec):
-                return nll_and_grad(unpack(point, vec, False), ds)[0]
+        def f(vec):
+            return nll_and_grad(unpack(point, vec, False), ds)[0]
 
-            _, g = nll_and_grad(point, ds)
-            g_fd = fd_gradient(f, x)
-            rel = np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-6)
-            worst = np.maximum(worst, rel)
-    except PMBPError as exc:
-        raise _fail(exc)
+        _, g = nll_and_grad(point, ds)
+        g_fd = fd_gradient(f, x)
+        rel = np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-6)
+        worst = np.maximum(worst, rel)
     report = {
         "n_points": n_points,
-        "tolerance": tol,
+        "tolerance": tolerance,
         "max_relative_error": float(worst.max()),
         "per_parameter": {nm: float(v) for nm, v in zip(names, worst)},
-        "passed": bool(worst.max() <= tol),
+        "passed": bool(worst.max() <= tolerance),
     }
-    _emit_json(report, _opt(config, "out", out, None))
+    _emit_json(report, out)
     if not report["passed"]:
         raise click.ClickException(
-            f"gradient mismatch {worst.max():.3e} exceeds tolerance {tol:g}")
+            f"gradient mismatch {worst.max():.3e} exceeds tolerance "
+            f"{tolerance:g}")
 
 
 def _jitter_params(params: ModelParams, rng: np.random.Generator) -> ModelParams:

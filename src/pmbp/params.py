@@ -18,11 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import DimensionError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +388,12 @@ def column_masks(params: ModelParams):
 # Spectral radius and regularity
 
 
-def spectral_radius(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a square non-negative matrix.
 
-    Sizes 0/1/2 use exact formulas; larger matrices use power iteration on the
-    shifted matrix m + s I (the shift separates the dominant eigenvalue for
-    periodic patterns without changing the radius of a non-negative matrix).
+    Sizes 0/1/2 use exact formulas (the hot path of the e = 1 and e = 2
+    fits); larger matrices take the largest eigenvalue modulus from
+    ``np.linalg.eigvals``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -415,26 +411,7 @@ def spectral_radius(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) ->
             root = np.sqrt(disc)
             return float(max(abs(tr + root), abs(tr - root)) / 2.0)
         return float(np.sqrt(det))
-    scale = np.max(np.abs(m))
-    if scale == 0.0:
-        return 0.0
-    shift = 0.5 * scale
-    shifted = m + shift * np.eye(n)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iter):
-        y = shifted @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x_new = y / norm
-        lam = float(x_new @ (shifted @ x_new))
-        if np.linalg.norm(shifted @ x_new - lam * x_new) <= tol * max(1.0, abs(lam)):
-            return max(lam - shift, 0.0)
-        x = x_new
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations"
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def check_subcriticality(params: ModelParams) -> RegularityReport:
@@ -491,7 +468,19 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
         )
     out = []
     for j in range(params.d):
-        ts = np.asarray(events[j], dtype=float)
+        try:
+            ts = np.asarray(events[j], dtype=float)
+        except (TypeError, ValueError) as exc:
+            try:
+                np.asarray(events[j])
+            except ValueError:  # ragged nesting has no array shape
+                raise DimensionError(
+                    f"dimension {j + 1}: event times must be "
+                    f"one-dimensional: {exc}"
+                ) from exc
+            raise ParameterError(
+                f"dimension {j + 1}: event times must be numbers: {exc}"
+            ) from exc
         if ts.ndim != 1:
             raise DimensionError(
                 f"dimension {j + 1}: event times must be one-dimensional, "

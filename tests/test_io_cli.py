@@ -271,3 +271,62 @@ def test_cli_error_exits(runner, workdir):
     res = runner.invoke(main, ["sample-hawkes",
                                "--params", str(workdir / "hawkes.json")])
     assert res.exit_code != 0
+
+
+def test_cli_config_lists_match_flags(runner, workdir, tmp_path):
+    # list-valued config entries give the same bytes as the equivalent flags
+    def cfg(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return ["--config", str(path)]
+
+    ev = workdir / "ev.jsonl"
+    _run(runner, ["sample-pmbp", "--params", str(workdir / "pmbp.json"),
+                  "--t-end", "12", "--seed", "8", "--out", str(ev)])
+    ds_flag, ds_cfg = workdir / "ds_flag.json", workdir / "ds_cfg.json"
+    _run(runner, ["censor", "--events", str(ev), "--dims", "1",
+                  "--width", "2", "--out", str(ds_flag)])
+    _run(runner, ["censor"] + cfg("censor.json", {
+        "events": str(ev), "dims": [1], "width": 2, "out": str(ds_cfg)}))
+    assert ds_cfg.read_bytes() == ds_flag.read_bytes()
+
+    fit_flag, fit_cfg = workdir / "fit_flag.json", workdir / "fit_cfg.json"
+    _run(runner, ["fit", "--data", str(ds_flag), "--data", str(ds_cfg),
+                  "--n-starts", "1", "--max-iter", "8", "--seed", "2",
+                  "--out", str(fit_flag)])
+    _run(runner, ["fit"] + cfg("fit.json", {
+        "data": [str(ds_flag), str(ds_cfg)], "weights": [1.0, 1.0],
+        "n_starts": 1, "max_iter": 8, "seed": 2, "out": str(fit_cfg)}))
+    assert fit_cfg.read_bytes() == fit_flag.read_bytes()
+
+    rows_flag, rows_cfg = workdir / "rows_flag.csv", workdir / "rows_cfg.csv"
+    recover = ["--n-sequences", "1", "--group-size", "1", "--t-end", "10",
+               "--seed", "3", "--n-starts", "1", "--max-iter", "5",
+               "--threads", "1"]
+    _run(runner, ["recover", "--params", str(workdir / "hawkes.json"),
+                  "--censor-widths", "1,2", "--out-rows", str(rows_flag)]
+         + recover)
+    _run(runner, ["recover"] + recover + cfg("recover.json", {
+        "params": json.loads((workdir / "hawkes.json").read_text()),
+        "censor_widths": [1, 2], "out_rows": str(rows_cfg)}))
+    assert rows_cfg.read_bytes() == rows_flag.read_bytes()
+    with open(rows_cfg) as fp:
+        _, rows = read_csv(fp)
+    assert {r[2] for r in rows} == {"PP-PP", "IC-PP[1]", "IC-PP[2]"}
+
+
+@pytest.mark.parametrize("args", [["censor", "--dims", "x", "--width", "1"],
+                                  ["censor", "--dims", "1", "--width", "0"]],
+                         ids=["dims", "width"])
+def test_cli_invalid_flag_value_is_a_usage_error(runner, workdir, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, ValueError)
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_cli_help_lists_config(runner, name):
+    res = runner.invoke(main, [name, "--help"])
+    assert res.exit_code == 0
+    assert "--config" in res.output

@@ -129,7 +129,7 @@ def test_spectral_radius_matches_eig_small():
         m = rng.uniform(0, 1, (n, n))
         want = float(np.max(np.abs(np.linalg.eigvals(m))))
         got = spectral_radius(m)
-        assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
 
 
 def test_spectral_radius_zero_matrix():
@@ -237,14 +237,26 @@ def test_validate_events_rejects_non_finite_times(times):
         PoiEvaluator(p, [[], times]).values([1.0, 3.0])
 
 
-@pytest.mark.parametrize("entry", [[[1.0, 2.0]], [[1.0], [2.0]], 1.5],
-                         ids=["row", "column", "scalar"])
+@pytest.mark.parametrize("entry",
+                         [[[1.0, 2.0]], [[1.0], [2.0]], 1.5, [[1.0], [2.0, 3.0]]],
+                         ids=["row", "column", "scalar", "ragged"])
 def test_validate_events_rejects_non_1d_entries(entry):
     # NumPy would otherwise fail later, with an error that is no PMBPError
     p = make_params()  # d=2, e=1
     with pytest.raises(DimensionError):
         validate_events_for(p, [[], entry])
     with pytest.raises(DimensionError):
+        PoiEvaluator(p, [[], entry]).values([3.0])
+
+
+@pytest.mark.parametrize("entry", [["a"], [1.0, {}]],
+                         ids=["string", "object"])
+def test_validate_events_rejects_non_numeric_entries(entry):
+    # NumPy's own conversion error is no PMBPError
+    p = make_params()  # d=2, e=1
+    with pytest.raises(ParameterError):
+        validate_events_for(p, [[], entry])
+    with pytest.raises(ParameterError):
         PoiEvaluator(p, [[], entry]).values([3.0])
 
 
