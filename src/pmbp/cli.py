@@ -68,9 +68,15 @@ def _read_config(ctx: click.Context, param, path: str | None) -> None:
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise click.ClickException(f"config {path} must hold a JSON object")
-    # 'params_path' names --params' parameter, not a config key
-    ctx.default_map = {k: v for k, v in obj.items()
-                       if v is not None and k != "params_path"}
+    # 'params_path' names --params' parameter, not a config key; click
+    # splits a default-map string only for nargs > 1, so a lone string for a
+    # repeatable option (fit's 'data') is one item
+    multiple = {p.name for p in ctx.command.params
+                if getattr(p, "multiple", False)}
+    ctx.default_map = {
+        k: [v] if k in multiple and isinstance(v, str) else v
+        for k, v in obj.items() if v is not None and k != "params_path"
+    }
 
 
 _config = click.option(
@@ -306,23 +312,21 @@ def cmd_evaluate(params_path, data, step, t_end, out):
 @click.option("--width", type=_POSITIVE, default=1.0,
               help="Forecast interval width.")
 @click.option("--n-samples", type=int, default=500,
-              help="Continuation samples (default 500).")
-@click.option("--seed", type=int, default=0)
+              help="Deprecated: must be >= 1, no longer affects the forecast.")
+@click.option("--seed", type=int, default=0,
+              help="Deprecated: no longer affects the forecast.")
 @click.option("--out", type=click.Path())
 def cmd_predict(params_path, data, horizon, width, n_samples, seed, out):
     """Forecast censored-dimension counts on future intervals; CSV output.
 
-    Samples observed-dimension continuations and averages the censored
-    block's compensator increments over them.
+    Gives the exact mean and sd of the censored block's compensator
+    increment per interval, over the observed dimensions' continuations.
     """
     params = _load_params(params_path)
     ds = read_dataset(data)
     n_iv = int(np.ceil(horizon / width - 1e-12))
     bnds = ds.T + np.minimum(width * np.arange(n_iv + 1), horizon)
     pred = predict_counts(params, ds, bnds, n_samples, seed)
-    if pred.n_failed:
-        log.warning("%d/%d continuation samples failed and were dropped",
-                    pred.n_failed, n_samples)
     header = ["interval_start", "interval_end", "dim", "mean", "sd"]
     rows = (
         [pred.boundaries[k], pred.boundaries[k + 1], j + 1,

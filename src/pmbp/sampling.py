@@ -22,6 +22,14 @@ Censored-block events never feed back into the intensity: those dimensions
 are driven by the expected response, so their realized events are outputs
 only.  The impulse weight gamma shapes the smooth intensity but its atom at
 t=0 is not realized as events.
+
+The count forecast (predict_counts) samples nothing.  Past the training
+horizon only the observed sources jump the state, each at a rate linear in
+it, so the state's mean and covariance solve a closed linear ODE (the
+moment closure of affine point processes), and each window's censored
+compensator increment has its exact mean and sd read off them.
+predict_counts_sampled keeps sampling every dimension, as the Monte Carlo
+reference.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from .poi import _Layout, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
 _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
+_TAYLOR_MAX_TERMS = 30  # at ||A||_1 h <= 1/4 about 16 terms reach _EPS
+_EPS = np.finfo(float).eps
 
 # _invert and _continue take one step at a time, each step's length set by
 # the previous one, so they call scipy.linalg.expm on single matrices: on a
@@ -162,8 +172,14 @@ def sample_pmbp(
 
 @dataclasses.dataclass
 class Prediction:
-    """Forecast summary: interval boundaries, per-interval per-censored-dim
-    mean and across-sample standard deviation, and the sample accounting."""
+    """Forecast summary: interval boundaries, then per interval and censored
+    dim the mean and standard deviation of the forecast, with the number of
+    samples requested and the number dropped after exploding.
+
+    predict_counts gives the exact mean and sd of the censored block's
+    compensator increment over the observed dims' continuations, with
+    n_failed = 0; predict_counts_sampled gives the sample mean and sd of
+    realized counts over the samples that did not explode."""
 
     boundaries: np.ndarray
     mean: np.ndarray
@@ -172,21 +188,10 @@ class Prediction:
     n_failed: int
 
 
-def _forecast(
-    params: ModelParams,
-    dataset: Dataset,
-    boundaries,
-    n_samples: int,
-    seed,
-    max_events: int,
-    sample_dims,
-    measure,
-) -> Prediction:
-    """Validate a forecast request, continue the dataset past its horizon
-    once per seeded sample (drawing `sample_dims`), and average
-    measure(new_times, integrals, boundaries), an (intervals, e) array, over
-    the samples that did not explode; `integrals` is _continue's, with the
-    boundaries as stops."""
+def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
+    """Validate a forecast request.  Returns the sampler layout, its state at
+    the training horizon with the integrals restarted there, and the
+    boundaries as an array."""
     bnds = np.asarray(boundaries, dtype=float).reshape(-1)
     T_train = dataset.T
     if bnds.size < 2:
@@ -199,46 +204,53 @@ def _forecast(
         )
     if n_samples < 1:
         raise ParameterError("need at least one sample")
-    d, e = params.d, params.e
-    if dataset.d != d or dataset.e != e:
+    if dataset.d != params.d or dataset.e != params.e:
         raise ParameterError("dataset split does not match the model")
     lay = _Layout(params, full=True)
     observed = validate_events_for(params, dataset.event_list())
-    # the sampler state at the horizon, with the integrals restarted there
     x_train = _scan(lay, observed, np.array([T_train])).X[-1]
     x_train[lay.I] = 0.0
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    K = bnds.size - 1
-    mean = np.zeros((K, e))
-    m2 = np.zeros((K, e))
-    n_ok = 0
-    n_failed = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        try:
-            new_times, integrals = _continue(
-                lay, x_train, T_train, bnds, sample_dims, rng, max_events
-            )
-        except ExplosionError:
-            n_failed += 1
-            continue
-        value = measure(new_times, integrals, bnds)
-        n_ok += 1
-        delta = value - mean
-        mean += delta / n_ok
-        m2 += delta * (value - mean)
-    if n_ok == 0:
-        raise ExplosionError("every prediction sample exploded")
-    if n_failed > 0.01 * n_samples:
-        warnings.warn(
-            f"{n_failed} of {n_samples} prediction samples exploded and were "
-            "dropped",
-            stacklevel=3,
-        )
-    sd = np.sqrt(m2 / (n_ok - 1)) if n_ok > 1 else np.zeros_like(m2)
-    return Prediction(
-        boundaries=bnds, mean=mean, sd=sd, n_samples=n_ok, n_failed=n_failed
-    )
+    return lay, x_train, bnds
+
+
+def _moment_generators(lay: _Layout):
+    """A = M + sum_k J_k R_{e+k}^T, the generator of the mean, and the
+    (s, s, s) tensor F[c] = sum_k R_{e+k}[c] J_k J_k^T that feeds the mean
+    into the covariance, over the observed sources k."""
+    e = lay.Y.shape[1]
+    R = lay.R[e:]
+    A = lay.M + lay.J.T @ R
+    F = np.einsum("kc,ka,kb->cab", R, lay.J, lay.J)
+    return A, F
+
+
+def _moment_step(A: np.ndarray, F: np.ndarray, w: float):
+    """exp(G w) of the block generator G = [[A, 0], [F, X -> AX + XA^T]] on
+    (m, C), as the pair (E, T): a step of width w maps m to E m and C to
+    E C E^T + sum_c m_c T[c].
+
+    Taylor series at w / 2^j, with ||A||_1 w / 2^j <= 1/4, then j squarings
+    T[c] <- E T[c] E^T + sum_z E[z, c] T[z], E <- E E.  Only (s, s) and
+    (s, s, s) arrays are formed, never the (s + s^2)-square matrix."""
+    norm = float(np.abs(A).sum(axis=0).max()) * w
+    j = max(0, int(np.ceil(np.log2(4.0 * norm)))) if norm > 0 else 0
+    h = w / 2.0 ** j
+    E = np.eye(A.shape[0])
+    T = np.zeros_like(F)
+    tE, tT = E, T
+    for n in range(1, _TAYLOR_MAX_TERMS + 1):
+        # G^n h^n / n! from G^(n-1) h^(n-1) / (n-1)!, the T block first
+        tT = (np.tensordot(tE, F, axes=(0, 0)) + A @ tT + tT @ A.T) * (h / n)
+        tE = (A @ tE) * (h / n)
+        E = E + tE
+        T = T + tT
+        if (np.abs(tE).max() <= _EPS * np.abs(E).max()
+                and np.abs(tT).max() <= _EPS * np.abs(T).max()):
+            break
+    for _ in range(j):
+        T = E @ T @ E.T + np.tensordot(E, T, axes=(0, 0))
+        E = E @ E
+    return E, T
 
 
 def predict_counts(
@@ -247,27 +259,58 @@ def predict_counts(
     boundaries,
     n_samples: int,
     seed,
-    *,
-    max_events: int = 1_000_000,
 ) -> Prediction:
     """Expected censored-block counts on a partition past the training data.
 
-    For each sample, the observed dimensions are continued past the training
-    horizon by the exact sampler; the censored-block count forecast for
-    each interval is the compensator increment given that continuation, read
-    off the sampler's own state, and samples are averaged.  Exploding
-    continuations are dropped (with a warning once they exceed 1% of the
-    requested samples).
+    The forecast of each interval is the censored block's compensator
+    increment given the observed dims' continuation past the training
+    horizon.  Its mean and sd over those continuations are exact: each
+    observed source k jumps the sampler's state x by J_k at rate R_{e+k} x,
+    so the mean m and covariance C of x solve the linear ODEs
+
+        dm/dt = A m,   dC/dt = A C + C A^T + sum_c m_c F[c]
+
+    (the moment closure of affine point processes; Errais, Giesecke &
+    Goldberg 2010), stepped window by window by _moment_step.  The
+    integrals restart at every boundary, so each window's mean and
+    variance are read off m and the diagonal of C at the integral
+    coordinates.  The variance of the realized count is mean + sd**2.
+
+    n_samples and seed no longer affect the result (deprecated): n_samples
+    must still be >= 1 and is echoed in Prediction.n_samples, seed is
+    ignored, and n_failed is 0.
+    A supercritical observed block has no stationary regime but finite
+    moments: they grow exponentially with the horizon, rather than samples
+    exploding, and overflow to inf only past horizons where that growth
+    exceeds the float range.  Raises RegularityError when the censored
+    block is not subcritical.
     """
+    lay, m, bnds = _start(params, dataset, boundaries, n_samples)
     e = params.e
-
-    def increments(new_times, integrals, bnds):
-        return integrals[1:, :e]
-
-    return _forecast(
-        params, dataset, boundaries, n_samples, seed, max_events,
-        range(e, params.d), increments,
-    )
+    A, F = _moment_generators(lay)
+    C = np.zeros((lay.s, lay.s))
+    steps = {}
+    out = lay.I[:e]
+    mean = np.zeros((bnds.size - 1, e))
+    var = np.zeros_like(mean)
+    # the first width is the gap from the training horizon to bnds[0]
+    widths = np.diff(np.concatenate([[dataset.T], bnds]))
+    for n, w in enumerate(widths):
+        if w > 0:
+            if w not in steps:
+                steps[w] = _moment_step(A, F, w)
+            E, T = steps[w]
+            C = E @ C @ E.T + np.tensordot(m, T, axes=1)
+            m = E @ m
+        if n > 0:
+            mean[n - 1] = m[out]
+            var[n - 1] = np.diag(C)[out]
+        m[lay.I] = 0.0
+        C[lay.I, :] = 0.0
+        C[:, lay.I] = 0.0
+    return Prediction(boundaries=bnds, mean=mean,
+                      sd=np.sqrt(np.maximum(var, 0.0)), n_samples=n_samples,
+                      n_failed=0)
 
 
 def predict_counts_sampled(
@@ -279,18 +322,42 @@ def predict_counts_sampled(
     *,
     max_events: int = 1_000_000,
 ) -> Prediction:
-    """Reference forecast that samples the censored dimensions as events and
-    averages realized interval counts (slower, higher variance; used to
-    validate the compensator-based forecast)."""
+    """Reference forecast that samples every dimension past the training
+    horizon, once per seeded sample, and averages the censored dims'
+    realized interval counts over the samples that did not explode
+    (dropped with a warning once they exceed 1% of n_samples).  Slower and
+    noisier than predict_counts, which it validates."""
+    lay, x_train, bnds = _start(params, dataset, boundaries, n_samples)
     e = params.e
-
-    def counts(new_times, integrals, bnds):
-        out = np.zeros((bnds.size - 1, e))
+    children = np.random.SeedSequence(seed).spawn(n_samples)
+    mean = np.zeros((bnds.size - 1, e))
+    m2 = np.zeros_like(mean)
+    n_ok = 0
+    n_failed = 0
+    for child in children:
+        rng = np.random.default_rng(child)
+        try:
+            new_times, _ = _continue(lay, x_train, dataset.T, bnds,
+                                     range(params.d), rng, max_events)
+        except ExplosionError:
+            n_failed += 1
+            continue
+        value = np.zeros_like(mean)
         for j in range(e):
-            out[:, j] = np.histogram(new_times[j], bnds)[0]
-        return out
-
-    return _forecast(
-        params, dataset, boundaries, n_samples, seed, max_events,
-        range(params.d), counts,
+            value[:, j] = np.histogram(new_times[j], bnds)[0]
+        n_ok += 1
+        delta = value - mean
+        mean += delta / n_ok
+        m2 += delta * (value - mean)
+    if n_ok == 0:
+        raise ExplosionError("every prediction sample exploded")
+    if n_failed > 0.01 * n_samples:
+        warnings.warn(
+            f"{n_failed} of {n_samples} prediction samples exploded and were "
+            "dropped",
+            stacklevel=2,
+        )
+    sd = np.sqrt(m2 / (n_ok - 1)) if n_ok > 1 else np.zeros_like(m2)
+    return Prediction(
+        boundaries=bnds, mean=mean, sd=sd, n_samples=n_ok, n_failed=n_failed
     )

@@ -3,7 +3,9 @@
 Everything here is written the slow, obvious way (direct double loops, plain
 Riemann convolutions, fixed-point iteration) so that agreement with the
 package is meaningful.  Nothing in this module imports the package's
-numerical internals beyond the parameter container.
+numerical internals beyond the parameter container, except the
+Monte Carlo forecast estimator, which is built on the exact sampler's own
+continuation step on purpose.
 """
 
 from __future__ import annotations
@@ -232,3 +234,45 @@ def van_loan_frechet_sum(M, dt, lam, x):
         blk[:s, s:] = np.outer(lam[n], x[n]) * h
         G += expm(blk)[:s, s:]
     return G
+
+
+# ---------------------------------------------------------------------------
+# Forecast moments
+
+
+def kron_moment_step(A, F, w):
+    """expm(G w) of the dense (s + s^2)-square block generator
+    [[A, 0], [F, A (x) I + I (x) A]] on (m, vec C), with vec row-major, split
+    into the mean block E and the tensor T[c] that maps m_c into C."""
+    s = A.shape[0]
+    eye = np.eye(s)
+    G = np.zeros((s + s * s, s + s * s))
+    G[:s, :s] = A
+    G[s:, :s] = np.asarray(F).reshape(s, s * s).T
+    G[s:, s:] = np.kron(A, eye) + np.kron(eye, A)
+    X = expm(G * w)
+    return X[:s, :s], X[s:, :s].T.reshape(s, s, s)
+
+
+def compensator_forecast_mc(params, dataset, boundaries, n_samples, seed):
+    """Monte Carlo forecast of the censored block's compensator increments:
+    continue the observed dims past the training horizon with the exact
+    sampler once per seeded sample, and return the per-window sample mean
+    and sd of the increments, each of shape (windows, e)."""
+    from pmbp.params import validate_events_for
+    from pmbp.poi import _Layout, _scan
+    from pmbp.sampling import _continue
+
+    bnds = np.asarray(boundaries, dtype=float)
+    e = params.e
+    lay = _Layout(params, full=True)
+    events = validate_events_for(params, dataset.event_list())
+    x = _scan(lay, events, np.array([dataset.T])).X[-1]
+    x[lay.I] = 0.0
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(n_samples):
+        _, integrals = _continue(lay, x, dataset.T, bnds, range(e, params.d),
+                                 np.random.default_rng(child), 1_000_000)
+        draws.append(integrals[1:, :e])
+    draws = np.asarray(draws)
+    return draws.mean(axis=0), draws.std(axis=0, ddof=1)

@@ -315,6 +315,22 @@ def test_cli_config_lists_match_flags(runner, workdir, tmp_path):
     assert {r[2] for r in rows} == {"PP-PP", "IC-PP[1]", "IC-PP[2]"}
 
 
+def test_cli_config_lone_string_for_repeated_option(runner, workdir, tmp_path):
+    # a config 'data' entry may be one path rather than a list of paths
+    ev, ds = workdir / "ev1.jsonl", workdir / "ds1.json"
+    _run(runner, ["sample-pmbp", "--params", str(workdir / "pmbp.json"),
+                  "--t-end", "12", "--seed", "8", "--out", str(ev)])
+    _run(runner, ["censor", "--events", str(ev), "--dims", "1",
+                  "--width", "2", "--out", str(ds)])
+    fit_flag, fit_cfg = workdir / "fit1_flag.json", workdir / "fit1_cfg.json"
+    common = ["--n-starts", "1", "--max-iter", "3", "--seed", "2"]
+    _run(runner, ["fit", "--data", str(ds), "--out", str(fit_flag)] + common)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({"data": str(ds), "out": str(fit_cfg)}))
+    _run(runner, ["fit", "--config", str(cfg)] + common)
+    assert fit_cfg.read_bytes() == fit_flag.read_bytes()
+
+
 @pytest.mark.parametrize("args", [["censor", "--dims", "x", "--width", "1"],
                                   ["censor", "--dims", "1", "--width", "0"]],
                          ids=["dims", "width"])

@@ -14,12 +14,14 @@ from pmbp import (
     ParameterError,
     PoiEvaluator,
     RegularityError,
+    censor,
     gof_time_rescaling,
     predict_counts,
     predict_counts_sampled,
     sample_hawkes,
     sample_pmbp,
 )
+from oracles import compensator_forecast_mc, kron_moment_step
 
 
 def test_pure_poisson_counts():
@@ -185,3 +187,99 @@ def test_predict_boundary_validation(pmbp21_sub):
     with pytest.raises(ParameterError):
         predict_counts_sampled(pmbp21_sub.replace(e=0), ds, [10.0, 12.0],
                                n_samples=5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the forecast moments
+
+
+@pytest.mark.parametrize("d,e", [(2, 1), (3, 1), (4, 2)])
+def test_moment_step_matches_kronecker_expm(d, e):
+    lay = pmbp.poi._Layout(_rescaling_model(d, e), full=True)
+    A, F = pmbp.sampling._moment_generators(lay)
+    for w in (0.3, 1.0, 7.5):
+        E, T = pmbp.sampling._moment_step(A, F, w)
+        E_ref, T_ref = kron_moment_step(A, F, w)
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+        assert np.abs(T - T_ref).max() <= 1e-12 * np.abs(T_ref).max()
+
+
+@pytest.mark.parametrize("d,e", [(3, 3), (3, 1)], ids=["e=d", "mute observed"])
+def test_predict_without_feedback_is_the_compensator(d, e):
+    # with no observed dims (e = d), or observed dims that excite nothing,
+    # the censored compensator is deterministic given the training data
+    params = _rescaling_model(d, e)
+    ds = censor(sample_pmbp(params, 10.0, seed=5), range(1, e + 1), 1.0)
+    alpha = params.alpha.copy()
+    alpha[:, e:] = 0.0
+    params = params.replace(alpha=alpha)
+    # a gap after the horizon, then windows of unequal width
+    bnds = np.array([10.5, 11.0, 12.0, 12.25, 15.0])
+    pred = predict_counts(params, ds, bnds, n_samples=1, seed=0)
+    Xi = PoiEvaluator(params, ds.event_list()).values(bnds).Xi
+    np.testing.assert_allclose(pred.mean, np.diff(Xi[:, :e], axis=0),
+                               rtol=1e-10)
+    assert np.all(pred.sd == 0.0)
+
+
+def test_predict_variance_is_cox_count_variance(pmbp21_sub):
+    # a realized count given its compensator is Poisson, so its variance
+    # is mean + sd**2
+    ds = _trained_dataset(pmbp21_sub)
+    bnds = np.array([10.0, 11.0, 12.0, 14.0])
+    exact = predict_counts(pmbp21_sub, ds, bnds, n_samples=1, seed=0)
+    n = 2000
+    ref = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=n, seed=11)
+    var = exact.mean + exact.sd ** 2
+    se = var * np.sqrt(2.0 / (n - 1))
+    assert np.all(np.abs(ref.sd ** 2 - var) < 4 * se), (ref.sd ** 2, var)
+
+
+@pytest.mark.parametrize("d,e", [(2, 1), (3, 1)])
+def test_predict_matches_monte_carlo_compensator_estimator(d, e):
+    params = _rescaling_model(d, e).replace(alpha=np.full((d, d), 0.2))
+    ds = censor(sample_pmbp(params, 10.0, seed=7), range(1, e + 1), 1.0)
+    bnds = np.array([10.0, 11.0, 12.0, 14.0])
+    exact = predict_counts(params, ds, bnds, n_samples=1, seed=0)
+    n = 2000
+    mc_mean, mc_sd = compensator_forecast_mc(params, ds, bnds, n, seed=12)
+    z = (exact.mean - mc_mean) / (mc_sd / np.sqrt(n))
+    assert np.all(np.abs(z) < 4), z
+    assert np.all(np.abs(exact.sd / mc_sd - 1) < 0.1), (exact.sd, mc_sd)
+
+
+def test_predict_ignores_samples_and_seed(pmbp21_sub):
+    ds = _trained_dataset(pmbp21_sub)
+    bnds = ds.T + np.arange(4.0)
+    p1 = predict_counts(pmbp21_sub, ds, bnds, n_samples=1, seed=0)
+    p2 = predict_counts(pmbp21_sub, ds, bnds, n_samples=500, seed=[3, 4])
+    assert np.array_equal(p1.mean, p2.mean)
+    assert np.array_equal(p1.sd, p2.sd)
+    assert (p1.n_samples, p2.n_samples) == (1, 500)
+    assert p1.n_failed == p2.n_failed == 0
+
+
+def test_predict_near_critical_censored_block(pmbp21_sub):
+    params = pmbp21_sub.replace(alpha=[[0.999, 0.2], [0.2, 0.3]])
+    ds = _trained_dataset(params)
+    pred = predict_counts(params, ds, ds.T + np.arange(11.0), n_samples=1,
+                          seed=0)
+    assert np.all(np.isfinite(pred.mean)) and np.all(pred.mean >= 0)
+    assert np.all(np.isfinite(pred.sd))
+
+
+def test_predict_supercritical_observed_block_grows(pmbp21_sub):
+    # the observed dim alone is supercritical: no sample to drop, the
+    # moments grow at the mean field's rate, max eig(alpha) - 1 at theta = 1
+    alpha = np.array([[0.3, 0.2], [0.2, 1.5]])
+    params = pmbp21_sub.replace(alpha=alpha)
+    bounds = np.arange(11.0)
+    ds = Dataset(T=10.0, censored=(CensoredSeries(bounds, np.ones(10)),),
+                 events=(np.array([1.0, 4.0, 9.5]),))
+    pred = predict_counts(params, ds, 10.0 + np.arange(21.0), n_samples=1,
+                          seed=0)
+    assert np.all(np.isfinite(pred.mean)) and np.all(np.isfinite(pred.sd))
+    assert np.all(np.diff(pred.mean[:, 0]) > 0)
+    assert np.all(np.diff(pred.sd[:, 0]) > 0)
+    rate = np.log(pred.mean[-1, 0] / pred.mean[-2, 0])
+    assert rate == pytest.approx(np.linalg.eigvalsh(alpha).max() - 1, rel=1e-3)
