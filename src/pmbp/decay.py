@@ -42,16 +42,19 @@ class SourceDecay:
         n, d = times.size, rates.size
         # B[i, k] = sum_{m <= k} exp(-r_i (t_k - t_m));  C is its (t_k - t_m)-
         # weighted counterpart.  Both stay bounded by n and n*max(dt) resp.
-        self._B = np.empty((d, n))
-        self._C = np.empty((d, n))
-        if n:
-            self._B[:, 0] = 1.0
-            self._C[:, 0] = 0.0
-            dts = np.diff(times)
-            for k in range(1, n):
-                q = np.exp(-rates * dts[k - 1])
-                self._B[:, k] = 1.0 + q * self._B[:, k - 1]
-                self._C[:, k] = q * (self._C[:, k - 1] + dts[k - 1] * self._B[:, k - 1])
+        # After the pass at stride s each column holds the terms of its last
+        # 2s events, each pass decaying the block s events back by
+        # a = exp(-r (t_k - t_{k-s})) <= 1 (log-depth doubling of the
+        # recursion B_k = 1 + q_k B_{k-1}, C_k = q_k (C_{k-1} + dt_k B_{k-1})).
+        self._B = np.ones((d, n))
+        self._C = np.zeros((d, n))
+        s = 1
+        while s < n:
+            gap = times[s:] - times[:-s]
+            a = np.exp(-rates[:, None] * gap)
+            self._C[:, s:] += a * (self._C[:, :-s] + gap * self._B[:, :-s])
+            self._B[:, s:] += a * self._B[:, :-s]
+            s *= 2
 
     def query(self, u: np.ndarray):
         """Return (count, esum, wsum) at query times u (any order).

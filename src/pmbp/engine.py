@@ -23,7 +23,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     DomainError,
@@ -88,6 +87,8 @@ def _fft_conv(D: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     D : (P+1, d, d) with D[0] = 0; g : (P+1, d) or (P+1, d, d).
     """
+    import scipy.fft  # imported here so that `import pmbp` skips SciPy
+
     P1 = D.shape[0]
     nfft = scipy.fft.next_fast_len(2 * P1 - 1, real=True)
     FD = scipy.fft.rfft(D, nfft, axis=0)

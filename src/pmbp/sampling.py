@@ -9,14 +9,22 @@ state also carries the integral of every xi_i, so the compensator of the
 sampled dimensions is a sum of coordinates of expm(M tau) x.
 
 By the time-rescaling theorem (Brown et al. 2002; Dassios & Zhao 2013 use
-the same inversion for exponential Hawkes processes) the next event of the superposed sampled
-dimensions comes after the time tau at which that compensator, restarted
-at the current time, reaches an Exp(1) draw.  tau is found by Newton's
-method (the derivative is the summed intensity) inside a bisection bracket,
-its dimension is drawn in proportion to xi(t + tau), and only an observed
-dimension's event jumps the state.  Each event costs a few small matrix
-exponentials, whatever the history's length; there is no grid, bound or
-rejection.
+the same inversion for exponential Hawkes processes) the next event of the
+superposed sampled dimensions comes after the time tau at which that
+compensator, restarted at the current time, reaches an Exp(1) draw.  Its
+dimension is drawn in proportion to xi(t + tau), and only an observed
+dimension's event jumps the state.
+
+M never changes within a run, so every step reads two tables built once
+per run (_Steps), with h = 1 / ||M||_1: the Taylor terms (M h)^k / k!,
+and a dyadic ladder of expm(M 2^j h).  Across a long gap the state
+gallops up and down the ladder, one matrix-vector product per rung, while
+a rung ends before the next stop and the compensator stays below the
+draw.  The event then lies within h, where the compensator is a
+polynomial in the step; Newton's method (the derivative is the summed
+intensity) inside a bisection bracket solves it.  An event costs a few
+small products, whatever the history's length; there is no grid, bound
+or rejection.
 
 Censored-block events never feed back into the intensity: those dimensions
 are driven by the expected response, so their realized events are outputs
@@ -38,7 +46,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DomainError,
@@ -51,37 +58,91 @@ from .poi import _Layout, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
 _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
+_TAYLOR_DEGREE = 18  # at ||M h||_1 = 1 the remainder is below 1/19! < 1e-17
+_DEGREES = np.arange(_TAYLOR_DEGREE + 1)
 _TAYLOR_MAX_TERMS = 30  # at ||A||_1 h <= 1/4 about 16 terms reach _EPS
 _EPS = np.finfo(float).eps
-
-# _invert and _continue take one step at a time, each step's length set by
-# the previous one, so they call scipy.linalg.expm on single matrices: on a
-# one-step stack, _Layout.expm (built for many steps of one M) took 49-148 us
-# per 7x7 matrix against SciPy's 22-44 us (2-vCPU x86-64, one BLAS thread).
+_SAME_WIDTH = 1e-12  # relative gap below which forecast windows share a step
 
 
-def _invert(lay: _Layout, x, span: float, target: float, comp, rate_row):
-    """The tau in (0, span) at which the compensator x[comp].sum(), run
-    forward from x, reaches target, and the state there; the caller has
-    checked that it reaches it before span.
+class _Steps:
+    """The steps of expm(M tau) that one run of the sampler takes, for the
+    compensator sum of x[comp] over a span of time.
+
+    With h = 1 / ||M||_1, taylor stacks (M h)^k / k! for k <= _TAYLOR_DEGREE,
+    so V = (taylor @ x).reshape(-1, s) gives the state at u h, u <= 1, as
+    sum_k u^k V[k], and the compensator there as a polynomial in u.  The
+    dyadic ladder holds rungs[j] = expm(M 2^j h) for the widths that fit in
+    the span, with rises[j] = c (rungs[j] - I), c the indicator of comp: the
+    compensator's increase over rung j from x is rises[j] @ x.
+    """
+
+    def __init__(self, lay: _Layout, comp, span: float):
+        s = lay.s
+        self.h = h = 1.0 / lay.expm.norm
+        P = np.empty((_TAYLOR_DEGREE + 1, s, s))
+        P[0] = np.eye(s)
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            P[k] = (lay.M @ P[k - 1]) * (h / k)
+        self.taylor = P.reshape(-1, s)
+        c = np.zeros(s)
+        c[comp] = 1.0
+        self.c = c
+        n = int(np.floor(np.log2(span / h))) + 1 if span >= h else 0
+        self.widths = [h * 2.0 ** j for j in range(n)]
+        self.rungs = lay.expm(self.widths)
+        self.rises = c @ self.rungs - c
+
+    def gallop(self, x, t: float, stop: float, room: float):
+        """Advance x from t by whole rungs, up the ladder and back down, while
+        a rung ends by stop and raises the compensator by less than room.
+        Returns the state and its time."""
+        top = len(self.widths) - 1
+        j, up = 0, True
+        while j >= 0:
+            if j <= top and self.widths[j] <= stop - t:
+                rise = self.rises[j] @ x
+                if rise < room:
+                    x = self.rungs[j] @ x
+                    t += self.widths[j]
+                    room -= rise
+                    j = min(j + 1, top) if up else j - 1
+                    continue
+            up = False
+            j -= 1
+        return x, t
+
+
+def _poly(c, u: float):
+    """sum_k c[k] u^k and its derivative in u, by Horner's rule."""
+    p = dp = 0.0
+    for ck in reversed(c):
+        dp = dp * u + p
+        p = p * u + ck
+    return p, dp
+
+
+def _invert(c, end: float, target: float):
+    """The u in (0, end) at which the compensator polynomial sum_k c[k] u^k
+    reaches target; the caller has checked that it reaches it before end.
+    The derivative is the summed intensity, in units of the step h.
 
     Raises NumericalConsistencyError if the compensator is not within
     _NEWTON_TOL of target after _NEWTON_MAX_ITER iterations."""
-    lo, hi = 0.0, span
-    rate = rate_row @ x
-    tau = target / rate if rate * span > target else 0.5 * span
+    lo, hi = 0.0, end
+    gap = target - c[0]
+    u = gap / c[1] if c[1] * end > gap else 0.5 * end
     for _ in range(_NEWTON_MAX_ITER):
-        xt = expm(lay.M * tau) @ x
-        f = xt[comp].sum() - target
+        p, rate = _poly(c, u)
+        f = p - target
         if abs(f) <= _NEWTON_TOL:
-            return tau, xt
+            return u
         if f < 0:
-            lo = tau
+            lo = u
         else:
-            hi = tau
-        rate = rate_row @ xt
-        step = tau - f / rate if rate > 0 else hi
-        tau = step if lo < step < hi else 0.5 * (lo + hi)
+            hi = u
+        step = u - f / rate if rate > 0 else hi
+        u = step if lo < step < hi else 0.5 * (lo + hi)
     raise NumericalConsistencyError(
         f"compensator inversion left a residual of {f:.3g} after "
         f"{_NEWTON_MAX_ITER} iterations"
@@ -101,18 +162,26 @@ def _continue(lay: _Layout, x, t: float, stops, sample_dims,
     active = np.asarray(sample_dims, dtype=int)
     comp = lay.I[active]
     rates = lay.R[active]
-    rate_row = rates.sum(axis=0)
+    steps = _Steps(lay, comp, float(stops[-1]) - t)
+    h, s = steps.h, lay.s
     new_times = [[] for _ in range(d)]
     integrals = np.zeros((len(stops), d))
     n_new = 0
     target = rng.exponential()
     for n, b in enumerate(stops):
         while True:
-            xb = expm(lay.M * (b - t)) @ x
-            if xb[comp].sum() <= target:
+            x, t = steps.gallop(x, t, b, target - steps.c @ x)
+            # the stop, or else the next event, lies within h of t
+            V = (steps.taylor @ x).reshape(-1, s)
+            c = (V @ steps.c).tolist()
+            last = b - t <= h
+            end = (b - t) / h if last else 1.0
+            if last and _poly(c, end)[0] <= target:
+                x = end ** _DEGREES @ V
                 break
-            tau, x = _invert(lay, x, b - t, target, comp, rate_row)
-            t += tau
+            u = _invert(c, end, target)
+            x = u ** _DEGREES @ V
+            t += u * h
             lam = rates @ x
             k = int(np.searchsorted(np.cumsum(lam), rng.uniform() * lam.sum(),
                                     side="right"))
@@ -130,9 +199,8 @@ def _continue(lay: _Layout, x, t: float, stops, sample_dims,
                 x += lay.J[j - e]
             target = rng.exponential()
         # the unused part of the Exp(1) draw carries past the stop
-        target -= xb[comp].sum()
-        integrals[n] += xb[lay.I]
-        x = xb
+        target -= x[comp].sum()
+        integrals[n] += x[lay.I]
         x[lay.I] = 0.0
         t = float(b)
     return new_times, integrals
@@ -297,9 +365,12 @@ def predict_counts(
     widths = np.diff(np.concatenate([[dataset.T], bnds]))
     for n, w in enumerate(widths):
         if w > 0:
-            if w not in steps:
-                steps[w] = _moment_step(A, F, w)
-            E, T = steps[w]
+            # widths that differ in the last bits, as T + k * width gives,
+            # share the first one's step
+            key = next((v for v in steps if abs(v - w) <= _SAME_WIDTH * v), w)
+            if key not in steps:
+                steps[key] = _moment_step(A, F, w)
+            E, T = steps[key]
             C = E @ C @ E.T + np.tensordot(m, T, axes=1)
             m = E @ m
         if n > 0:

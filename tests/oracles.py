@@ -5,7 +5,9 @@ Riemann convolutions, fixed-point iteration) so that agreement with the
 package is meaningful.  Nothing in this module imports the package's
 numerical internals beyond the parameter container, except the
 Monte Carlo forecast estimator, which is built on the exact sampler's own
-continuation step on purpose.
+continuation step on purpose.  The reference sampler step
+(scipy_continue) reads the generator, readouts and jumps of a layout that
+the caller builds.
 """
 
 from __future__ import annotations
@@ -254,6 +256,32 @@ def kron_moment_step(A, F, w):
     return X[:s, :s], X[s:, :s].T.reshape(s, s, s)
 
 
+def exact_width_moments(params, dataset, boundaries):
+    """The exact forecast's per-window mean and sd of the censored
+    compensator increments, each window stepped at its own width by
+    kron_moment_step, from the sampler's training state."""
+    from pmbp.sampling import _moment_generators, _start
+
+    lay, m, bnds = _start(params, dataset, boundaries, 1)
+    A, F = _moment_generators(lay)
+    C = np.zeros((lay.s, lay.s))
+    out = lay.I[: params.e]
+    mean, var = [], []
+    widths = np.diff(np.concatenate([[dataset.T], bnds]))
+    for n, w in enumerate(widths):
+        if w > 0:
+            E, T = kron_moment_step(A, F, w)
+            C = E @ C @ E.T + np.tensordot(m, T, axes=1)
+            m = E @ m
+        if n > 0:
+            mean.append(m[out])
+            var.append(np.diag(C)[out])
+        m[lay.I] = 0.0
+        C[lay.I, :] = 0.0
+        C[:, lay.I] = 0.0
+    return np.array(mean), np.sqrt(np.maximum(var, 0.0))
+
+
 def compensator_forecast_mc(params, dataset, boundaries, n_samples, seed):
     """Monte Carlo forecast of the censored block's compensator increments:
     continue the observed dims past the training horizon with the exact
@@ -276,3 +304,105 @@ def compensator_forecast_mc(params, dataset, boundaries, n_samples, seed):
         draws.append(integrals[1:, :e])
     draws = np.asarray(draws)
     return draws.mean(axis=0), draws.std(axis=0, ddof=1)
+
+
+# ---------------------------------------------------------------------------
+# Sampler
+
+
+def decay_prefix_loop(times, rates):
+    """The decayed prefix sums of pmbp.decay.SourceDecay by their recursion,
+    one event at a time: B[i, k] = sum_{m <= k} exp(-r_i (t_k - t_m)) and
+    C[i, k] = sum_{m <= k} (t_k - t_m) exp(-r_i (t_k - t_m))."""
+    times = np.asarray(times, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    n, d = times.size, rates.size
+    B = np.empty((d, n))
+    C = np.empty((d, n))
+    if n:
+        B[:, 0] = 1.0
+        C[:, 0] = 0.0
+        dts = np.diff(times)
+        for k in range(1, n):
+            q = np.exp(-rates * dts[k - 1])
+            B[:, k] = 1.0 + q * B[:, k - 1]
+            C[:, k] = q * (C[:, k - 1] + dts[k - 1] * B[:, k - 1])
+    return B, C
+
+
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 60
+
+
+def scipy_invert(lay, x, span, target, comp, rate_row):
+    """The tau in (0, span) at which the compensator x[comp].sum(), run
+    forward from x by scipy.linalg.expm(M tau) x, reaches target, and the
+    state there; Newton's method inside a bisection bracket."""
+    from pmbp.errors import NumericalConsistencyError
+
+    lo, hi = 0.0, span
+    rate = rate_row @ x
+    tau = target / rate if rate * span > target else 0.5 * span
+    for _ in range(_NEWTON_MAX_ITER):
+        xt = expm(lay.M * tau) @ x
+        f = xt[comp].sum() - target
+        if abs(f) <= _NEWTON_TOL:
+            return tau, xt
+        if f < 0:
+            lo = tau
+        else:
+            hi = tau
+        rate = rate_row @ xt
+        step = tau - f / rate if rate > 0 else hi
+        tau = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericalConsistencyError(
+        f"compensator inversion left a residual of {f:.3g} after "
+        f"{_NEWTON_MAX_ITER} iterations"
+    )
+
+
+def scipy_continue(lay, x, t, stops, sample_dims, rng, max_events):
+    """The exact sampler's continuation from state x at time t to
+    stops[-1] (the contract of pmbp.sampling._continue), with one
+    scipy.linalg.expm per trial step: the state at each stop, then the
+    inversion of the compensator whenever it passes the Exp(1) target."""
+    from pmbp.errors import ExplosionError
+
+    d, e = lay.Y.shape
+    active = np.asarray(sample_dims, dtype=int)
+    comp = lay.I[active]
+    rates = lay.R[active]
+    rate_row = rates.sum(axis=0)
+    new_times = [[] for _ in range(d)]
+    integrals = np.zeros((len(stops), d))
+    n_new = 0
+    target = rng.exponential()
+    for n, b in enumerate(stops):
+        while True:
+            xb = expm(lay.M * (b - t)) @ x
+            if xb[comp].sum() <= target:
+                break
+            tau, x = scipy_invert(lay, x, b - t, target, comp, rate_row)
+            t += tau
+            lam = rates @ x
+            k = int(np.searchsorted(np.cumsum(lam), rng.uniform() * lam.sum(),
+                                    side="right"))
+            j = int(active[min(k, active.size - 1)])
+            new_times[j].append(t)
+            n_new += 1
+            if n_new > max_events:
+                raise ExplosionError(
+                    f"more than {max_events} events accepted before t={t:.4g}; "
+                    "the configuration is likely supercritical"
+                )
+            integrals[n] += x[lay.I]
+            x[lay.I] = 0.0
+            if j >= e:
+                x += lay.J[j - e]
+            target = rng.exponential()
+        target -= xb[comp].sum()
+        integrals[n] += xb[lay.I]
+        x = xb
+        x[lay.I] = 0.0
+        t = float(b)
+    return new_times, integrals

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmbp
 from pmbp import (
     DimensionError,
     censor,
@@ -346,3 +351,17 @@ def test_cli_help_lists_config(runner, name):
     res = runner.invoke(main, [name, "--help"])
     assert res.exit_code == 0
     assert "--config" in res.output
+
+
+def test_import_pmbp_loads_no_scipy():
+    # SciPy is imported only by the calls that need it (the grid reference
+    # and the goodness-of-fit tests), so that `import pmbp` stays cheap
+    src = str(Path(pmbp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pmbp; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=path), check=True, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -20,9 +20,11 @@ from pmbp import (
     xi_eval,
 )
 from pmbp import closed_form_pmbp21
+from pmbp.decay import SourceDecay
 from pmbp.poi import _CHUNK, _Layout
 
 from oracles import (
+    decay_prefix_loop,
     mean_field_intensity,
     naive_compensator,
     naive_intensity,
@@ -280,3 +282,18 @@ def test_expm_stack_edge_cases(theta, dt, full):
                     alpha=[[0.3, 0.2, 0.1], [0.2, 0.3, 0.2], [0.1, 0.1, 0.2]],
                     gamma=np.zeros(3), nu=[0.4, 0.5, 0.6])
     _check_expm_stack(_Layout(p, full), np.array(dt), np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 5000])
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e3])
+def test_source_decay_matches_event_loop(n, r):
+    # the log-depth doubling gives the prefix sums of the one-event-at-a-time
+    # recursion; below the normal range (r = 1e3) a float has no relative
+    # precision left, so differences there are held to the smallest normal
+    times = np.cumsum(np.random.default_rng(n).exponential(1.0, n))
+    rates = r * np.array([1.0, 0.5, 2.0])
+    decay = SourceDecay(times, rates)
+    B, C = decay_prefix_loop(times, rates)
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(decay._B, B, rtol=1e-12, atol=tiny)
+    np.testing.assert_allclose(decay._C, C, rtol=1e-12, atol=tiny)

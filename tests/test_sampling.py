@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmbp.sampling
 
@@ -20,8 +23,16 @@ from pmbp import (
     predict_counts_sampled,
     sample_hawkes,
     sample_pmbp,
+    write_dataset,
 )
-from oracles import compensator_forecast_mc, kron_moment_step
+from pmbp.cli import main as cli_main
+from pmbp.poi import _Layout
+from oracles import (
+    compensator_forecast_mc,
+    exact_width_moments,
+    kron_moment_step,
+    scipy_continue,
+)
 
 
 def test_pure_poisson_counts():
@@ -112,6 +123,54 @@ def test_unconverged_inversion_raises(pmbp21_sub, monkeypatch):
         sample_pmbp(pmbp21_sub, 15.0, seed=99)
 
 
+def _subcritical_model(d, e, theta, seed):
+    """alpha scaled to a spectral radius in [0.1, 0.8]; theta one value
+    everywhere or, for None, log-uniform on [1e-3, 1e3] per entry."""
+    rng = np.random.default_rng(seed)
+    if theta is None:
+        theta = 10.0 ** rng.uniform(-3.0, 3.0, (d, d))
+    alpha = rng.uniform(0.0, 1.0, (d, d))
+    alpha *= rng.uniform(0.1, 0.8) / np.abs(np.linalg.eigvals(alpha)).max()
+    return ModelParams(d=d, e=e, theta=np.broadcast_to(theta, (d, d)),
+                       alpha=alpha, gamma=rng.uniform(0.0, 0.5, d),
+                       nu=rng.uniform(0.2, 1.0, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       theta=st.sampled_from([None, 1.0, 1e-3, 1e3]))
+def test_sampler_matches_scipy_reference(d, data, seed, theta):
+    # the Taylor table and the expm ladder draw the same events as one
+    # scipy.linalg.expm per trial step, for the same Exp(1) and uniform
+    # draws; theta = 1 everywhere makes the generator defective
+    e = data.draw(st.integers(0, d), label="e")
+    params = _subcritical_model(d, e, theta, seed)
+    rate = np.linalg.solve(np.eye(d) - params.alpha, params.nu)
+    T = 30.0 / rate.sum()
+    lay = _Layout(params, full=True)
+
+    def run(cont, stops):
+        return cont(lay, lay.x0, 0.0, stops, range(d),
+                    np.random.default_rng(seed), 10_000)
+
+    events = np.sort(np.concatenate(run(scipy_continue, [T])[0]))
+    # stops just after events, midway between others, and the horizon
+    near = events[::3] + 1e-9 * T
+    far = 0.5 * (events[:-1] + events[1:])[1::3]
+    stops = np.unique(np.concatenate([near, far, [T]]))
+    stops = stops[stops <= T]
+    times, integrals = run(pmbp.sampling._continue, stops)
+    ref_times, ref_integrals = run(scipy_continue, stops)
+    for got, want in zip(times, ref_times):
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+    # a shift of 1e-8 in an event time moves a window's integral by up to
+    # 1e-8 times the intensity's jump at the event
+    jump = (params.alpha * params.theta).sum(axis=1).max()
+    np.testing.assert_allclose(integrals, ref_integrals, rtol=1e-8,
+                               atol=1e-8 * (1.0 + jump))
+
+
 def test_explosion_guard():
     params = ModelParams(d=1, e=0, theta=[[1.0]], alpha=[[1.5]],
                          gamma=[0.0], nu=[1.0])
@@ -187,6 +246,41 @@ def test_predict_boundary_validation(pmbp21_sub):
     with pytest.raises(ParameterError):
         predict_counts_sampled(pmbp21_sub.replace(e=0), ds, [10.0, 12.0],
                                n_samples=5, seed=0)
+
+
+# pmbp predict --horizon 10 --width 0.1 after T = 60.3: T + k * 0.1 gives
+# windows of three float widths, equal to 1e-12
+_ROUNDED_T = 60.3
+_ROUNDED_BNDS = _ROUNDED_T + np.minimum(0.1 * np.arange(101), 10.0)
+
+
+def test_predict_shares_one_step_across_rounded_widths(pmbp21_sub, tmp_path,
+                                                      monkeypatch):
+    assert np.unique(np.diff(_ROUNDED_BNDS)).size == 3
+    params_path, data_path = tmp_path / "params.json", tmp_path / "ds.json"
+    params_path.write_text(pmbp21_sub.to_json())
+    with open(data_path, "w") as fp:
+        write_dataset(_trained_dataset(pmbp21_sub, T=_ROUNDED_T), fp)
+    widths = []
+    step = pmbp.sampling._moment_step
+    monkeypatch.setattr(pmbp.sampling, "_moment_step",
+                        lambda A, F, w: widths.append(w) or step(A, F, w))
+    res = CliRunner().invoke(cli_main, [
+        "predict", "--params", str(params_path), "--data", str(data_path),
+        "--horizon", "10", "--width", "0.1", "--out", str(tmp_path / "p.csv"),
+    ], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert len(widths) == 1
+
+
+def test_predict_shared_step_matches_exact_widths(pmbp21_sub):
+    # with one last window 1e-6 wider, which must get its own step
+    ds = _trained_dataset(pmbp21_sub, T=_ROUNDED_T)
+    bnds = np.append(_ROUNDED_BNDS, _ROUNDED_BNDS[-1] + 0.1 * (1 + 1e-6))
+    pred = predict_counts(pmbp21_sub, ds, bnds, n_samples=1, seed=0)
+    mean, sd = exact_width_moments(pmbp21_sub, ds, bnds)
+    np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(pred.sd, sd, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
