@@ -27,9 +27,10 @@ the integral of every xi_i, and runs `_scan` on it over the training
 history.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
-come from one set of powers of M: each interval's scaling-and-squaring Pade
-approximant is a combination of those powers, evaluated for all intervals
-at once (`_Expm`).
+come from one set of powers of M: each interval's scaled step has norm at
+most 1, and its Taylor polynomial is a combination of those powers,
+evaluated for all intervals at once with no linear solve (`_Expm`).  The
+sampler's Taylor table is the same powers.
 
 Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
 reverse (adjoint) pass gives the adjoint state at every knot.  The derivative
@@ -49,18 +50,14 @@ from .params import ModelParams, spectral_radius, validate_events_for
 from .paramvec import n_free
 
 _CHUNK = 256  # intervals per batch of (chunk, s, s) expm temporaries
-
-# Pade [13/13] coefficients and the largest ||A||_1 at which the approximant
-# meets unit roundoff backward error, for expm (Higham 2005) and for its
-# Frechet derivative (Al-Mohy & Higham 2009)
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-    16380.0, 182.0, 1.0,
-])
-_THETA13 = 5.371920351148152
-_ELL13 = 4.74
+# degree of the Taylor polynomial of every scaled step A, ||A||_1 <= 1: the
+# remainder of expm(A) is below 1/19! < 1e-17, and of its Frechet
+# derivative below 1/18! < 1e-15 of the direction's norm
+_TAYLOR_DEGREE = 18
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREE + 1)])
+# _FRECHET[j, l] = 1 / (j + l + 1)! for j + l < _TAYLOR_DEGREE, else 0
+_FRECHET = np.r_[1.0 / _FACTORIALS[1:], np.zeros(_TAYLOR_DEGREE - 1)][
+    np.add.outer(np.arange(_TAYLOR_DEGREE), np.arange(_TAYLOR_DEGREE))]
 
 
 @dataclasses.dataclass
@@ -95,87 +92,79 @@ class _Scan:
 
 class _Expm:
     """expm(M dt_n) for one generator M and a stack of step lengths dt_n,
-    and optionally the Frechet derivatives L(M dt_n, E_n) in a stack of
-    directions E_n, by scaling and squaring with the [13/13] Pade
-    approximant.
+    and optionally the Frechet derivatives L(M dt_n, u_n v_n^T) in a stack
+    of rank-one directions, by scaling and squaring with the Taylor
+    polynomial of degree K = _TAYLOR_DEGREE.
 
-    The powers M^0 .. M^13 (of M / ||M||_1, so that none overflows) are
-    computed once.  Each step gets its own squaring count from
-    ||M||_1 dt_n, and its scaled approximant's U and V are combinations of
-    those powers, so all steps are evaluated together, _CHUNK at a time.
+    The powers P[k] = (M / ||M||_1)^k, k <= K, are computed once (none
+    overflows).  Each step gets its own squaring count, the least sq_n with
+    ||M||_1 dt_n 2^-sq_n <= 1, so its scaled step is a_n P[1] with a_n <= 1
+    and its polynomial sum_k a_n^k / k! P[k] a combination of the shared
+    powers: all steps are evaluated together, _CHUNK at a time, and no
+    linear system is solved.  The polynomial's Frechet derivative in the
+    direction u v^T is
+
+        sum_{j + l < K} a^(j+l) / (j+l+1)! (P[j] u) (P[l]^T v)^T,
+
+    an (s, K) by (K, K) by (K, s) product; each squaring R <- R R carries
+    it as L <- R L + L R.
     """
-
-    # C[r, k] * a**k weighs power k of the scaled step in row r of
-    # U, V and, for the Frechet derivative, W = U / A, W1 and Z1
-    # (the names of Al-Mohy & Higham 2009, Algorithm 6.4)
-    _C = np.zeros((5, 14))
-    _C[0, 1::2] = _PADE13[1::2]
-    _C[1, 0::2] = _PADE13[0::2]
-    _C[2, 0::2] = _PADE13[1::2]
-    _C[3, [2, 4, 6]] = _PADE13[[9, 11, 13]]
-    _C[4, [2, 4, 6]] = _PADE13[[8, 10, 12]]
 
     def __init__(self, M: np.ndarray):
         # every layout has decay entries -theta != 0, so the norm is > 0
         self.norm = float(np.abs(M).sum(axis=0).max())
-        P = np.empty((14,) + M.shape)
+        P = np.empty((_TAYLOR_DEGREE + 1,) + M.shape)
         P[0] = np.eye(M.shape[0])
         B = M / self.norm
-        for k in range(1, 14):
+        for k in range(1, _TAYLOR_DEGREE + 1):
             P[k] = P[k - 1] @ B
         self.P = P
 
-    def __call__(self, dt, E=None):
-        """The (n, s, s) stack expm(M dt_n), and with directions E of shape
-        (n, s, s) also the stack of L(M dt_n, E_n)."""
+    def __call__(self, dt, u=None, v=None):
+        """The (n, s, s) stack expm(M dt_n), and with factors u and v of
+        shape (n, s) also the stack of L(M dt_n, u_n v_n^T)."""
         dt = np.asarray(dt, dtype=float)
         R = np.empty((dt.size,) + self.P.shape[1:])
-        L = None if E is None else np.empty_like(R)
+        L = None if u is None else np.empty_like(R)
         for lo in range(0, dt.size, _CHUNK):
             c = slice(lo, lo + _CHUNK)
-            if E is None:
+            if u is None:
                 R[c] = self._chunk(dt[c])
             else:
-                R[c], L[c] = self._chunk(dt[c], E[c])
-        return R if E is None else (R, L)
+                R[c], L[c] = self._chunk(dt[c], u[c], v[c])
+        return R if u is None else (R, L)
 
-    def _chunk(self, dt, E=None):
-        P, b = self.P, _PADE13
+    def _chunk(self, dt, u=None, v=None):
+        K, s = _TAYLOR_DEGREE, self.P.shape[1]
         norm = self.norm * dt
         with np.errstate(divide="ignore"):
-            sq = np.ceil(np.log2(norm / (_THETA13 if E is None else _ELL13)))
-        sq = np.maximum(sq, 0.0)
+            sq = np.maximum(np.ceil(np.log2(norm)), 0.0)
         scale = 2.0 ** -sq
         a = norm * scale  # the scaled step is a * P[1]
-        rows = 2 if E is None else 5
-        coef = self._C[:rows, None, :] * a[None, :, None] ** np.arange(14)
-        U, V, *rest = np.tensordot(coef, P, 1)
-        Q = V - U
-        # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U keeps exact the columns
-        # that A leaves zero, such as the integrals', whose unit diagonal
-        # would otherwise gain an error that doubles with every squaring
-        R = 2.0 * np.linalg.solve(Q, U) + P[0]
+        pw = a[:, None] ** np.arange(K + 1)
+        # M leaves the integrals' columns zero, and so does every P[k],
+        # k >= 1: those columns of R are exact unit columns, whose error
+        # would otherwise double with every squaring
+        R = ((pw / _FACTORIALS) @ self.P.reshape(K + 1, -1)).reshape(-1, s, s)
         L = None
-        if E is not None:
-            W, W1, Z1 = rest
-            a = a[:, None, None]
-            Es = E * scale[:, None, None]
-            M2 = a * (P[1] @ Es + Es @ P[1])
-            M4 = a**2 * (P[2] @ M2 + M2 @ P[2])
-            M6 = a**4 * (P[4] @ M2) + a**2 * (M4 @ P[2])
-            Lw = (a**6 * (P[6] @ (b[13] * M6 + b[11] * M4 + b[9] * M2))
-                  + M6 @ W1 + b[7] * M6 + b[5] * M4 + b[3] * M2)
-            Lu = a * (P[1] @ Lw) + Es @ W
-            Lv = (a**6 * (P[6] @ (b[12] * M6 + b[10] * M4 + b[8] * M2))
-                  + M6 @ Z1 + b[6] * M6 + b[4] * M4 + b[2] * M2)
-            L = np.linalg.solve(Q, Lu + Lv + (Lu - Lv) @ R)
+        if u is not None:
+            # U[n, i, j] = a^j (P[j] u)_i and V[n, i, l] = a^l (P[l]^T v)_i
+            # times the direction's scaling 2^-sq, so L = U _FRECHET V^T
+            Pj = self.P[:K]
+            U = (u @ Pj.transpose(2, 1, 0).reshape(s, -1)).reshape(-1, s, K)
+            V = (v @ Pj.transpose(1, 2, 0).reshape(s, -1)).reshape(-1, s, K)
+            U *= pw[:, None, :K]
+            V *= (scale[:, None] * pw[:, :K])[:, None, :]
+            L = ((U.reshape(-1, K) @ _FRECHET).reshape(-1, s, K)
+                 @ V.transpose(0, 2, 1))
         for k in range(int(sq.max(initial=0.0))):
             i = np.flatnonzero(sq > k)
             Ri = R[i]
             if L is not None:
-                L[i] = Ri @ L[i] + L[i] @ Ri
+                Li = L[i]
+                L[i] = Ri @ Li + Li @ Ri
             R[i] = Ri @ Ri
-        return R if E is None else (R, L)
+        return R if u is None else (R, L)
 
 
 class _Layout:
@@ -343,12 +332,12 @@ class PoiEvaluator:
         # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
         # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
         # every derivative is of expm(M dt) and uses its powers of M
+        u = sc.X[:-1] + sc.jumps[:-1]
+        v = lam[1:] * sc.dt[:, None]
         G = np.zeros((s, s))
         for lo in range(0, N - 1, _CHUNK):
-            n = np.arange(lo, min(N - 1, lo + _CHUNK))
-            dirs = ((sc.X[n] + sc.jumps[n])[:, :, None]
-                    * (lam[n + 1] * sc.dt[n, None])[:, None, :])
-            G += lay.expm(sc.dt[n], dirs)[1].sum(axis=0)
+            c = slice(lo, lo + _CHUNK)
+            G += lay.expm(sc.dt[c], u[c], v[c])[1].sum(axis=0)
         G = G.T
 
         # generator entries

@@ -17,7 +17,8 @@ dimension's event jumps the state.
 
 M never changes within a run, so every step reads two tables built once
 per run (_Steps), with h = 1 / ||M||_1: the Taylor terms (M h)^k / k!,
-and a dyadic ladder of expm(M 2^j h).  Across a long gap the state
+read off the powers of M h that the layout's expm (poi._Expm) shares with
+the scan, and a dyadic ladder of expm(M 2^j h).  Across a long gap the state
 gallops up and down the ladder, one matrix-vector product per rung, while
 a rung ends before the next stop and the compensator stays below the
 draw.  The event then lies within h, where the compensator is a
@@ -54,11 +55,10 @@ from .errors import (
     ParameterError,
 )
 from .params import Dataset, EventHistory, ModelParams, validate_events_for
-from .poi import _Layout, _scan
+from .poi import _FACTORIALS, _TAYLOR_DEGREE, _Layout, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
 _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
-_TAYLOR_DEGREE = 18  # at ||M h||_1 = 1 the remainder is below 1/19! < 1e-17
 _DEGREES = np.arange(_TAYLOR_DEGREE + 1)
 _TAYLOR_MAX_TERMS = 30  # at ||A||_1 h <= 1/4 about 16 terms reach _EPS
 _EPS = np.finfo(float).eps
@@ -66,11 +66,13 @@ _SAME_WIDTH = 1e-12  # relative gap below which forecast windows share a step
 
 
 class _Steps:
-    """The steps of expm(M tau) that one run of the sampler takes, for the
-    compensator sum of x[comp] over a span of time.
+    """The steps of expm(M tau) that runs of the sampler take, for the
+    compensator sum of x[comp] over a span of time; runs with the same
+    layout, comp and span (the samples of one sampled forecast) share one.
 
-    With h = 1 / ||M||_1, taylor stacks (M h)^k / k! for k <= _TAYLOR_DEGREE,
-    so V = (taylor @ x).reshape(-1, s) gives the state at u h, u <= 1, as
+    With h = 1 / ||M||_1, taylor stacks (M h)^k / k! for k <= _TAYLOR_DEGREE:
+    the powers P[k] = (M h)^k that lay.expm holds for the scan, divided by
+    k!.  V = (taylor @ x).reshape(-1, s) gives the state at u h, u <= 1, as
     sum_k u^k V[k], and the compensator there as a polynomial in u.  The
     dyadic ladder holds rungs[j] = expm(M 2^j h) for the widths that fit in
     the span, with rises[j] = c (rungs[j] - I), c the indicator of comp: the
@@ -80,11 +82,7 @@ class _Steps:
     def __init__(self, lay: _Layout, comp, span: float):
         s = lay.s
         self.h = h = 1.0 / lay.expm.norm
-        P = np.empty((_TAYLOR_DEGREE + 1, s, s))
-        P[0] = np.eye(s)
-        for k in range(1, _TAYLOR_DEGREE + 1):
-            P[k] = (lay.M @ P[k - 1]) * (h / k)
-        self.taylor = P.reshape(-1, s)
+        self.taylor = (lay.expm.P / _FACTORIALS[:, None, None]).reshape(-1, s)
         c = np.zeros(s)
         c[comp] = 1.0
         self.c = c
@@ -150,9 +148,12 @@ def _invert(c, end: float, target: float):
 
 
 def _continue(lay: _Layout, x, t: float, stops, sample_dims,
-              rng: np.random.Generator, max_events: int):
+              rng: np.random.Generator, max_events: int, *,
+              steps: _Steps | None = None):
     """Run the process from state x (left unchanged) at time t to stops[-1],
-    drawing the events of sample_dims.
+    drawing the events of sample_dims.  Runs that share lay, sample_dims, t
+    and stops[-1] may share their steps, built once as
+    _Steps(lay, lay.I[sample_dims], stops[-1] - t).
 
     Returns the new event times per dimension and a (len(stops), d) array
     whose row n integrates xi from the previous stop (from t for n = 0) to
@@ -162,7 +163,8 @@ def _continue(lay: _Layout, x, t: float, stops, sample_dims,
     active = np.asarray(sample_dims, dtype=int)
     comp = lay.I[active]
     rates = lay.R[active]
-    steps = _Steps(lay, comp, float(stops[-1]) - t)
+    if steps is None:
+        steps = _Steps(lay, comp, float(stops[-1]) - t)
     h, s = steps.h, lay.s
     new_times = [[] for _ in range(d)]
     integrals = np.zeros((len(stops), d))
@@ -400,6 +402,8 @@ def predict_counts_sampled(
     noisier than predict_counts, which it validates."""
     lay, x_train, bnds = _start(params, dataset, boundaries, n_samples)
     e = params.e
+    dims = np.arange(params.d)
+    steps = _Steps(lay, lay.I[dims], float(bnds[-1]) - dataset.T)
     children = np.random.SeedSequence(seed).spawn(n_samples)
     mean = np.zeros((bnds.size - 1, e))
     m2 = np.zeros_like(mean)
@@ -408,8 +412,8 @@ def predict_counts_sampled(
     for child in children:
         rng = np.random.default_rng(child)
         try:
-            new_times, _ = _continue(lay, x_train, dataset.T, bnds,
-                                     range(params.d), rng, max_events)
+            new_times, _ = _continue(lay, x_train, dataset.T, bnds, dims,
+                                     rng, max_events, steps=steps)
         except ExplosionError:
             n_failed += 1
             continue

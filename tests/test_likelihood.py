@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmbp
 
@@ -191,6 +193,46 @@ def test_nll_and_grad_fd_wide(d, e):
         return total_nll(unpack(params, vec, include_gamma=True), ds)
 
     _, grad = nll_and_grad(params, ds, include_gamma=True)
+    fd = central_fd(f, pack(params, include_gamma=True), step=1e-5)
+    assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(2, 4), data=st.data())
+def test_events_on_censor_boundaries(d, data):
+    # observed events exactly on window boundaries share a knot with the
+    # compensator's query there, which reads the left limit: the value is
+    # finite and the gradient matches central differences
+    e = data.draw(st.integers(1, d - 1), label="e")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    T = 8.0
+    bounds = np.arange(T + 1.0)
+    params = ModelParams(
+        d=d, e=e, theta=rng.uniform(0.5, 1.5, (d, d)),
+        alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+        gamma=rng.uniform(0.2, 0.5, d), nu=rng.uniform(0.4, 0.9, d),
+    )
+    ds = Dataset(
+        T=T,
+        censored=tuple(
+            CensoredSeries(boundaries=bounds, counts=rng.poisson(0.8, int(T)))
+            for _ in range(e)
+        ),
+        events=tuple(
+            np.sort(np.concatenate([
+                rng.choice(bounds[:-1], size=3, replace=False),
+                rng.uniform(0.0, T, size=2),
+            ]))
+            for _ in range(d - e)
+        ),
+    )
+
+    def f(vec):
+        return total_nll(unpack(params, vec, include_gamma=True), ds)
+
+    value, grad = nll_and_grad(params, ds, include_gamma=True)
+    assert np.isfinite(value)
     fd = central_fd(f, pack(params, include_gamma=True), step=1e-5)
     assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pmbp import (
+    CensoredSeries,
     Dataset,
     DomainError,
     ModelParams,
@@ -14,7 +15,10 @@ from pmbp import (
     RegularityError,
     compensator_eval,
     fd_gradient,
+    nll_and_grad,
     pack,
+    predict_counts,
+    sample_pmbp,
     total_nll,
     unpack,
     xi_eval,
@@ -234,6 +238,56 @@ def test_derivatives_match_fd_past_chunk():
     assert np.max(np.abs(g_an - g_fd) / np.maximum(np.abs(g_fd), 1e-3)) < 1e-6
 
 
+def test_derivatives_match_fd_through_squarings():
+    # decays from 1e-3 to 1e3 give steps of 5 to 14 squarings, each of
+    # which carries the Frechet derivative along as L <- R L + L R
+    rng = np.random.default_rng(4)
+    theta = 10.0 ** rng.uniform(-3.0, 3.0, (3, 3))
+    theta[0, 0], theta[1, 2] = 1e3, 1e-3
+    p = ModelParams(d=3, e=2, theta=theta, alpha=rng.uniform(0.1, 0.3, (3, 3)),
+                    gamma=[0.4, 0.3, 0.2], nu=rng.uniform(0.4, 0.9, 3))
+    events = [np.sort(rng.uniform(0.0, 60.0, size=6)) for _ in range(p.d)]
+    t = np.r_[rng.uniform(0.0, 60.0, size=10), 30.0 + 0.04 * np.arange(4)]
+    c_xi = rng.standard_normal((t.size, p.d))
+    # Xi grows with t: dividing its cotangents by t keeps the rounding of
+    # the functional, which central differences divide by the step, below
+    # the tolerance
+    c_Xi = rng.standard_normal((t.size, p.d)) / t[:, None]
+
+    def f(vec):
+        v = PoiEvaluator(unpack(p, vec, True), events).values(t)
+        return float(np.sum(c_xi * v.xi + c_Xi * v.Xi))
+
+    ev = PoiEvaluator(p, events)
+    vals = ev.values(t)
+    sq = np.ceil(np.log2(ev.layout.expm.norm * vals.scan.dt))
+    assert sq.min() >= 5 and sq.max() == 14
+    g_an = ev.vjp(vals, c_xi, c_Xi, True)
+    g_fd = fd_gradient(f, pack(p, True))
+    assert np.max(np.abs(g_an - g_fd) / np.maximum(np.abs(g_fd), 1e-3)) < 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_compensator_is_monotone(d, data):
+    # Xi integrates xi >= 0, so it never decreases, at query times placed
+    # between events and on them; rows of alpha sum below 0.9, so every
+    # model is subcritical
+    e = data.draw(st.integers(0, d), label="e")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    p = ModelParams(d=d, e=e, theta=10.0 ** rng.uniform(-3.0, 3.0, (d, d)),
+                    alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+                    gamma=rng.uniform(0.0, 0.5, d),
+                    nu=rng.uniform(0.1, 1.0, d))
+    events = [np.sort(rng.uniform(0.0, 20.0, rng.integers(0, 15)))
+              for _ in range(d)]
+    t = np.sort(np.concatenate([rng.uniform(0.0, 20.0, 40), *events[e:]]))
+    vals = PoiEvaluator(p, events).values(t)
+    assert np.all(vals.xi >= 0.0)
+    assert np.all(np.diff(vals.Xi, axis=0) >= -1e-12 * np.abs(vals.Xi).max())
+
+
 def _check_expm_stack(lay, dt, rng):
     """lay.expm against scipy.linalg.expm step by step, and its Frechet
     derivatives, transposed, against the Van Loan oracle, both to 1e-12 of
@@ -241,8 +295,7 @@ def _check_expm_stack(lay, dt, rng):
     R = lay.expm(dt)
     x = rng.standard_normal((dt.size, lay.s))
     lam = rng.standard_normal((dt.size, lay.s))
-    dirs = x[:, :, None] * (lam * dt[:, None])[:, None, :]
-    R2, L = lay.expm(dt, dirs)
+    R2, L = lay.expm(dt, x, lam * dt[:, None])
     # nothing feeds back from the integrals, so their columns of every step
     # are exact unit columns; an error there doubles with each squaring
     assert np.all(R[:, lay.I, lay.I] == 1.0)
@@ -282,6 +335,38 @@ def test_expm_stack_edge_cases(theta, dt, full):
                     alpha=[[0.3, 0.2, 0.1], [0.2, 0.3, 0.2], [0.1, 0.1, 0.2]],
                     gamma=np.zeros(3), nu=[0.4, 0.5, 0.6])
     _check_expm_stack(_Layout(p, full), np.array(dt), np.random.default_rng(1))
+
+
+def test_evaluation_path_solves_no_linear_system(monkeypatch):
+    # every step of the scan, its adjoint, the sampler and the forecast is
+    # a Taylor polynomial in shared powers of M, then squarings
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear solve on the evaluation path")
+
+    rng = np.random.default_rng(9)
+    T = 10.0
+    cases = []
+    for d, e in [(2, 1), (4, 2)]:
+        p = ModelParams(d=d, e=e, theta=rng.uniform(0.5, 2.0, (d, d)),
+                        alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+                        gamma=np.zeros(d), nu=rng.uniform(0.2, 0.6, d))
+        ds = Dataset(
+            T=T,
+            censored=tuple(CensoredSeries(boundaries=np.arange(T + 1.0),
+                                          counts=rng.poisson(0.8, int(T)))
+                           for _ in range(e)),
+            events=tuple(np.sort(rng.uniform(0.0, T, 7))
+                         for _ in range(d - e)),
+        )
+        cases.append((p, ds))
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for p, ds in cases:
+        value, grad = nll_and_grad(p, ds)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        pred = predict_counts(p, ds, T + np.arange(3.0), n_samples=1, seed=0)
+        assert np.all(np.isfinite(pred.mean))
+        assert sample_pmbp(p, 20.0, seed=0).T == 20.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 100, 5000])

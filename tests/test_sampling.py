@@ -225,6 +225,33 @@ def test_predict_agrees_with_sampled_reference(pmbp21_sub):
     assert np.all(np.abs(fast.mean[:, 0] - ref.mean[:, 0]) < 4 * se + 0.05)
 
 
+def test_sampled_forecast_builds_steps_once(pmbp21_sub, monkeypatch):
+    # the samples of one call share one set of step tables, and draw the
+    # same counts as when every sample builds its own
+    ds = _trained_dataset(pmbp21_sub)
+    bnds = np.array([10.0, 12.0, 14.0])
+    built = []
+
+    class Counted(pmbp.sampling._Steps):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pmbp.sampling, "_Steps", Counted)
+    shared = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=20, seed=3)
+    assert len(built) == 1
+    # dropping the shared tables makes every sample build its own
+    cont = pmbp.sampling._continue
+    monkeypatch.setattr(pmbp.sampling, "_continue",
+                        lambda *args, steps: cont(*args))
+    built.clear()
+    rebuilt = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=20,
+                                     seed=3)
+    assert len(built) == 1 + 20
+    assert np.array_equal(shared.mean, rebuilt.mean)
+    assert np.array_equal(shared.sd, rebuilt.sd)
+
+
 def test_predict_boundary_validation(pmbp21_sub):
     ds = _trained_dataset(pmbp21_sub)
     with pytest.raises(ParameterError):
