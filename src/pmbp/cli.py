@@ -11,7 +11,7 @@ Conventions shared by every subcommand:
 * Model parameters travel as a JSON object (``--params FILE`` or the
   ``"params"`` config key) with keys d, e, theta, alpha, nu, gamma.
 * Machine output goes to stdout or ``--out``; logs go to stderr.
-* Every command is deterministic given its inputs and ``--seed``.
+* Every command is deterministic given its inputs and its ``--seed``, if any.
 * The exit code is 0 only on full success: usage errors (a missing or
   invalid option) exit 2, library and file errors exit 1.
 """
@@ -122,9 +122,13 @@ class _NumberList(click.ParamType):
     def convert(self, value, param, ctx):
         items = value.split(",") if isinstance(value, str) else value
         try:
-            return [self.number(float(v)) for v in items if str(v).strip()]
+            nums = [float(v) for v in items if str(v).strip()]
         except (TypeError, ValueError) as exc:
             self.fail(f"expected comma-separated numbers: {exc}", param, ctx)
+        if self.number is int and not all(x.is_integer() for x in nums):
+            self.fail(f"expected comma-separated integers, got {value!r}",
+                      param, ctx)
+        return [self.number(x) for x in nums]
 
 
 _POSITIVE = click.FloatRange(min=0, min_open=True)
@@ -311,12 +315,8 @@ def cmd_evaluate(params_path, data, step, t_end, out):
               help="Forecast length past the data.")
 @click.option("--width", type=_POSITIVE, default=1.0,
               help="Forecast interval width.")
-@click.option("--n-samples", type=int, default=500,
-              help="Deprecated: must be >= 1, no longer affects the forecast.")
-@click.option("--seed", type=int, default=0,
-              help="Deprecated: no longer affects the forecast.")
 @click.option("--out", type=click.Path())
-def cmd_predict(params_path, data, horizon, width, n_samples, seed, out):
+def cmd_predict(params_path, data, horizon, width, out):
     """Forecast censored-dimension counts on future intervals; CSV output.
 
     Gives the exact mean and sd of the censored block's compensator
@@ -326,7 +326,7 @@ def cmd_predict(params_path, data, horizon, width, n_samples, seed, out):
     ds = read_dataset(data)
     n_iv = int(np.ceil(horizon / width - 1e-12))
     bnds = ds.T + np.minimum(width * np.arange(n_iv + 1), horizon)
-    pred = predict_counts(params, ds, bnds, n_samples, seed)
+    pred = predict_counts(params, ds, bnds, 1, 0)  # both unused: exact
     header = ["interval_start", "interval_end", "dim", "mean", "sd"]
     rows = (
         [pred.boundaries[k], pred.boundaries[k + 1], j + 1,
@@ -396,14 +396,11 @@ def cmd_recover(params_path, n_sequences, group_size, censor_widths, t_end,
 @_config
 @click.option("--params", "params_path", type=click.Path(exists=True))
 @click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--n-draws", type=int, default=2000,
-              help="Poisson band draws (default 2000).")
-@click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path())
-def cmd_gof(params_path, data, n_draws, seed, out):
+def cmd_gof(params_path, data, out):
     """Goodness-of-fit diagnostics for a fitted model on a dataset; JSON."""
     params = _load_params(params_path)
-    report = gof_report(params, read_dataset(data), n_draws=n_draws, seed=seed)
+    report = gof_report(params, read_dataset(data))
     _emit_json(report.to_dict(), out)
 
 

@@ -11,9 +11,9 @@ Three complementary checks:
   increments are not too small; a skewness/kurtosis normality test
   quantifies the match.
 * :func:`fit_score` — the fraction of windows whose observed count falls
-  inside the central 95% band of Poisson draws parameterised by the
-  compensator increment.  A well-calibrated model scores close to 0.95;
-  gross misfit drives the score toward 0.
+  inside the central 95% band of the Poisson law whose mean is the
+  compensator increment, read off its exact quantiles.  A well-calibrated
+  model scores close to 0.95; gross misfit drives the score toward 0.
 
 The low-level functions operate on plain arrays so they can be fed from
 any compensator; :func:`gof_report` wires them to a fitted model and a
@@ -101,13 +101,13 @@ def gof_anscombe(counts, increments):
     return residuals, float(statistic), float(p_value)
 
 
-def fit_score(counts, increments, n_draws: int = 2000, seed: int = 0) -> float:
+def fit_score(counts, increments) -> float:
     """Fraction of windows with counts inside the central 95% band.
 
-    For each window the band is the [2.5, 97.5] percentile range of
-    ``n_draws`` Poisson samples with mean equal to the compensator
-    increment.  Returns a value in [0, 1]; approximately 0.95 indicates
-    a well-calibrated fit.
+    For each window the band is ``[ppf(0.025), ppf(0.975)]`` of the Poisson
+    law with mean equal to the compensator increment, both ends inclusive;
+    a zero increment gives the band ``[0, 0]``.  Returns a value in [0, 1];
+    approximately 0.95 indicates a well-calibrated fit.
     """
     C = np.asarray(counts, dtype=float)
     inc = np.asarray(increments, dtype=float)
@@ -118,11 +118,9 @@ def fit_score(counts, increments, n_draws: int = 2000, seed: int = 0) -> float:
         raise InsufficientDataError("fit_score needs at least one window")
     if np.any(~np.isfinite(inc)) or np.any(inc < 0):
         raise DomainError("compensator increments must be finite and >= 0")
-    if n_draws < 2:
-        raise DomainError("n_draws must be at least 2")
-    rng = np.random.default_rng(seed)
-    draws = rng.poisson(lam=inc[None, :], size=(n_draws, inc.size))
-    lo, hi = np.percentile(draws, [2.5, 97.5], axis=0)
+    from scipy import stats
+
+    lo, hi = stats.poisson.ppf([[0.025], [0.975]], inc)
     inside = (C >= lo) & (C <= hi)
     return float(inside.mean())
 
@@ -164,14 +162,14 @@ class GofReport:
         return out
 
 
-def gof_report(params: ModelParams, dataset: Dataset, n_draws: int = 2000,
-               seed: int = 0) -> GofReport:
+def gof_report(params: ModelParams, dataset: Dataset) -> GofReport:
     """Run every applicable diagnostic on every dimension of a dataset.
 
-    Censored dimensions get the normality test and the coverage score on
-    their window counts; dimensions with exact event times get the
-    time-rescaling KS test.  Dimensions whose data defeat a test are
-    reported under ``skipped`` instead of raising.
+    Censored dimensions get the normality test and the exact coverage
+    score (:func:`fit_score`) on their window counts; dimensions with exact
+    event times get the time-rescaling KS test.  Dimensions whose data
+    defeat a test are reported under ``skipped`` instead of raising.  The
+    report is a function of ``params`` and ``dataset`` alone.
     """
     d, e = params.d, params.e
     if dataset.d != d or dataset.e != e:
@@ -191,8 +189,7 @@ def gof_report(params: ModelParams, dataset: Dataset, n_draws: int = 2000,
                 inc = np.diff(Xi)
                 _, stat, p = gof_anscombe(series.counts, inc)
                 normality[dim] = (stat, p)
-                scores[dim] = fit_score(series.counts, inc,
-                                        n_draws=n_draws, seed=seed + dim)
+                scores[dim] = fit_score(series.counts, inc)
             else:
                 times = dataset.events[dim - 1 - e]
                 _, stat, p = gof_time_rescaling(

@@ -92,8 +92,8 @@ class _Scan:
 
 class _Expm:
     """expm(M dt_n) for one generator M and a stack of step lengths dt_n,
-    and optionally the Frechet derivatives L(M dt_n, u_n v_n^T) in a stack
-    of rank-one directions, by scaling and squaring with the Taylor
+    or the sum over n of the Frechet derivatives L(M dt_n, u_n v_n^T) in a
+    stack of rank-one directions, by scaling and squaring with the Taylor
     polynomial of degree K = _TAYLOR_DEGREE.
 
     The powers P[k] = (M / ||M||_1)^k, k <= K, are computed once (none
@@ -121,18 +121,18 @@ class _Expm:
         self.P = P
 
     def __call__(self, dt, u=None, v=None):
-        """The (n, s, s) stack expm(M dt_n), and with factors u and v of
-        shape (n, s) also the stack of L(M dt_n, u_n v_n^T)."""
+        """The (n, s, s) stack expm(M dt_n), or with factors u and v of
+        shape (n, s) the (s, s) sum over n of L(M dt_n, u_n v_n^T),
+        accumulated chunk by chunk."""
         dt = np.asarray(dt, dtype=float)
+        cuts = [slice(lo, lo + _CHUNK) for lo in range(0, dt.size, _CHUNK)]
+        if u is not None:
+            return sum((self._chunk(dt[c], u[c], v[c]).sum(axis=0)
+                        for c in cuts), np.zeros(self.P.shape[1:]))
         R = np.empty((dt.size,) + self.P.shape[1:])
-        L = None if u is None else np.empty_like(R)
-        for lo in range(0, dt.size, _CHUNK):
-            c = slice(lo, lo + _CHUNK)
-            if u is None:
-                R[c] = self._chunk(dt[c])
-            else:
-                R[c], L[c] = self._chunk(dt[c], u[c], v[c])
-        return R if u is None else (R, L)
+        for c in cuts:
+            R[c] = self._chunk(dt[c])
+        return R
 
     def _chunk(self, dt, u=None, v=None):
         K, s = _TAYLOR_DEGREE, self.P.shape[1]
@@ -164,7 +164,7 @@ class _Expm:
                 Li = L[i]
                 L[i] = Ri @ Li + Li @ Ri
             R[i] = Ri @ Ri
-        return R if u is None else (R, L)
+        return R if u is None else L
 
 
 class _Layout:
@@ -334,11 +334,7 @@ class PoiEvaluator:
         # every derivative is of expm(M dt) and uses its powers of M
         u = sc.X[:-1] + sc.jumps[:-1]
         v = lam[1:] * sc.dt[:, None]
-        G = np.zeros((s, s))
-        for lo in range(0, N - 1, _CHUNK):
-            c = slice(lo, lo + _CHUNK)
-            G += lay.expm(sc.dt[c], u[c], v[c])[1].sum(axis=0)
-        G = G.T
+        G = lay.expm(sc.dt, u, v).T
 
         # generator entries
         R = np.zeros((d, e))

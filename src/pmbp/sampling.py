@@ -348,7 +348,8 @@ def predict_counts(
 
     n_samples and seed no longer affect the result (deprecated): n_samples
     must still be >= 1 and is echoed in Prediction.n_samples, seed is
-    ignored, and n_failed is 0.
+    ignored, and n_failed is 0.  `pmbp predict` takes neither and passes
+    fixed values.
     A supercritical observed block has no stationary regime but finite
     moments: they grow exponentially with the horizon, rather than samples
     exploding, and overflow to inf only past horizons where that growth

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pmbp import (
     CensoredSeries,
@@ -116,18 +117,37 @@ def test_fit_score_calibrated_and_miscalibrated():
     rng = np.random.default_rng(2)
     inc = np.full(200, 12.0)
     good = rng.poisson(inc)
-    assert fit_score(good, inc, seed=5) > 0.88
-    assert fit_score(good * 3, inc, seed=5) < 0.2
+    assert fit_score(good, inc) > 0.88
+    assert fit_score(good * 3, inc) < 0.2
 
 
-def test_fit_score_determinism_and_errors():
+def test_fit_score_band_is_the_exact_poisson_quantiles():
+    inc = np.array([5.0, 12.0, 40.0, 100.0])
+    lo, hi = stats.poisson.ppf([[0.025], [0.975]], inc)
+    assert np.all(lo >= 1.0)
+    # both ends of the band are inside; one count past either is outside
+    assert fit_score(lo, inc) == 1.0
+    assert fit_score(hi, inc) == 1.0
+    assert fit_score(lo - 1.0, inc) == 0.0
+    assert fit_score(hi + 1.0, inc) == 0.0
+    # a window with a zero increment has the band [0, 0]
+    assert fit_score([0.0, 1.0], [0.0, 0.0]) == 0.5
+
+
+def test_fit_score_determinism_and_errors(monkeypatch):
     counts = np.array([4.0, 5.0, 6.0])
     inc = np.array([5.0, 5.0, 5.0])
-    assert fit_score(counts, inc, seed=7) == fit_score(counts, inc, seed=7)
+    first = fit_score(counts, inc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_score drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert all(fit_score(counts, inc) == first for _ in range(3))
+    with pytest.raises(TypeError):
+        fit_score(counts, inc, seed=7)
     with pytest.raises(DomainError):
         fit_score(counts, -inc)
-    with pytest.raises(DomainError):
-        fit_score(counts, inc, n_draws=1)
     with pytest.raises(InsufficientDataError):
         fit_score(np.zeros(0), np.zeros(0))
 
@@ -149,7 +169,7 @@ def report_setup(pmbp21_sub):
 
 def test_gof_report_structure(report_setup):
     params, ds = report_setup
-    rep = gof_report(params, ds, seed=3)
+    rep = gof_report(params, ds)
     assert 1 in rep.normality and 1 in rep.fit_scores
     assert 2 in rep.ks
     assert 0.0 <= rep.fit_scores[1] <= 1.0

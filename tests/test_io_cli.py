@@ -186,7 +186,7 @@ def test_cli_fit_predict_gof(runner, workdir):
         runner,
         ["predict", "--params", str(workdir / "pmbp.json"),
          "--data", str(ds_path), "--horizon", "4", "--width", "2",
-         "--n-samples", "10", "--seed", "5", "--out", str(pred)],
+         "--out", str(pred)],
         pred,
     )
     with open(pred) as fp:
@@ -199,8 +199,7 @@ def test_cli_fit_predict_gof(runner, workdir):
     _run_twice_identical(
         runner,
         ["gof", "--params", str(workdir / "pmbp.json"),
-         "--data", str(ds_path), "--n-draws", "200", "--seed", "1",
-         "--out", str(gof_out)],
+         "--data", str(ds_path), "--out", str(gof_out)],
         gof_out,
     )
     doc = json.loads(gof_out.read_text())
@@ -334,6 +333,44 @@ def test_cli_config_lone_string_for_repeated_option(runner, workdir, tmp_path):
     cfg.write_text(json.dumps({"data": str(ds), "out": str(fit_cfg)}))
     _run(runner, ["fit", "--config", str(cfg)] + common)
     assert fit_cfg.read_bytes() == fit_flag.read_bytes()
+
+
+def test_cli_exact_commands_take_no_sampling_knobs(runner, workdir, tmp_path):
+    # gof and predict are exact: their removed sampling flags are usage
+    # errors, and stale config keys of the same names are ignored
+    ev, ds = workdir / "ev2.jsonl", workdir / "ds2.json"
+    _run(runner, ["sample-pmbp", "--params", str(workdir / "pmbp.json"),
+                  "--t-end", "12", "--seed", "8", "--out", str(ev)])
+    _run(runner, ["censor", "--events", str(ev), "--dims", "1",
+                  "--width", "2", "--out", str(ds)])
+    common = ["--params", str(workdir / "pmbp.json"), "--data", str(ds)]
+    commands = {"gof": common,
+                "predict": common + ["--horizon", "4", "--width", "2"]}
+    for name, flag in [("gof", "--n-draws"), ("gof", "--seed"),
+                       ("predict", "--n-samples"), ("predict", "--seed")]:
+        res = runner.invoke(main, [name] + commands[name] + [flag, "5"])
+        assert res.exit_code == 2, (name, flag)
+        assert "No such option" in res.output
+    for name, args in commands.items():
+        by_flag, by_cfg = workdir / f"{name}_flag", workdir / f"{name}_cfg"
+        _run(runner, [name] + args + ["--out", str(by_flag)])
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"n_draws": 5, "n_samples": 5, "seed": 5,
+                                   "out": str(by_cfg)}))
+        _run(runner, [name, "--config", str(cfg)] + args)
+        assert by_cfg.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("dims", ["1.5", "0.9"])
+def test_cli_dims_must_be_integers(runner, workdir, dims):
+    # a fractional dimension is a usage error, not truncated to an integer
+    ev = workdir / "ev3.jsonl"
+    _run(runner, ["sample-pmbp", "--params", str(workdir / "pmbp.json"),
+                  "--t-end", "12", "--seed", "8", "--out", str(ev)])
+    res = runner.invoke(main, ["censor", "--events", str(ev), "--dims", dims,
+                               "--width", "2"])
+    assert res.exit_code == 2
+    assert "expected comma-separated integers" in res.output
 
 
 @pytest.mark.parametrize("args", [["censor", "--dims", "x", "--width", "1"],

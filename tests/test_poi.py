@@ -291,21 +291,26 @@ def test_compensator_is_monotone(d, data):
 def _check_expm_stack(lay, dt, rng):
     """lay.expm against scipy.linalg.expm step by step, and its Frechet
     derivatives, transposed, against the Van Loan oracle, both to 1e-12 of
-    the reference's largest entry."""
+    the reference's largest entry: each step's alone, and their sum over
+    the whole stack to 1e-12 of the sum of the steps' largest entries."""
     R = lay.expm(dt)
     x = rng.standard_normal((dt.size, lay.s))
     lam = rng.standard_normal((dt.size, lay.s))
-    R2, L = lay.expm(dt, x, lam * dt[:, None])
+    v = lam * dt[:, None]
     # nothing feeds back from the integrals, so their columns of every step
     # are exact unit columns; an error there doubles with each squaring
     assert np.all(R[:, lay.I, lay.I] == 1.0)
+    scale = 0.0
     for n, h in enumerate(dt):
         ref = expm(lay.M * h)
-        for got in (R[n], R2[n]):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), h
-        ref = van_loan_frechet_sum(lay.M, dt[n : n + 1], lam[n : n + 1],
-                                   x[n : n + 1])
-        assert np.max(np.abs(L[n].T - ref)) <= 1e-12 * np.max(np.abs(ref)), h
+        assert np.max(np.abs(R[n] - ref)) <= 1e-12 * np.max(np.abs(ref)), h
+        step = slice(n, n + 1)
+        ref = van_loan_frechet_sum(lay.M, dt[step], lam[step], x[step])
+        got = lay.expm(dt[step], x[step], v[step]).T
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), h
+        scale += np.max(np.abs(ref))
+    ref = van_loan_frechet_sum(lay.M, dt, lam, x)
+    assert np.max(np.abs(lay.expm(dt, x, v).T - ref)) <= 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)
