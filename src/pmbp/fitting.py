@@ -76,13 +76,16 @@ class FitConfig:
 
 @dataclasses.dataclass
 class StartRecord:
-    """Outcome of one optimization start."""
+    """Outcome of one optimization start.  pg_norm is the max-norm of the
+    projected gradient max|x - clip(x - g, lb, ub)| at the returned point
+    (NaN when no finite objective was reached)."""
 
     start_index: int
     x0: np.ndarray
     nll: float
     n_iter: int
     reason: str
+    pg_norm: float
 
     @property
     def converged(self) -> bool:
@@ -97,6 +100,7 @@ class StartRecord:
             "n_iter": self.n_iter,
             "reason": self.reason,
             "converged": self.converged,
+            "pg_norm": float(self.pg_norm) if np.isfinite(self.pg_norm) else None,
         }
 
 
@@ -152,11 +156,12 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
 
 
 def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f):
-    """Minimize over a box; returns (x, f, n_iter, reason)."""
+    """Minimize over a box; returns (x, f, n_iter, reason, pg_norm), the last
+    the max-norm of the projected gradient at x."""
     x = np.clip(x0, lb, ub)
     fx, gx = f_and_g(x)
     if not np.isfinite(fx):
-        return x, np.inf, 0, "infeasible_start"
+        return x, np.inf, 0, "infeasible_start", np.nan
     pairs = []
     reason = "max_iter"
     it = 0
@@ -203,7 +208,8 @@ def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f):
         if abs(f_prev - fx) <= tol_f * max(1.0, abs(fx)):
             reason = "f_converged"
             break
-    return x, fx, it, reason
+    pg_norm = float(np.max(np.abs(x - np.clip(x - gx, lb, ub))))
+    return x, fx, it, reason, pg_norm
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +347,10 @@ def fit(datasets, cfg: FitConfig | None = None) -> FitResult:
     records = []
     best = None
     for k, x0 in enumerate(_starts(cfg, d, e, emp, lb, ub)):
-        x, fx, n_iter, reason = _minimize_box(
+        x, fx, n_iter, reason, pg_norm = _minimize_box(
             f_and_g, x0, lb, ub, cfg.max_iter, cfg.tol_f
         )
-        records.append(StartRecord(k, x0, fx, n_iter, reason))
+        records.append(StartRecord(k, x0, fx, n_iter, reason, pg_norm))
         if np.isfinite(fx) and (best is None or fx < best[1]):
             best = (x, fx, k)
     if best is None:

@@ -8,7 +8,9 @@ baseline rates are configurable.  The objective is exact: an observed
 event at zero intensity, or a window with a positive count and a zero
 compensator increment, scores +inf.  Gradients
 differentiate exactly the computed objective: its cotangents on xi and Xi
-go through the evaluator's adjoint pass.
+go through the evaluator's adjoint pass.  Every dataset of one objective
+shares one layout and one scan (`pmbp.poi`); the dimensions that the scan
+does not reach are scored before it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .params import Dataset, ModelParams
+from .decay import build_source_decays
+from .params import Dataset, ModelParams, validate_events_for
 from .paramvec import n_free
-from .poi import PoiEvaluator
+from .poi import _decay_values, _decay_vjp, _Layout, _scan_values, _scan_vjp
 
 _INCREMENT_SLACK = -1e-9  # tolerated negative compensator increment
 
@@ -119,6 +122,49 @@ def _check_compat(params: ModelParams, datasets) -> None:
             )
 
 
+def _query_times(ds: Dataset) -> np.ndarray:
+    """Every time the objective reads: T, the window boundaries and the
+    observed events, sorted and unique."""
+    pieces = [np.array([ds.T])]
+    pieces += [series.boundaries for series in ds.censored]
+    pieces += [np.asarray(ts, dtype=float) for ts in ds.events]
+    return np.unique(np.concatenate(pieces))
+
+
+def _score(ds: Dataset, out, w, dims, terms, g_xi, g_Xi):
+    """Score the terms of dataset ds on the dimensions flagged in dims into
+    terms (weighted by w), and their cotangents on out.xi and out.Xi into
+    g_xi and g_Xi.  Returns the first term that is not finite (the
+    observations are impossible), else None."""
+    t = out.t
+    for j, series in enumerate(ds.censored):
+        if not dims[j]:
+            continue
+        pos = np.searchsorted(t, series.boundaries)
+        try:
+            value, dinc = _window_nll(out.Xi[pos, j], series.counts)
+        except NumericalConsistencyError as exc:
+            raise NumericalConsistencyError(f"dimension {j + 1}: {exc}") from None
+        terms[j] = w[j] * value
+        if not np.isfinite(terms[j]):
+            return terms[j]
+        g_Xi[pos[1:], j] += w[j] * dinc
+        g_Xi[pos[:-1], j] -= w[j] * dinc
+    pos_T = np.searchsorted(t, ds.T)
+    for jj, ts in enumerate(ds.events):
+        j = ds.e + jj
+        if not dims[j]:
+            continue
+        pos = np.searchsorted(t, np.asarray(ts, dtype=float))
+        xi_ev = out.xi[pos, j]
+        terms[j] = w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]))
+        if not np.isfinite(terms[j]):
+            return terms[j]
+        g_xi[pos, j] -= w[j] * (1.0 / xi_ev)
+        g_Xi[pos_T, j] += w[j]
+    return None
+
+
 def _accumulate(
     params: ModelParams,
     datasets,
@@ -127,53 +173,55 @@ def _accumulate(
     include_gamma: bool,
 ):
     """Objective value and, if need_grad, its gradient; the gradient is NaN
-    where the value is not finite."""
+    where the value is not finite.
+
+    The scan adds to dimension i only through alpha[i, :e]; where that row
+    is zero, xi_i and Xi_i are final from the decay sums.  Those dimensions
+    are scored first, so an impossible observation there costs no scan.
+    The rest are scored after one joint scan of every dataset.
+    """
     d, e = params.d, params.e
     w = config.dim_weights(d)
+    lay = _Layout(params) if e > 0 else None
+    scan_free = ~np.any(params.alpha[:, :e], axis=1)
+    first, rest = (w != 0) & scan_free, (w != 0) & ~scan_free
+    terms = np.zeros((len(datasets), d))
+    events, outs, g_xi, g_Xi = [], [], [], []
+
+    def impossible(value):
+        return value, np.full(n_free(d, include_gamma), np.nan) if need_grad else None
+
+    for b, ds in enumerate(datasets):
+        events.append(validate_events_for(params, ds.event_list()))
+        decays = build_source_decays(events[b], params.theta, range(e, d))
+        outs.append(_decay_values(params, decays, _query_times(ds)))
+        g_xi.append(np.zeros_like(outs[b].xi))
+        g_Xi.append(np.zeros_like(outs[b].Xi))
+        bad = _score(ds, outs[b], w, first, terms[b], g_xi[b], g_Xi[b])
+        if bad is not None:
+            return impossible(bad)
+    sc = None
+    if lay is not None:
+        sc = _scan_values(lay, events, outs)
+        for b, ds in enumerate(datasets):
+            bad = _score(ds, outs[b], w, rest, terms[b], g_xi[b], g_Xi[b])
+            if bad is not None:
+                return impossible(bad)
+    # summed dataset by dataset, dimension by dimension
     total = config.w_nu * float(np.sum(np.abs(params.nu)))
-    grad = np.zeros(n_free(d, include_gamma)) if need_grad else None
-    if need_grad and config.w_nu:
+    for term in terms.ravel():
+        total += term
+    if not np.isfinite(total):
+        return impossible(total)
+    if not need_grad:
+        return total, None
+    grad = np.zeros(n_free(d, include_gamma))
+    if config.w_nu:
         grad[2 * d * d : 2 * d * d + d] += config.w_nu
-    for ds in datasets:
-        pieces = [np.array([ds.T])]
-        for series in ds.censored:
-            pieces.append(series.boundaries)
-        for ts in ds.events:
-            pieces.append(np.asarray(ts, dtype=float))
-        times = np.unique(np.concatenate(pieces))
-        ev = PoiEvaluator(params, ds.event_list())
-        out = ev.values(times)
-        # cotangents of the objective on xi and Xi at each time
-        g_xi = np.zeros_like(out.xi)
-        g_Xi = np.zeros_like(out.Xi)
-        for j, series in enumerate(ds.censored):
-            if not w[j]:
-                continue
-            pos = np.searchsorted(times, series.boundaries)
-            try:
-                value, dinc = _window_nll(out.Xi[pos, j], series.counts)
-            except NumericalConsistencyError as exc:
-                raise NumericalConsistencyError(f"dimension {j + 1}: {exc}") from None
-            total += w[j] * value
-            if value == np.inf:
-                break  # no gradient at an impossible point
-            g_Xi[pos[1:], j] += w[j] * dinc
-            g_Xi[pos[:-1], j] -= w[j] * dinc
-        pos_T = np.searchsorted(times, ds.T)
-        for jj, ts in enumerate(ds.events):
-            j = e + jj
-            if not w[j]:
-                continue
-            pos = np.searchsorted(times, np.asarray(ts, dtype=float))
-            xi_ev = out.xi[pos, j]
-            total += w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]))
-            with np.errstate(divide="ignore"):
-                g_xi[pos, j] -= w[j] * (1.0 / xi_ev)
-            g_Xi[pos_T, j] += w[j]
-        if not np.isfinite(total):
-            return total, np.full_like(grad, np.nan) if need_grad else None
-        if need_grad:
-            grad += ev.vjp(out, g_xi, g_Xi, include_gamma)
+    for b, out in enumerate(outs):
+        _decay_vjp(params, out, g_xi[b], g_Xi[b], grad, include_gamma)
+    if sc is not None:
+        _scan_vjp(params, lay, sc, g_xi, g_Xi, grad, include_gamma)
     return total, grad
 
 

@@ -26,21 +26,39 @@ steps the same ODE on a wider state, with w[i, k] for every target i and
 the integral of every xi_i, and runs `_scan` on it over the training
 history.
 
+M depends only on the parameters, so one scan serves any number of datasets
+(the joint objective of `pmbp.likelihood`; a single dataset is the batch of
+one).  Their knots are stacked on a batch axis, and the datasets with fewer
+knots are padded at the end with dt = 0 steps.  Those steps are set to the
+identity, not evaluated, and no query reads a padded knot.  The forward
+pass is one loop over the knot axis on (B, s, 1) states, and the adjoint
+one loop back.
+
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each interval's scaled step has norm at
 most 1, and its Taylor polynomial is a combination of those powers,
 evaluated for all intervals at once with no linear solve (`_Expm`).  The
 sampler's Taylor table is the same powers.
 
+The scan reaches dimension i only through alpha[i, :e].  Where that row is
+zero, M's rows for y[i, :] hold only the decay -theta_ij on the diagonal,
+and y_ij(0) = alpha_ij theta_ij gamma_j = 0.  Every power of M, and so every
+step, keeps those rows diagonal, so y[i, :] and I[i] stay exactly 0.0, and
+xi_i and Xi_i are exact from the decay sums alone (`_decay_values`).  The
+objective scores these dimensions before it scans.
+
 Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
-reverse (adjoint) pass gives the adjoint state at every knot.  The derivative
-of each step's expm is then a Frechet derivative of expm(M dt) in a rank-one
-direction, summed over intervals, whatever the parameter count.
+reverse (adjoint) pass gives the adjoint state at every knot of every
+dataset.  The derivative of each step's expm is then a Frechet derivative of
+expm(M dt) in a rank-one direction, summed over the real intervals of all
+datasets in one call, whatever the parameter count.  The initial state is
+shared, so its adjoint is the sum of the datasets' adjoints at knot 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -49,7 +67,13 @@ from .errors import DomainError, RegularityError
 from .params import ModelParams, spectral_radius, validate_events_for
 from .paramvec import n_free
 
-_CHUNK = 256  # intervals per batch of (chunk, s, s) expm temporaries
+# intervals per batch of (chunk, s, s) expm temporaries: at most _CHUNK, and
+# few enough that each temporary holds at most _CHUNK_FLOATS floats (1 MB),
+# since wider batches of wide states leave the cache and run slower.  A batch
+# of Frechet derivatives also holds three (chunk, s, K) factors, so it takes
+# half as many
+_CHUNK = 256
+_CHUNK_FLOATS = 2**17
 # degree of the Taylor polynomial of every scaled step A, ||A||_1 <= 1: the
 # remainder of expm(A) is below 1/19! < 1e-17, and of its Frechet
 # derivative below 1/18! < 1e-15 of the direction's norm
@@ -74,15 +98,18 @@ class PoiValues:
 
 @dataclasses.dataclass
 class _Scan:
-    """Forward pass of a layout's linear state, kept for the adjoint.
+    """One forward pass of a layout's linear state over B datasets at once,
+    kept for the adjoint.
 
-    inv maps query rows to unique query times, qidx those to knots; E[n]
-    steps the state from knot n to n+1; X[n] is the state just before knot
-    n's jump and counts[n, k] the events of source e + k at knot n.
+    Dataset b fills knots 0 .. n_b - 1 of the knot axis; the shorter
+    datasets are padded to the longest with dt = 0 steps, whose E is the
+    identity and which no query reads.  rows[b] maps dataset b's query rows
+    to knots; E[n, b] steps its state from knot n to n+1; X[n, b] is the
+    state just before knot n's jump and counts[n, b, k] the events of source
+    e + k at knot n.
     """
 
-    inv: np.ndarray
-    qidx: np.ndarray
+    rows: list
     dt: np.ndarray
     E: np.ndarray
     X: np.ndarray
@@ -125,7 +152,11 @@ class _Expm:
         shape (n, s) the (s, s) sum over n of L(M dt_n, u_n v_n^T),
         accumulated chunk by chunk."""
         dt = np.asarray(dt, dtype=float)
-        cuts = [slice(lo, lo + _CHUNK) for lo in range(0, dt.size, _CHUNK)]
+        s = self.P.shape[1]
+        size = min(_CHUNK, max(1, _CHUNK_FLOATS // (s * s)))
+        if u is not None:
+            size = max(1, size // 2)
+        cuts = [slice(lo, lo + size) for lo in range(0, dt.size, size)]
         if u is not None:
             return sum((self._chunk(dt[c], u[c], v[c]).sum(axis=0)
                         for c in cuts), np.zeros(self.P.shape[1:]))
@@ -210,7 +241,6 @@ class _Layout:
             for i in range(d):
                 M[self.I[i], self.Y[i]] = 1.0
         self.M = M
-        self.expm = _Expm(M)
         self.R = R
         self.x0 = np.zeros(self.s)
         self.x0[self.Y] = c[:, :e] * p.gamma[:e]
@@ -220,31 +250,171 @@ class _Layout:
         for k in range(o):
             self.J[k, self.W[:, k]] = c[:nw, e + k]
 
+    @functools.cached_property
+    def expm(self) -> _Expm:
+        """The steps' power table, built on first use: a caller that finds
+        the observations impossible before scanning never builds it."""
+        return _Expm(self.M)
 
-def _scan(lay: _Layout, events, t: np.ndarray) -> _Scan:
-    """Step the linear state of `lay` from x0 at 0 through the events of the
-    observed sources (`events` is indexed by absolute dimension; entries
-    below e are ignored) to the query times t.  Events at or after the last
-    query cannot affect any output and are left out."""
+
+def _scan(lay: _Layout, events, times) -> _Scan:
+    """Step the linear state of `lay` from x0 at 0, for every dataset b at
+    once, through the events of its observed sources (events[b] is indexed
+    by absolute dimension; entries below e are ignored) to its query times
+    times[b].  Events at or after a dataset's last query cannot affect any
+    output and are left out."""
     d, e = lay.Y.shape
-    tq, inv = np.unique(t, return_inverse=True)
-    sources = [np.asarray(events[k], dtype=float) for k in range(e, d)]
-    sources = [ts[ts < tq[-1]] for ts in sources]
-    knots = np.unique(np.concatenate([[0.0], tq, *sources]))
-    counts = np.zeros((knots.size, d - e))
-    for k, ts in enumerate(sources):
-        counts[np.searchsorted(knots, ts), k] = 1.0
+    knots, rows, hits = [], [], []
+    for ev, t in zip(events, times):
+        tq, inv = np.unique(t, return_inverse=True)
+        sources = [np.asarray(ev[k], dtype=float) for k in range(e, d)]
+        sources = [ts[ts < tq[-1]] for ts in sources]
+        kn = np.unique(np.concatenate([[0.0], tq, *sources]))
+        knots.append(kn)
+        rows.append(np.searchsorted(kn, tq)[inv])
+        hits.append([np.searchsorted(kn, ts) for ts in sources])
+    B, N = len(knots), max(kn.size for kn in knots)
+    dt = np.zeros((N - 1, B))
+    counts = np.zeros((N, B, d - e))
+    for b, (kn, hit) in enumerate(zip(knots, hits)):
+        dt[: kn.size - 1, b] = np.diff(kn)
+        for k, pos in enumerate(hit):
+            counts[pos, b, k] = 1.0
     jumps = counts @ lay.J
-    dt = np.diff(knots)
-    E = lay.expm(dt)
-    X = np.empty((knots.size, lay.s))
-    x = lay.x0
-    for n in range(dt.size):
-        X[n] = x
-        x = E[n] @ (x + jumps[n])
-    X[-1] = x
-    return _Scan(inv=inv, qidx=np.searchsorted(knots, tq), dt=dt, E=E,
-                 X=X, jumps=jumps, counts=counts)
+    # knots are distinct, so the padding steps are exactly those of zero
+    # length; they are the identity, set here rather than evaluated
+    real = dt > 0
+    if real.all():
+        E = lay.expm(dt.ravel()).reshape(dt.shape + (lay.s, lay.s))
+    else:
+        E = np.empty(dt.shape + (lay.s, lay.s))
+        E[~real] = np.eye(lay.s)
+        E[real] = lay.expm(dt[real])
+    # (B, s, 1) columns: each step is one batched matrix-vector product
+    X = np.empty((N, B, lay.s, 1))
+    X[0] = lay.x0[:, None]
+    kicks = jumps[..., None]
+    for n in range(N - 1):
+        X[n + 1] = E[n] @ (X[n] + kicks[n])
+    return _Scan(rows=rows, dt=dt, E=E, X=X[..., 0], jumps=jumps,
+                 counts=counts)
+
+
+def _scan_values(lay: _Layout, events, vals) -> _Scan:
+    """One joint scan of the datasets' states (events[b], queried at
+    vals[b].t); adds its part of xi and Xi to each vals[b] in place.  A
+    dimension i whose row alpha[i, :e] is zero gets exactly 0.0."""
+    sc = _scan(lay, events, [v.t for v in vals])
+    for b, v in enumerate(vals):
+        rows = sc.X[sc.rows[b], b]
+        v.xi += rows[:, lay.Y].sum(axis=2)
+        v.Xi += rows[:, lay.I]
+    return sc
+
+
+def _grad_blocks(grad: np.ndarray, d: int):
+    """Views of alpha, theta and nu in a gradient in the canonical layout."""
+    return (grad[: d * d].reshape(d, d), grad[d * d : 2 * d * d].reshape(d, d),
+            grad[2 * d * d : 2 * d * d + d])
+
+
+def _decay_values(p: ModelParams, decays, times) -> PoiValues:
+    """xi and Xi at the query times from the observed-source decay sums
+    alone: the whole evaluator at e = 0, and otherwise everything but the
+    scan's part."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(~np.isfinite(t)) or np.any(t < 0):
+        raise DomainError("query times must be finite and >= 0")
+    a = np.zeros((t.size, p.d))
+    A = np.zeros((t.size, p.d))
+    sums = {}
+    for src, sd in decays.items():
+        cnt, esum, wsum = sd.query(t)
+        sums[src] = (cnt, esum, wsum)
+        a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
+        A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
+    xi = p.nu[None, :] + a
+    Xi = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
+    return PoiValues(t=t, xi=xi, Xi=Xi, sums=sums)
+
+
+def _decay_vjp(p: ModelParams, vals: PoiValues, gxi, gXi, grad,
+               include_gamma: bool) -> None:
+    """Add to grad the gradient of sum(gxi * xi + gXi * Xi) through the
+    decay sums, nu and gamma (everything but the scan)."""
+    g_alpha, g_theta, g_nu = _grad_blocks(grad, p.d)
+    t = vals.t
+    for src, (cnt, esum, wsum) in vals.sums.items():
+        al, th = p.alpha[:, src], p.theta[:, src]
+        g_alpha[:, src] += np.sum(
+            gxi * th * esum + gXi * (cnt[:, None] - esum), axis=0
+        )
+        g_theta[:, src] += np.sum(
+            al * (gxi * (esum - th * wsum) + gXi * wsum), axis=0
+        )
+    g_nu += gxi.sum(axis=0) + t @ gXi
+    if include_gamma:
+        grad[2 * p.d * p.d + p.d :] += (t > 0) @ gXi
+
+
+def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
+              include_gamma: bool) -> None:
+    """Add to grad the scan's part of the gradient of
+    sum_b sum(gxi[b] * xi_b + gXi[b] * Xi_b): one reverse pass over every
+    dataset's knots, then one Frechet sum over all their real intervals."""
+    d, e = p.d, p.e
+    g_alpha, g_theta, g_nu = _grad_blocks(grad, d)
+    N, B, s = sc.X.shape
+    # cotangents on the state at each knot, then the reverse pass
+    g = np.zeros((N, B, s))
+    for b, rows in enumerate(sc.rows):
+        gb = g[:, b]
+        np.add.at(gb, (rows[:, None, None], lay.Y[None]), gxi[b][:, :, None])
+        np.add.at(gb, (rows[:, None], lay.I[None]), gXi[b])
+    # (B, 1, s) rows: each step back is one batched vector-matrix product
+    lam = np.empty((N, B, 1, s))
+    g_rows = g[:, :, None]
+    a = lam[-1] = g_rows[-1]
+    for n in range(N - 2, -1, -1):
+        a = lam[n] = g_rows[n] + a @ sc.E[n]
+    lam = lam[:, :, 0]
+    mu = lam - g  # adjoint of the state just after each knot's jump
+
+    # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
+    # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
+    # every derivative is of expm(M dt) and uses its powers of M; padding
+    # steps are left out
+    real = sc.dt > 0
+    u = (sc.X[:-1] + sc.jumps[:-1])[real]
+    v = (lam[1:] * sc.dt[..., None])[real]
+    G = lay.expm(sc.dt[real], u, v).T
+
+    # generator entries
+    R = np.zeros((d, e))
+    for i in range(d):
+        for j in range(e):
+            r = lay.Y[i, j]
+            R[i, j] = (
+                G[r, lay.Y[j]].sum() + G[r, lay.W[j]].sum()
+                + p.nu[j] * G[r, -1]
+            )
+    c = p.alpha * p.theta
+    diag_Y = G[lay.Y, lay.Y]
+    g_alpha[:, :e] += p.theta[:, :e] * R
+    g_theta[:, :e] += p.alpha[:, :e] * R - diag_Y
+    g_nu[:e] += np.sum(c[:, :e] * G[lay.Y, -1], axis=0)
+    g_theta[:e, e:] -= G[lay.W, lay.W]
+    # initial state y_ij(0) = alpha_ij theta_ij gamma_j, shared by every
+    # dataset: its adjoint is the sum of theirs at knot 0
+    lam_Y = lam[0].sum(axis=0)[lay.Y]
+    g_alpha[:, :e] += p.theta[:, :e] * p.gamma[:e] * lam_Y
+    g_theta[:, :e] += p.alpha[:, :e] * p.gamma[:e] * lam_Y
+    if include_gamma:
+        grad[2 * d * d + d : 2 * d * d + d + e] += np.sum(c[:, :e] * lam_Y, axis=0)
+    # event jumps alpha_jk theta_jk on w[j, k]
+    S = np.einsum("nbjk,nbk->jk", mu[:, :, lay.W], sc.counts)
+    g_alpha[:e, e:] += p.theta[:e, e:] * S
+    g_theta[:e, e:] += p.alpha[:e, e:] * S
 
 
 class PoiEvaluator:
@@ -266,99 +436,21 @@ class PoiEvaluator:
         self.layout = _Layout(params) if e > 0 else None
 
     def values(self, times) -> PoiValues:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(~np.isfinite(t)) or np.any(t < 0):
-            raise DomainError("query times must be finite and >= 0")
-        p = self.params
-        a = np.zeros((t.size, p.d))
-        A = np.zeros((t.size, p.d))
-        sums = {}
-        for src, sd in self.decays.items():
-            cnt, esum, wsum = sd.query(t)
-            sums[src] = (cnt, esum, wsum)
-            a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
-            A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
-        xi = p.nu[None, :] + a
-        Xi = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
-        scan = None
-        if self.layout is not None and t.size:
-            scan = _scan(self.layout, self.events, t)
-            lay = self.layout
-            rows = scan.X[scan.qidx[scan.inv]]
-            xi += rows[:, lay.Y].sum(axis=2)
-            Xi += rows[:, lay.I]
-        return PoiValues(t=t, xi=xi, Xi=Xi, sums=sums, scan=scan)
+        vals = _decay_values(self.params, self.decays, times)
+        if self.layout is not None and vals.t.size:
+            vals.scan = _scan_values(self.layout, [self.events], [vals])
+        return vals
 
     def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
         """Gradient of sum(gxi * vals.xi + gXi * vals.Xi) with respect to the
         free parameters, in the canonical layout; gxi and gXi have the shape
         of vals.xi."""
         p = self.params
-        d, e = p.d, p.e
-        t = vals.t
         gxi = np.asarray(gxi, dtype=float)
         gXi = np.asarray(gXi, dtype=float)
-        grad = np.zeros(n_free(d, include_gamma))
-        g_alpha = grad[: d * d].reshape(d, d)
-        g_theta = grad[d * d : 2 * d * d].reshape(d, d)
-        g_nu = grad[2 * d * d : 2 * d * d + d]
-        for src, (cnt, esum, wsum) in vals.sums.items():
-            al, th = p.alpha[:, src], p.theta[:, src]
-            g_alpha[:, src] += np.sum(
-                gxi * th * esum + gXi * (cnt[:, None] - esum), axis=0
-            )
-            g_theta[:, src] += np.sum(
-                al * (gxi * (esum - th * wsum) + gXi * wsum), axis=0
-            )
-        g_nu += gxi.sum(axis=0) + t @ gXi
-        if include_gamma:
-            grad[2 * d * d + d :] += (t > 0) @ gXi
-        if vals.scan is None:
-            return grad
-
-        lay, sc = self.layout, vals.scan
-        N, s = sc.X.shape
-        # cotangents on the state at each knot, then the reverse pass
-        g = np.zeros((N, s))
-        rows = sc.qidx[sc.inv]
-        np.add.at(g, (rows[:, None, None], lay.Y[None]), gxi[:, :, None])
-        np.add.at(g, (rows[:, None], lay.I[None]), gXi)
-        lam = np.empty((N, s))
-        a = lam[-1] = g[-1]
-        for n in range(N - 2, -1, -1):
-            a = lam[n] = g[n] + sc.E[n].T @ a
-        mu = lam - g  # adjoint of the state just after each knot's jump
-
-        # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
-        # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
-        # every derivative is of expm(M dt) and uses its powers of M
-        u = sc.X[:-1] + sc.jumps[:-1]
-        v = lam[1:] * sc.dt[:, None]
-        G = lay.expm(sc.dt, u, v).T
-
-        # generator entries
-        R = np.zeros((d, e))
-        for i in range(d):
-            for j in range(e):
-                r = lay.Y[i, j]
-                R[i, j] = (
-                    G[r, lay.Y[j]].sum() + G[r, lay.W[j]].sum()
-                    + p.nu[j] * G[r, -1]
-                )
-        c = p.alpha * p.theta
-        diag_Y = G[lay.Y, lay.Y]
-        g_alpha[:, :e] += p.theta[:, :e] * R
-        g_theta[:, :e] += p.alpha[:, :e] * R - diag_Y
-        g_nu[:e] += np.sum(c[:, :e] * G[lay.Y, -1], axis=0)
-        g_theta[:e, e:] -= G[lay.W, lay.W]
-        # initial state y_ij(0) = alpha_ij theta_ij gamma_j
-        lam_Y = lam[0, lay.Y]
-        g_alpha[:, :e] += p.theta[:, :e] * p.gamma[:e] * lam_Y
-        g_theta[:, :e] += p.alpha[:, :e] * p.gamma[:e] * lam_Y
-        if include_gamma:
-            grad[2 * d * d + d : 2 * d * d + d + e] += np.sum(c[:, :e] * lam_Y, axis=0)
-        # event jumps alpha_jk theta_jk on w[j, k]
-        S = np.einsum("njk,nk->jk", mu[:, lay.W], sc.counts)
-        g_alpha[:e, e:] += p.theta[:e, e:] * S
-        g_theta[:e, e:] += p.alpha[:e, e:] * S
+        grad = np.zeros(n_free(p.d, include_gamma))
+        _decay_vjp(p, vals, gxi, gXi, grad, include_gamma)
+        if vals.scan is not None:
+            _scan_vjp(p, self.layout, vals.scan, [gxi], [gXi], grad,
+                      include_gamma)
         return grad

@@ -278,7 +278,7 @@ def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
         raise ParameterError("dataset split does not match the model")
     lay = _Layout(params, full=True)
     observed = validate_events_for(params, dataset.event_list())
-    x_train = _scan(lay, observed, np.array([T_train])).X[-1]
+    x_train = _scan(lay, [observed], [np.array([T_train])]).X[-1, 0]
     x_train[lay.I] = 0.0
     return lay, x_train, bnds
 

@@ -18,7 +18,7 @@ from pmbp import (
     recovery_experiment,
     sample_hawkes,
 )
-from pmbp.fitting import _make_objective
+from pmbp.fitting import _bounds, _empirical_rates, _make_objective
 
 
 def _poisson_events_dataset(rate=2.0, T=60.0, seed=1):
@@ -89,6 +89,24 @@ def test_fit_result_serialization_round_trip():
     rebuilt = ModelParams.from_dict(doc["params"])
     assert rebuilt == res.params
     json.dumps(doc)  # must be JSON-serializable as-is
+
+
+def test_start_records_report_the_projected_gradient():
+    # pg_norm is the max-norm of x - clip(x - g, lb, ub) at each start's
+    # returned point, recomputed here from the exact gradient there
+    ds, _ = _poisson_events_dataset(T=20.0)
+    cfg = FitConfig(n_starts=2, max_iter=40, seed=5)
+    res = fit([ds], cfg)
+    lb, ub = _bounds(cfg, 1, _empirical_rates([ds]))
+    f_and_g = _make_objective(res.params, [ds], cfg)
+    best = min(res.starts, key=lambda s: s.nll)
+    x = pack(res.params)
+    g = f_and_g(x)[1]
+    assert best.pg_norm == np.max(np.abs(x - np.clip(x - g, lb, ub)))
+    for start in res.starts:
+        assert start.to_dict()["pg_norm"] == start.pg_norm
+        if start.reason == "projected_gradient":
+            assert start.pg_norm <= 1e-5
 
 
 def test_fit_rejects_mixed_splits():

@@ -180,6 +180,9 @@ def test_cli_fit_predict_gof(runner, workdir):
     doc = json.loads(fit_out.read_text())
     assert {"params", "nll", "converged", "starts"} <= set(doc)
     assert "wall_time_s" not in doc
+    # every start reports the projected gradient where it stopped
+    for start in doc["starts"]:
+        assert isinstance(start["pg_norm"], float) and start["pg_norm"] >= 0.0
 
     pred = workdir / "pred.csv"
     _run_twice_identical(

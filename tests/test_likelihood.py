@@ -322,3 +322,119 @@ def test_event_at_zero_intensity_scores_inf():
     # a zero weight drops the impossible dimension's term altogether
     only1 = total_nll(params, ds, config=LikelihoodConfig(weights=[1.0, 0.0]))
     assert np.isfinite(only1)
+
+
+# ---------------------------------------------------------------------------
+# one joint scan over every dataset
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_joint_objective_is_the_sum_of_single_dataset_objectives(d, data):
+    # the datasets differ in length, so the joint scan pads the shorter
+    # ones; the first has no observed events at all
+    e = data.draw(st.integers(0, d), label="e")
+    include_gamma = data.draw(st.booleans(), label="include_gamma")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    params = ModelParams(
+        d=d, e=e, theta=rng.uniform(0.5, 2.0, (d, d)),
+        alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+        gamma=rng.uniform(0.1, 0.5, d), nu=rng.uniform(0.3, 0.9, d),
+    )
+    datasets = []
+    for T, n_events in ((4.0, 0), (9.0, 5), (15.0, 11)):
+        bounds = np.arange(T + 1.0)
+        datasets.append(Dataset(
+            T=T,
+            censored=tuple(
+                CensoredSeries(boundaries=bounds,
+                               counts=rng.poisson(0.8, int(T)))
+                for _ in range(e)
+            ),
+            events=tuple(np.sort(rng.uniform(0.0, T, n_events))
+                         for _ in range(d - e)),
+        ))
+    value, grad = nll_and_grad(params, datasets, include_gamma=include_gamma)
+    parts = [nll_and_grad(params, ds, include_gamma=include_gamma)
+             for ds in datasets]
+    assert value == pytest.approx(sum(v for v, _ in parts), rel=1e-12)
+    g_sum = np.sum([g for _, g in parts], axis=0)
+    assert np.max(np.abs(grad - g_sum)) <= 1e-12 * np.max(np.abs(grad))
+
+
+def _screen_case():
+    """d=3, e=2: dimension 1 (censored) and dimension 3 (observed) have zero
+    rows alpha[i, :2], so the scan adds nothing to them; dimension 2 is
+    driven by the censored block."""
+    params = ModelParams(
+        d=3, e=2, theta=[[1.0, 0.7, 1.3], [0.8, 1.1, 0.6], [1.2, 0.9, 1.0]],
+        alpha=[[0.0, 0.0, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.3]],
+        gamma=[0.3, 0.2, 0.1], nu=[0.4, 0.3, 0.5],
+    )
+    rng = np.random.default_rng(17)
+    datasets = [
+        Dataset(T=T,
+                censored=tuple(CensoredSeries(np.arange(T + 1.0),
+                                              rng.poisson(0.8, int(T)))
+                               for _ in range(2)),
+                events=(np.sort(rng.uniform(0.0, T, int(T))),))
+        for T in (6.0, 10.0)
+    ]
+    return params, datasets
+
+
+def test_impossible_scan_free_dimension_skips_the_scan(monkeypatch):
+    # nu_3 = 0 and alpha[3, :2] = 0: the first event of dimension 3 has
+    # zero intensity whatever the censored block does, so the objective is
+    # +inf before any scan runs
+    params, datasets = _screen_case()
+    params = params.replace(nu=np.array([0.4, 0.3, 0.0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran at an impossible point")
+
+    monkeypatch.setattr(pmbp.poi, "_scan", refuse)
+    value, grad = nll_and_grad(params, datasets)
+    assert value == np.inf and np.all(np.isnan(grad))
+    assert joint_nll(params, datasets) == np.inf
+
+
+def test_scan_free_terms_equal_the_full_evaluation():
+    # each dimension's term alone (one-hot weights) against the same term
+    # scored from the full evaluator, scan included: bitwise for the
+    # scan-free dimensions 1 and 3
+    params, datasets = _screen_case()
+    for j in (0, 2):
+        weights = np.eye(3)[j]
+        expected = 0.0
+        for ds in datasets:
+            times = np.unique(np.concatenate(
+                [[ds.T], *[s.boundaries for s in ds.censored], *ds.events]))
+            vals = pmbp.PoiEvaluator(params, ds.event_list()).values(times)
+            at = lambda ts: np.searchsorted(times, ts)
+            if j < 2:
+                series = ds.censored[j]
+                expected += icll(vals.Xi[at(series.boundaries), j],
+                                 series.counts)
+            else:
+                expected += ppll_nll(vals.xi[at(ds.events[0]), j],
+                                     float(vals.Xi[at(ds.T), j]))
+        cfg = LikelihoodConfig(weights=weights)
+        assert joint_nll(params, datasets, config=cfg) == expected, j
+        assert nll_and_grad(params, datasets, config=cfg)[0] == expected, j
+
+
+def test_gradient_along_a_zero_censored_row():
+    # the scan-free dimensions' cotangents still reach the adjoint: their
+    # derivatives in alpha[i, :e] match a forward difference off the zero row
+    params, datasets = _screen_case()
+    x0 = pack(params)
+    _, grad = nll_and_grad(params, datasets)
+    h = 1e-7
+    for k in (0, 1, 6, 7):  # alpha_11, alpha_12, alpha_31, alpha_32
+        x = x0.copy()
+        x[k] += h
+        fd = (joint_nll(unpack(params, x), datasets)
+              - joint_nll(params, datasets)) / h
+        assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-6), k
