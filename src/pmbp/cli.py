@@ -47,7 +47,7 @@ from .io import (
     write_dataset,
     write_events,
 )
-from .likelihood import LikelihoodConfig, nll_and_grad
+from .likelihood import LikelihoodConfig, _Prepared, joint_nll, nll_and_grad
 from .params import ModelParams
 from .paramvec import n_free, pack, unpack
 from .poi import PoiEvaluator
@@ -427,7 +427,7 @@ def cmd_grad_check(params_path, data, n_points, seed, tolerance, out):
     and exits nonzero if any exceeds the tolerance.
     """
     params = _load_params(params_path)
-    ds = read_dataset(data)
+    prep = _Prepared([read_dataset(data)])
     names = _param_names(params.d)[:-1]  # flat layout, minus the radius
     rng = np.random.default_rng(seed)
     worst = np.zeros(n_free(params.d, False))
@@ -436,9 +436,9 @@ def cmd_grad_check(params_path, data, n_points, seed, tolerance, out):
         x = pack(point, False)
 
         def f(vec):
-            return nll_and_grad(unpack(point, vec, False), ds)[0]
+            return joint_nll(unpack(point, vec, False), prep)
 
-        _, g = nll_and_grad(point, ds)
+        _, g = nll_and_grad(point, prep)
         g_fd = fd_gradient(f, x)
         rel = np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-6)
         worst = np.maximum(worst, rel)

@@ -7,6 +7,17 @@ per query costs O(n) per point; the classic prefix trick with exp(+r t_k)
 overflows for r*t beyond ~700.  The recursions below reference each prefix
 to its own last event, so every stored term lies in [0, n] and queries cost
 O(log n).
+
+Each sum splits into a data side, fixed by the event and query times, and a
+rate side.  The data side is the stride gaps of the doubling pass
+(`_stride_gaps`) and, per query, the count of earlier events and the gap to
+the last of them (`_locate`).  The rate side is every exp(-r gap) and the
+products with it: `SourceDecay` builds the prefix sums from the gaps, and
+`SourceDecay._sums` reads them at located queries.  `SourceDecay.query`
+does both for one source.  The fit objective (`pmbp.likelihood`) prepares
+the data side once per fit for a stack of sources, every observed source
+of every dataset padded to one length (`_stack`), and per call runs the
+rate side over the whole stack at once.
 """
 
 from __future__ import annotations
@@ -14,15 +25,57 @@ from __future__ import annotations
 import numpy as np
 
 
+def _stride_gaps(times: np.ndarray) -> list:
+    """The gaps t_k - t_{k-s} along the last axis of times, for the
+    doubling pass's strides s = 1, 2, 4, ... < n."""
+    gaps, s = [], 1
+    while s < times.shape[-1]:
+        gaps.append(times[..., s:] - times[..., :-s])
+        s *= 2
+    return gaps
+
+
+def _locate(times: np.ndarray, u: np.ndarray, seq: int = 0, width: int = 0):
+    """The data side of queries at times u of source `seq` of a stack of
+    sources padded to `width` events (a lone source is seq 0): count(u) =
+    #{k : t_k < u}, the mask of queries with count > 0, and for those the
+    flat index of the last event before them, the gap to it and seq."""
+    count = np.searchsorted(times, u, side="left")
+    mask = count > 0
+    last = count[mask] - 1
+    return (count, mask, seq * width + last, u[mask] - times[last],
+            np.full(last.size, seq))
+
+
+def _stack(sources, queries):
+    """The data side of a stack of S sources, sources[k] queried at
+    queries[k]: their event times as one (S, n) array, each padded at the
+    end with its last time (padding gives finite sums that no query reads),
+    its stride gaps, and every source's located queries, concatenated."""
+    n = max((ts.size for ts in sources), default=0)
+    times = np.zeros((len(sources), n))
+    for k, ts in enumerate(sources):
+        times[k, : ts.size] = ts
+        times[k, ts.size :] = ts[-1] if ts.size else 0.0
+    located = [_locate(ts, u, k, n)
+               for k, (ts, u) in enumerate(zip(sources, queries))]
+    located = tuple(np.concatenate(f) for f in zip(*located))
+    return times, _stride_gaps(times), located
+
+
 class SourceDecay:
-    """Decayed prefix sums over one source dimension's sorted event times.
+    """Decayed prefix sums over one source dimension's sorted event times,
+    or over a stack of sources at once.
 
     Parameters
     ----------
-    times : (n,) array
-        Strictly increasing event times of the source dimension.
-    rates : (d,) array
-        One positive decay rate per target dimension.
+    times : (n,) or (S, n) array
+        Strictly increasing event times of the source dimension, or of S
+        sources padded as by `_stack`.
+    rates : (d,) or (d, S) array
+        One positive decay rate per target dimension (and source).
+    gaps : list, optional
+        `_stride_gaps(times)`, when the caller has it already.
 
     For each query time u and rate r the accessors return
         count(u)  = #{k : t_k < u}
@@ -32,48 +85,50 @@ class SourceDecay:
     intensity at its own timestamp.
     """
 
-    def __init__(self, times: np.ndarray, rates: np.ndarray):
+    def __init__(self, times: np.ndarray, rates: np.ndarray, gaps=None):
         times = np.asarray(times, dtype=float)
         rates = np.asarray(rates, dtype=float)
-        if times.ndim != 1 or rates.ndim != 1:
-            raise ValueError("times and rates must be one-dimensional")
+        if times.ndim not in (1, 2) or rates.ndim != times.ndim:
+            raise ValueError("need times (n,) and rates (d,), or times "
+                             "(S, n) and rates (d, S)")
         self.times = times
         self.rates = rates
-        n, d = times.size, rates.size
         # B[i, k] = sum_{m <= k} exp(-r_i (t_k - t_m));  C is its (t_k - t_m)-
         # weighted counterpart.  Both stay bounded by n and n*max(dt) resp.
         # After the pass at stride s each column holds the terms of its last
         # 2s events, each pass decaying the block s events back by
         # a = exp(-r (t_k - t_{k-s})) <= 1 (log-depth doubling of the
         # recursion B_k = 1 + q_k B_{k-1}, C_k = q_k (C_{k-1} + dt_k B_{k-1})).
-        self._B = np.ones((d, n))
-        self._C = np.zeros((d, n))
+        self._B = np.ones(rates.shape + times.shape[-1:])
+        self._C = np.zeros(self._B.shape)
         s = 1
-        while s < n:
-            gap = times[s:] - times[:-s]
-            a = np.exp(-rates[:, None] * gap)
-            self._C[:, s:] += a * (self._C[:, :-s] + gap * self._B[:, :-s])
-            self._B[:, s:] += a * self._B[:, :-s]
+        for gap in _stride_gaps(times) if gaps is None else gaps:
+            a = np.exp(-rates[..., None] * gap)
+            self._C[..., s:] += a * (self._C[..., :-s] + gap * self._B[..., :-s])
+            self._B[..., s:] += a * self._B[..., :-s]
             s *= 2
 
     def query(self, u: np.ndarray):
-        """Return (count, esum, wsum) at query times u (any order).
+        """Return (count, esum, wsum) at query times u (any order) of a
+        lone source.
 
         count : (m,) int, esum/wsum : (m, d).
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        m, d = u.size, self.rates.size
-        count = np.searchsorted(self.times, u, side="left")
-        esum = np.zeros((m, d))
-        wsum = np.zeros((m, d))
-        mask = count > 0
-        if np.any(mask):
-            idx = count[mask] - 1
-            gap = u[mask] - self.times[idx]
-            fade = np.exp(-gap[:, None] * self.rates[None, :])
-            B = self._B[:, idx].T
+        return self._sums(_locate(self.times, u))
+
+    def _sums(self, located):
+        """(count, esum, wsum) at queries located by `_locate` (or `_stack`)."""
+        count, mask, idx, gap, seq = located
+        d = self.rates.shape[0]
+        esum = np.zeros((count.size, d))
+        wsum = np.zeros((count.size, d))
+        if idx.size:
+            fade = np.exp(-gap[:, None] * self.rates.reshape(d, -1).T[seq])
+            B = self._B.reshape(d, -1)[:, idx].T
             esum[mask] = fade * B
-            wsum[mask] = fade * (self._C[:, idx].T + gap[:, None] * B)
+            wsum[mask] = fade * (self._C.reshape(d, -1)[:, idx].T
+                                 + gap[:, None] * B)
         return count, esum, wsum
 
 

@@ -30,7 +30,13 @@ from .errors import (
     RegularityError,
 )
 from .hawkes import sample_hawkes
-from .likelihood import LikelihoodConfig, _as_datasets, _check_compat, nll_and_grad
+from .likelihood import (
+    LikelihoodConfig,
+    _as_datasets,
+    _check_compat,
+    _Prepared,
+    nll_and_grad,
+)
 from .params import (
     CensoredSeries,
     Dataset,
@@ -233,11 +239,13 @@ _FAILURES = (RegularityError, NumericalConsistencyError)
 
 
 def _make_objective(template, datasets, cfg: FitConfig):
+    prep = _Prepared(datasets)
+
     def f_and_g(x):
         p = unpack(template, x, cfg.include_gamma)
         try:
             val, g = nll_and_grad(
-                p, datasets, config=cfg.likelihood,
+                p, prep, config=cfg.likelihood,
                 include_gamma=cfg.include_gamma,
             )
         except _FAILURES:

@@ -8,9 +8,18 @@ baseline rates are configurable.  The objective is exact: an observed
 event at zero intensity, or a window with a positive count and a zero
 compensator increment, scores +inf.  Gradients
 differentiate exactly the computed objective: its cotangents on xi and Xi
-go through the evaluator's adjoint pass.  Every dataset of one objective
-shares one layout and one scan (`pmbp.poi`); the dimensions that the scan
-does not reach are scored before it.
+go through the evaluator's adjoint pass.
+
+The data side of the objective is prepared once (`_Prepared`; a fit builds
+it once and passes it to `nll_and_grad` in place of the datasets): every
+dataset's query times, stacked into one table, the rows of its windows,
+events and T, the decay data of every observed source, the scan's knot
+grid, and which dimensions need intensity.  Each call does only parameter
+work.  It first rejects a dead dimension (nu_i = 0, alpha[i, :] = 0) that
+carries an observation it cannot explain; then it runs one decay pass over
+every source of every dataset, scores the dimensions that the scan does
+not reach, runs one layout's scan over every dataset (`pmbp.poi`), and
+scores the rest.
 """
 
 from __future__ import annotations
@@ -24,10 +33,17 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .decay import build_source_decays
-from .params import Dataset, ModelParams, validate_events_for
+from .decay import SourceDecay, _stack
+from .params import Dataset, ModelParams
 from .paramvec import n_free
-from .poi import _decay_values, _decay_vjp, _Layout, _scan_values, _scan_vjp
+from .poi import (
+    _decay_values,
+    _decay_vjp,
+    _grid,
+    _Layout,
+    _scan_values,
+    _scan_vjp,
+)
 
 _INCREMENT_SLACK = -1e-9  # tolerated negative compensator increment
 
@@ -131,16 +147,71 @@ def _query_times(ds: Dataset) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _score(ds: Dataset, out, w, dims, terms, g_xi, g_Xi):
-    """Score the terms of dataset ds on the dimensions flagged in dims into
+class _Prepared:
+    """The data side of the objective over a list of datasets of one
+    (d, e) split, built once; evaluations only read it.
+
+    The datasets' query times (T, the window boundaries and the events of
+    each, sorted and unique) are stacked in dataset order into one table of
+    rows t.  Dataset b owns the rows cuts[b]; windows[b], marks[b] and
+    at_T[b] are the rows of its window boundaries, events and T.  The
+    observed sources of every dataset, source-major, form one decay stack
+    (`pmbp.decay._stack`), each queried at its dataset's rows; for e > 0
+    grid is the joint scan's knot grid.  Per dimension, `late` flags an
+    event or a positive count in a window that starts after 0, and `seen`
+    any event or positive count.
+    """
+
+    def __init__(self, datasets):
+        self.datasets = datasets
+        d, e = datasets[0].d, datasets[0].e
+        events = [ds.event_list() for ds in datasets]  # validated by Dataset
+        times = [_query_times(ds) for ds in datasets]
+        self.t = np.concatenate(times)
+        self.cuts, self.windows, self.marks, self.at_T = [], [], [], []
+        self.late = np.zeros(d, dtype=bool)
+        self.seen = np.zeros(d, dtype=bool)
+        start = 0
+        for ds, t in zip(datasets, times):
+            at = lambda x: start + np.searchsorted(t, x)
+            self.windows.append([at(series.boundaries) for series in ds.censored])
+            self.marks.append([at(ts) for ts in ds.events])
+            self.at_T.append(at(ds.T))
+            self.cuts.append(slice(start, start + t.size))
+            start += t.size
+            for j, series in enumerate(ds.censored):
+                self.late[j] |= np.any(series.counts[1:] > 0)
+                self.seen[j] |= np.any(series.counts > 0)
+            for j, ts in enumerate(ds.events, start=e):
+                self.late[j] |= ts.size > 0
+                self.seen[j] |= ts.size > 0
+        self.decay = None
+        if e < d:
+            self.decay = _stack([ev[j] for j in range(e, d) for ev in events],
+                                times * (d - e))
+        self.grid = _grid(events, times, e) if e > 0 else None
+
+
+def _prepared(params: ModelParams, data) -> _Prepared:
+    """`data` (a Dataset, a sequence of them or a _Prepared) as a _Prepared
+    whose datasets match params' split."""
+    if isinstance(data, _Prepared):
+        _check_compat(params, data.datasets)
+        return data
+    datasets = _as_datasets(data)
+    _check_compat(params, datasets)
+    return _Prepared(datasets)
+
+
+def _score(prep: _Prepared, b: int, out, w, dims, terms, g_xi, g_Xi):
+    """Score the terms of dataset b on the dimensions flagged in dims into
     terms (weighted by w), and their cotangents on out.xi and out.Xi into
     g_xi and g_Xi.  Returns the first term that is not finite (the
     observations are impossible), else None."""
-    t = out.t
-    for j, series in enumerate(ds.censored):
+    ds = prep.datasets[b]
+    for j, (series, pos) in enumerate(zip(ds.censored, prep.windows[b])):
         if not dims[j]:
             continue
-        pos = np.searchsorted(t, series.boundaries)
         try:
             value, dinc = _window_nll(out.Xi[pos, j], series.counts)
         except NumericalConsistencyError as exc:
@@ -150,12 +221,10 @@ def _score(ds: Dataset, out, w, dims, terms, g_xi, g_Xi):
             return terms[j]
         g_Xi[pos[1:], j] += w[j] * dinc
         g_Xi[pos[:-1], j] -= w[j] * dinc
-    pos_T = np.searchsorted(t, ds.T)
-    for jj, ts in enumerate(ds.events):
-        j = ds.e + jj
+    pos_T = prep.at_T[b]
+    for j, pos in enumerate(prep.marks[b], start=ds.e):
         if not dims[j]:
             continue
-        pos = np.searchsorted(t, np.asarray(ts, dtype=float))
         xi_ev = out.xi[pos, j]
         terms[j] = w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]))
         if not np.isfinite(terms[j]):
@@ -167,7 +236,7 @@ def _score(ds: Dataset, out, w, dims, terms, g_xi, g_Xi):
 
 def _accumulate(
     params: ModelParams,
-    datasets,
+    prep: _Prepared,
     config: LikelihoodConfig,
     need_grad: bool,
     include_gamma: bool,
@@ -175,36 +244,48 @@ def _accumulate(
     """Objective value and, if need_grad, its gradient; the gradient is NaN
     where the value is not finite.
 
-    The scan adds to dimension i only through alpha[i, :e]; where that row
-    is zero, xi_i and Xi_i are final from the decay sums.  Those dimensions
-    are scored first, so an impossible observation there costs no scan.
-    The rest are scored after one joint scan of every dataset.
+    A dimension with nu_i = 0 and a zero row alpha[i, :] has xi_i = 0 and
+    Xi_i = gamma_i 1{t > 0} exactly, so an event there, or a positive count
+    in a window after 0 (any window when gamma_i = 0), scores +inf before
+    any sum.  The scan adds to dimension i only through alpha[i, :e];
+    where that row is zero, xi_i and Xi_i are final from the decay sums.
+    Those dimensions are scored next, so an impossible observation there
+    costs no scan.  The rest are scored after one joint scan of every
+    dataset.
     """
     d, e = params.d, params.e
     w = config.dim_weights(d)
     lay = _Layout(params) if e > 0 else None
-    scan_free = ~np.any(params.alpha[:, :e], axis=1)
-    first, rest = (w != 0) & scan_free, (w != 0) & ~scan_free
-    terms = np.zeros((len(datasets), d))
-    events, outs, g_xi, g_Xi = [], [], [], []
 
     def impossible(value):
         return value, np.full(n_free(d, include_gamma), np.nan) if need_grad else None
 
-    for b, ds in enumerate(datasets):
-        events.append(validate_events_for(params, ds.event_list()))
-        decays = build_source_decays(events[b], params.theta, range(e, d))
-        outs.append(_decay_values(params, decays, _query_times(ds)))
-        g_xi.append(np.zeros_like(outs[b].xi))
-        g_Xi.append(np.zeros_like(outs[b].Xi))
-        bad = _score(ds, outs[b], w, first, terms[b], g_xi[b], g_Xi[b])
+    dead = (w != 0) & (params.nu == 0) & ~np.any(params.alpha, axis=1)
+    if np.any(dead & (prep.late | prep.seen & (params.gamma == 0))):
+        return impossible(np.inf)
+    sums = {}
+    if prep.decay is not None:
+        times, gaps, located = prep.decay
+        rates = np.repeat(params.theta[:, e:], len(prep.datasets), axis=1)
+        cnt, esum, wsum = SourceDecay(times, rates, gaps)._sums(located)
+        m = prep.t.size
+        for k in range(d - e):
+            rows = slice(k * m, (k + 1) * m)
+            sums[e + k] = (cnt[rows], esum[rows], wsum[rows])
+    out = _decay_values(params, sums, prep.t)
+    g_xi, g_Xi = np.zeros_like(out.xi), np.zeros_like(out.Xi)
+    scan_free = ~np.any(params.alpha[:, :e], axis=1)
+    first, rest = (w != 0) & scan_free, (w != 0) & ~scan_free
+    terms = np.zeros((len(prep.datasets), d))
+    for b in range(len(prep.datasets)):
+        bad = _score(prep, b, out, w, first, terms[b], g_xi, g_Xi)
         if bad is not None:
             return impossible(bad)
     sc = None
     if lay is not None:
-        sc = _scan_values(lay, events, outs)
-        for b, ds in enumerate(datasets):
-            bad = _score(ds, outs[b], w, rest, terms[b], g_xi[b], g_Xi[b])
+        sc = _scan_values(lay, prep.grid, out)
+        for b in range(len(prep.datasets)):
+            bad = _score(prep, b, out, w, rest, terms[b], g_xi, g_Xi)
             if bad is not None:
                 return impossible(bad)
     # summed dataset by dataset, dimension by dimension
@@ -218,8 +299,7 @@ def _accumulate(
     grad = np.zeros(n_free(d, include_gamma))
     if config.w_nu:
         grad[2 * d * d : 2 * d * d + d] += config.w_nu
-    for b, out in enumerate(outs):
-        _decay_vjp(params, out, g_xi[b], g_Xi[b], grad, include_gamma)
+    _decay_vjp(params, out, g_xi, g_Xi, grad, include_gamma, prep.cuts)
     if sc is not None:
         _scan_vjp(params, lay, sc, g_xi, g_Xi, grad, include_gamma)
     return total, grad
@@ -241,10 +321,9 @@ def joint_nll(
 ) -> float:
     """Weighted negative log-likelihood summed over datasets (the L1 baseline
     penalty is applied once)."""
-    datasets = _as_datasets(datasets)
-    _check_compat(params, datasets)
     value, _ = _accumulate(
-        params, datasets, config or LikelihoodConfig(), False, False
+        params, _prepared(params, datasets), config or LikelihoodConfig(),
+        False, False,
     )
     return value
 
@@ -257,11 +336,9 @@ def nll_and_grad(
 ):
     """Objective value and its gradient in the canonical parameter layout.
 
-    `data` is a Dataset or a sequence of them.
+    `data` is a Dataset or a sequence of them, or their `_Prepared` form.
     """
-    datasets = _as_datasets(data)
-    _check_compat(params, datasets)
     return _accumulate(
-        params, datasets, config or LikelihoodConfig(), True, include_gamma
+        params, _prepared(params, data), config or LikelihoodConfig(), True,
+        include_gamma,
     )
-

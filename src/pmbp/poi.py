@@ -30,14 +30,19 @@ M depends only on the parameters, so one scan serves any number of datasets
 (the joint objective of `pmbp.likelihood`; a single dataset is the batch of
 one).  Their knots are stacked on a batch axis, and the datasets with fewer
 knots are padded at the end with dt = 0 steps.  Those steps are set to the
-identity, not evaluated, and no query reads a padded knot.  The forward
-pass is one loop over the knot axis on (B, s, 1) states, and the adjoint
-one loop back.
+identity, not evaluated, and no query reads a padded knot.  The knots are
+data alone, so a scan splits into a grid (`_grid`: the step lengths, the
+knot of every query row, the event counts and the real steps), which the
+fit objective builds once per fit and `PoiEvaluator.values` and the
+sampler build per call, and the parameter pass (`_scan`): the steps, then
+one loop over the knot axis on (B, s, 1) states.  The adjoint is one loop
+back.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each interval's scaled step has norm at
 most 1, and its Taylor polynomial is a combination of those powers,
 evaluated for all intervals at once with no linear solve (`_Expm`).  The
+intervals are taken in order of length, so each squaring is a slice.  The
 sampler's Taylor table is the same powers.
 
 The scan reaches dimension i only through alpha[i, :e].  Where that row is
@@ -97,24 +102,34 @@ class PoiValues:
 
 
 @dataclasses.dataclass
-class _Scan:
-    """One forward pass of a layout's linear state over B datasets at once,
-    kept for the adjoint.
+class _Grid:
+    """The knots of B datasets on one batch axis: the data side of a scan.
 
     Dataset b fills knots 0 .. n_b - 1 of the knot axis; the shorter
-    datasets are padded to the longest with dt = 0 steps, whose E is the
-    identity and which no query reads.  rows[b] maps dataset b's query rows
-    to knots; E[n, b] steps its state from knot n to n+1; X[n, b] is the
-    state just before knot n's jump and counts[n, b, k] the events of source
-    e + k at knot n.
+    datasets are padded to the longest with dt = 0 steps, which no query
+    reads.  The datasets' query rows, stacked in dataset order, read knot
+    n of dataset b at flat row n * B + b of rows; dt[n, b] is the step from
+    knot n to n+1, real marks the steps that are not padding, and
+    counts[n, b, k] holds the events of source e + k at knot n.
     """
 
-    rows: list
+    rows: np.ndarray
     dt: np.ndarray
+    real: np.ndarray
+    counts: np.ndarray
+
+
+@dataclasses.dataclass
+class _Scan:
+    """One forward pass of a layout's linear state over a grid, kept for
+    the adjoint: E[n, b] steps dataset b's state from knot n to n+1 (the
+    identity on padding), X[n, b] is the state just before knot n's jump
+    and jumps[n, b] that jump."""
+
+    grid: _Grid
     E: np.ndarray
     X: np.ndarray
     jumps: np.ndarray
-    counts: np.ndarray
 
 
 class _Expm:
@@ -150,22 +165,29 @@ class _Expm:
     def __call__(self, dt, u=None, v=None):
         """The (n, s, s) stack expm(M dt_n), or with factors u and v of
         shape (n, s) the (s, s) sum over n of L(M dt_n, u_n v_n^T),
-        accumulated chunk by chunk."""
+        accumulated chunk by chunk.
+
+        The squaring count grows with dt, so the intervals are taken in
+        order of length: in each chunk the intervals squared more than k
+        times are a suffix, and each squaring is one slice."""
         dt = np.asarray(dt, dtype=float)
         s = self.P.shape[1]
         size = min(_CHUNK, max(1, _CHUNK_FLOATS // (s * s)))
         if u is not None:
             size = max(1, size // 2)
-        cuts = [slice(lo, lo + size) for lo in range(0, dt.size, size)]
+        order = np.argsort(dt, kind="stable")
+        cuts = [order[lo : lo + size] for lo in range(0, dt.size, size)]
         if u is not None:
-            return sum((self._chunk(dt[c], u[c], v[c]).sum(axis=0)
-                        for c in cuts), np.zeros(self.P.shape[1:]))
-        R = np.empty((dt.size,) + self.P.shape[1:])
+            return sum((self._chunk(dt[c], u[c], v[c]) for c in cuts),
+                       np.zeros((s, s)))
+        R = np.empty((dt.size, s, s))
         for c in cuts:
             R[c] = self._chunk(dt[c])
         return R
 
     def _chunk(self, dt, u=None, v=None):
+        """One chunk of __call__, dt in increasing order: the steps, or the
+        sum of their Frechet derivatives."""
         K, s = _TAYLOR_DEGREE, self.P.shape[1]
         norm = self.norm * dt
         with np.errstate(divide="ignore"):
@@ -173,29 +195,38 @@ class _Expm:
         scale = 2.0 ** -sq
         a = norm * scale  # the scaled step is a * P[1]
         pw = a[:, None] ** np.arange(K + 1)
+        # the intervals squared more than k times start at first[k]; the
+        # Frechet sum reads only the steps of those from lo on
+        first = np.searchsorted(sq, np.arange(sq[-1]), side="right")
+        lo = 0 if u is None else (first[0] if first.size else dt.size)
         # M leaves the integrals' columns zero, and so does every P[k],
         # k >= 1: those columns of R are exact unit columns, whose error
         # would otherwise double with every squaring
-        R = ((pw / _FACTORIALS) @ self.P.reshape(K + 1, -1)).reshape(-1, s, s)
-        L = None
-        if u is not None:
-            # U[n, i, j] = a^j (P[j] u)_i and V[n, i, l] = a^l (P[l]^T v)_i
-            # times the direction's scaling 2^-sq, so L = U _FRECHET V^T
-            Pj = self.P[:K]
-            U = (u @ Pj.transpose(2, 1, 0).reshape(s, -1)).reshape(-1, s, K)
-            V = (v @ Pj.transpose(1, 2, 0).reshape(s, -1)).reshape(-1, s, K)
-            U *= pw[:, None, :K]
-            V *= (scale[:, None] * pw[:, :K])[:, None, :]
-            L = ((U.reshape(-1, K) @ _FRECHET).reshape(-1, s, K)
-                 @ V.transpose(0, 2, 1))
-        for k in range(int(sq.max(initial=0.0))):
-            i = np.flatnonzero(sq > k)
-            Ri = R[i]
-            if L is not None:
-                Li = L[i]
-                L[i] = Ri @ Li + Li @ Ri
-            R[i] = Ri @ Ri
-        return R if u is None else L
+        R = ((pw[lo:] / _FACTORIALS) @ self.P.reshape(K + 1, -1)).reshape(-1, s, s)
+        if u is None:
+            for i in first:
+                R[i:] = R[i:] @ R[i:]
+            return R
+        # U[i, n, j] = a^j (P[j] u)_i and V[i, n, l] = a^l (P[l]^T v)_i
+        # times the direction's scaling 2^-sq, so L_n = U_n _FRECHET V_n^T
+        # with U_n = U[:, n]
+        Pj = self.P[:K]
+        U = u @ Pj.transpose(1, 2, 0)
+        V = v @ Pj.transpose(2, 1, 0)
+        U *= pw[:, :K]
+        V *= scale[:, None] * pw[:, :K]
+        U = (U.reshape(-1, K) @ _FRECHET).reshape(s, -1, K)
+        # the unsquared intervals need only the sum of their L, one
+        # (s, nK) by (nK, s) product
+        total = U[:, :lo].reshape(s, -1) @ V[:, :lo].reshape(s, -1).T
+        if lo < dt.size:
+            L = U[:, lo:].transpose(1, 0, 2) @ V[:, lo:].transpose(1, 2, 0)
+            for i in first - lo:
+                Ri, Li = R[i:], L[i:]
+                L[i:] = Ri @ Li + Li @ Ri
+                R[i:] = Ri @ Ri
+            total += L.sum(axis=0)
+        return total
 
 
 class _Layout:
@@ -257,33 +288,40 @@ class _Layout:
         return _Expm(self.M)
 
 
-def _scan(lay: _Layout, events, times) -> _Scan:
-    """Step the linear state of `lay` from x0 at 0, for every dataset b at
-    once, through the events of its observed sources (events[b] is indexed
-    by absolute dimension; entries below e are ignored) to its query times
-    times[b].  Events at or after a dataset's last query cannot affect any
-    output and are left out."""
-    d, e = lay.Y.shape
+def _grid(events, times, e: int) -> _Grid:
+    """The knots of every dataset b: 0, its query times times[b] and the
+    events of its observed sources (events[b] is indexed by absolute
+    dimension; entries below e are ignored).  Events at or after a
+    dataset's last query cannot affect any output and are left out."""
+    B = len(events)
     knots, rows, hits = [], [], []
-    for ev, t in zip(events, times):
+    for b, (ev, t) in enumerate(zip(events, times)):
         tq, inv = np.unique(t, return_inverse=True)
-        sources = [np.asarray(ev[k], dtype=float) for k in range(e, d)]
+        sources = [np.asarray(ts, dtype=float) for ts in ev[e:]]
         sources = [ts[ts < tq[-1]] for ts in sources]
         kn = np.unique(np.concatenate([[0.0], tq, *sources]))
         knots.append(kn)
-        rows.append(np.searchsorted(kn, tq)[inv])
+        rows.append(np.searchsorted(kn, tq)[inv] * B + b)
         hits.append([np.searchsorted(kn, ts) for ts in sources])
-    B, N = len(knots), max(kn.size for kn in knots)
+    N = max(kn.size for kn in knots)
     dt = np.zeros((N - 1, B))
-    counts = np.zeros((N, B, d - e))
+    counts = np.zeros((N, B, len(hits[0])))
     for b, (kn, hit) in enumerate(zip(knots, hits)):
         dt[: kn.size - 1, b] = np.diff(kn)
         for k, pos in enumerate(hit):
             counts[pos, b, k] = 1.0
-    jumps = counts @ lay.J
     # knots are distinct, so the padding steps are exactly those of zero
-    # length; they are the identity, set here rather than evaluated
-    real = dt > 0
+    # length
+    return _Grid(rows=np.concatenate(rows), dt=dt, real=dt > 0,
+                 counts=counts)
+
+
+def _scan(lay: _Layout, grid: _Grid) -> _Scan:
+    """Step the linear state of `lay` from x0 at 0 across the knots of
+    every dataset of `grid` at once, jumping at the observed events."""
+    dt, real = grid.dt, grid.real
+    jumps = grid.counts @ lay.J
+    # the padding steps are the identity, set here rather than evaluated
     if real.all():
         E = lay.expm(dt.ravel()).reshape(dt.shape + (lay.s, lay.s))
     else:
@@ -291,24 +329,23 @@ def _scan(lay: _Layout, events, times) -> _Scan:
         E[~real] = np.eye(lay.s)
         E[real] = lay.expm(dt[real])
     # (B, s, 1) columns: each step is one batched matrix-vector product
+    N, B = grid.counts.shape[:2]
     X = np.empty((N, B, lay.s, 1))
     X[0] = lay.x0[:, None]
     kicks = jumps[..., None]
     for n in range(N - 1):
         X[n + 1] = E[n] @ (X[n] + kicks[n])
-    return _Scan(rows=rows, dt=dt, E=E, X=X[..., 0], jumps=jumps,
-                 counts=counts)
+    return _Scan(grid=grid, E=E, X=X[..., 0], jumps=jumps)
 
 
-def _scan_values(lay: _Layout, events, vals) -> _Scan:
-    """One joint scan of the datasets' states (events[b], queried at
-    vals[b].t); adds its part of xi and Xi to each vals[b] in place.  A
+def _scan_values(lay: _Layout, grid: _Grid, vals: PoiValues) -> _Scan:
+    """One joint scan of the datasets' states across `grid`; adds its part
+    of xi and Xi to the datasets' stacked query rows vals in place.  A
     dimension i whose row alpha[i, :e] is zero gets exactly 0.0."""
-    sc = _scan(lay, events, [v.t for v in vals])
-    for b, v in enumerate(vals):
-        rows = sc.X[sc.rows[b], b]
-        v.xi += rows[:, lay.Y].sum(axis=2)
-        v.Xi += rows[:, lay.I]
+    sc = _scan(lay, grid)
+    rows = sc.X.reshape(-1, lay.s)[grid.rows]
+    vals.xi += rows[:, lay.Y].sum(axis=2)
+    vals.Xi += rows[:, lay.I]
     return sc
 
 
@@ -318,19 +355,13 @@ def _grad_blocks(grad: np.ndarray, d: int):
             grad[2 * d * d : 2 * d * d + d])
 
 
-def _decay_values(p: ModelParams, decays, times) -> PoiValues:
-    """xi and Xi at the query times from the observed-source decay sums
-    alone: the whole evaluator at e = 0, and otherwise everything but the
-    scan's part."""
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(~np.isfinite(t)) or np.any(t < 0):
-        raise DomainError("query times must be finite and >= 0")
+def _decay_values(p: ModelParams, sums, t: np.ndarray) -> PoiValues:
+    """xi and Xi at the query times t from the observed-source decay sums
+    {source: (count, esum, wsum)} alone: the whole evaluator at e = 0, and
+    otherwise everything but the scan's part."""
     a = np.zeros((t.size, p.d))
     A = np.zeros((t.size, p.d))
-    sums = {}
-    for src, sd in decays.items():
-        cnt, esum, wsum = sd.query(t)
-        sums[src] = (cnt, esum, wsum)
+    for src, (cnt, esum, wsum) in sums.items():
         a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
         A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
     xi = p.nu[None, :] + a
@@ -339,38 +370,42 @@ def _decay_values(p: ModelParams, decays, times) -> PoiValues:
 
 
 def _decay_vjp(p: ModelParams, vals: PoiValues, gxi, gXi, grad,
-               include_gamma: bool) -> None:
+               include_gamma: bool, cuts=(slice(None),)) -> None:
     """Add to grad the gradient of sum(gxi * xi + gXi * Xi) through the
-    decay sums, nu and gamma (everything but the scan)."""
+    decay sums, nu and gamma (everything but the scan), summed over the
+    rows of each dataset's slice in cuts in turn."""
     g_alpha, g_theta, g_nu = _grad_blocks(grad, p.d)
     t = vals.t
+    parts = []  # (gradient column, its terms per row)
     for src, (cnt, esum, wsum) in vals.sums.items():
         al, th = p.alpha[:, src], p.theta[:, src]
-        g_alpha[:, src] += np.sum(
-            gxi * th * esum + gXi * (cnt[:, None] - esum), axis=0
-        )
-        g_theta[:, src] += np.sum(
-            al * (gxi * (esum - th * wsum) + gXi * wsum), axis=0
-        )
-    g_nu += gxi.sum(axis=0) + t @ gXi
-    if include_gamma:
-        grad[2 * p.d * p.d + p.d :] += (t > 0) @ gXi
+        parts.append((g_alpha[:, src],
+                      gxi * th * esum + gXi * (cnt[:, None] - esum)))
+        parts.append((g_theta[:, src],
+                      al * (gxi * (esum - th * wsum) + gXi * wsum)))
+    for rows in cuts:
+        for g, terms in parts:
+            g += np.sum(terms[rows], axis=0)
+        g_nu += gxi[rows].sum(axis=0) + t[rows] @ gXi[rows]
+        if include_gamma:
+            grad[2 * p.d * p.d + p.d :] += (t[rows] > 0) @ gXi[rows]
 
 
 def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
               include_gamma: bool) -> None:
     """Add to grad the scan's part of the gradient of
-    sum_b sum(gxi[b] * xi_b + gXi[b] * Xi_b): one reverse pass over every
-    dataset's knots, then one Frechet sum over all their real intervals."""
+    sum(gxi * xi + gXi * Xi) over the datasets' stacked query rows: one
+    reverse pass over every dataset's knots, then one Frechet sum over all
+    their real intervals."""
     d, e = p.d, p.e
     g_alpha, g_theta, g_nu = _grad_blocks(grad, d)
+    grid = sc.grid
     N, B, s = sc.X.shape
     # cotangents on the state at each knot, then the reverse pass
-    g = np.zeros((N, B, s))
-    for b, rows in enumerate(sc.rows):
-        gb = g[:, b]
-        np.add.at(gb, (rows[:, None, None], lay.Y[None]), gxi[b][:, :, None])
-        np.add.at(gb, (rows[:, None], lay.I[None]), gXi[b])
+    g = np.zeros((N * B, s))
+    np.add.at(g, (grid.rows[:, None, None], lay.Y[None]), gxi[:, :, None])
+    np.add.at(g, (grid.rows[:, None], lay.I[None]), gXi)
+    g = g.reshape(N, B, s)
     # (B, 1, s) rows: each step back is one batched vector-matrix product
     lam = np.empty((N, B, 1, s))
     g_rows = g[:, :, None]
@@ -384,10 +419,10 @@ def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
     # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
     # every derivative is of expm(M dt) and uses its powers of M; padding
     # steps are left out
-    real = sc.dt > 0
+    real = grid.real
     u = (sc.X[:-1] + sc.jumps[:-1])[real]
-    v = (lam[1:] * sc.dt[..., None])[real]
-    G = lay.expm(sc.dt[real], u, v).T
+    v = (lam[1:] * grid.dt[..., None])[real]
+    G = lay.expm(grid.dt[real], u, v).T
 
     # generator entries
     R = np.zeros((d, e))
@@ -412,7 +447,7 @@ def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
     if include_gamma:
         grad[2 * d * d + d : 2 * d * d + d + e] += np.sum(c[:, :e] * lam_Y, axis=0)
     # event jumps alpha_jk theta_jk on w[j, k]
-    S = np.einsum("nbjk,nbk->jk", mu[:, :, lay.W], sc.counts)
+    S = np.einsum("nbjk,nbk->jk", mu[:, :, lay.W], grid.counts)
     g_alpha[:e, e:] += p.theta[:e, e:] * S
     g_theta[:e, e:] += p.alpha[:e, e:] * S
 
@@ -436,9 +471,14 @@ class PoiEvaluator:
         self.layout = _Layout(params) if e > 0 else None
 
     def values(self, times) -> PoiValues:
-        vals = _decay_values(self.params, self.decays, times)
-        if self.layout is not None and vals.t.size:
-            vals.scan = _scan_values(self.layout, [self.events], [vals])
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        if np.any(~np.isfinite(t)) or np.any(t < 0):
+            raise DomainError("query times must be finite and >= 0")
+        sums = {src: sd.query(t) for src, sd in self.decays.items()}
+        vals = _decay_values(self.params, sums, t)
+        if self.layout is not None and t.size:
+            grid = _grid([self.events], [t], self.params.e)
+            vals.scan = _scan_values(self.layout, grid, vals)
         return vals
 
     def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
@@ -451,6 +491,6 @@ class PoiEvaluator:
         grad = np.zeros(n_free(p.d, include_gamma))
         _decay_vjp(p, vals, gxi, gXi, grad, include_gamma)
         if vals.scan is not None:
-            _scan_vjp(p, self.layout, vals.scan, [gxi], [gXi], grad,
+            _scan_vjp(p, self.layout, vals.scan, gxi, gXi, grad,
                       include_gamma)
         return grad

@@ -55,7 +55,7 @@ from .errors import (
     ParameterError,
 )
 from .params import Dataset, EventHistory, ModelParams, validate_events_for
-from .poi import _FACTORIALS, _TAYLOR_DEGREE, _Layout, _scan
+from .poi import _FACTORIALS, _TAYLOR_DEGREE, _Layout, _grid, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
 _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
@@ -278,7 +278,8 @@ def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
         raise ParameterError("dataset split does not match the model")
     lay = _Layout(params, full=True)
     observed = validate_events_for(params, dataset.event_list())
-    x_train = _scan(lay, [observed], [np.array([T_train])]).X[-1, 0]
+    grid = _grid([observed], [np.array([T_train])], params.e)
+    x_train = _scan(lay, grid).X[-1, 0]
     x_train[lay.I] = 0.0
     return lay, x_train, bnds
 

@@ -288,14 +288,14 @@ def compensator_forecast_mc(params, dataset, boundaries, n_samples, seed):
     sampler once per seeded sample, and return the per-window sample mean
     and sd of the increments, each of shape (windows, e)."""
     from pmbp.params import validate_events_for
-    from pmbp.poi import _Layout, _scan
+    from pmbp.poi import _Layout, _grid, _scan
     from pmbp.sampling import _continue
 
     bnds = np.asarray(boundaries, dtype=float)
     e = params.e
     lay = _Layout(params, full=True)
     events = validate_events_for(params, dataset.event_list())
-    x = _scan(lay, [events], [np.array([dataset.T])]).X[-1, 0]
+    x = _scan(lay, _grid([events], [np.array([dataset.T])], e)).X[-1, 0]
     x[lay.I] = 0.0
     draws = []
     for child in np.random.SeedSequence(seed).spawn(n_samples):

@@ -438,3 +438,142 @@ def test_gradient_along_a_zero_censored_row():
         fd = (joint_nll(unpack(params, x), datasets)
               - joint_nll(params, datasets)) / h
         assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-6), k
+
+
+# ---------------------------------------------------------------------------
+# the prepared objective
+
+
+def _random_datasets(rng, d, e, n):
+    """n datasets of random horizons, window counts on the first e
+    dimensions and events on the rest."""
+    datasets = []
+    for _ in range(n):
+        T = float(rng.integers(3, 12))
+        datasets.append(Dataset(
+            T=T,
+            censored=tuple(CensoredSeries(np.arange(T + 1.0),
+                                          rng.poisson(0.8, int(T)))
+                           for _ in range(e)),
+            events=tuple(np.sort(rng.uniform(0.0, T, rng.integers(0, 9)))
+                         for _ in range(d - e)),
+        ))
+    return datasets
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_prepared_objective_keeps_no_state_between_calls(d, data):
+    # one prepared form evaluated at p1, p2, p1: the repeat is bitwise the
+    # first call and a fresh evaluation, so no call leaves anything behind
+    e = data.draw(st.integers(0, d), label="e")
+    n = data.draw(st.integers(1, 3), label="datasets")
+    include_gamma = data.draw(st.booleans(), label="include_gamma")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    datasets = _random_datasets(rng, d, e, n)
+    p1, p2 = (ModelParams(
+        d=d, e=e, theta=rng.uniform(0.5, 2.0, (d, d)),
+        alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+        gamma=rng.uniform(0.1, 0.5, d), nu=rng.uniform(0.3, 0.9, d),
+    ) for _ in range(2))
+    prep = pmbp.likelihood._Prepared(datasets)
+    first = nll_and_grad(p1, prep, include_gamma=include_gamma)
+    nll_and_grad(p2, prep, include_gamma=include_gamma)
+    again = nll_and_grad(p1, prep, include_gamma=include_gamma)
+    fresh = nll_and_grad(p1, datasets, include_gamma=include_gamma)
+    for value, grad in (again, fresh):
+        assert value == first[0]
+        assert np.array_equal(grad, first[1])
+    assert joint_nll(p1, prep) == first[0]
+
+
+def _dead_case():
+    """d=3, e=1: dimension 1 is censored with counts only in its first
+    window; dimensions 2 and 3 are observed with events."""
+    params = ModelParams(
+        d=3, e=1, theta=[[1.0, 0.7, 1.3], [0.8, 1.1, 0.6], [1.2, 0.9, 1.0]],
+        alpha=[[0.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.1, 0.2, 0.3]],
+        gamma=[0.3, 0.2, 0.1], nu=[0.4, 0.3, 0.5],
+    )
+    rng = np.random.default_rng(23)
+    datasets = [
+        Dataset(T=T,
+                censored=(CensoredSeries(np.arange(T + 1.0),
+                                         np.r_[3.0, np.zeros(int(T) - 1)]),),
+                events=tuple(np.sort(rng.uniform(0.0, T, int(T)))
+                             for _ in range(2)))
+        for T in (6.0, 10.0)
+    ]
+    return params, datasets
+
+
+def _full_evaluation(params, datasets, weights):
+    """The weighted objective scored term by term from PoiEvaluator values,
+    scan included."""
+    total = 0.0
+    for ds in datasets:
+        times = np.unique(np.concatenate(
+            [[ds.T], *[s.boundaries for s in ds.censored], *ds.events]))
+        vals = pmbp.PoiEvaluator(params, ds.event_list()).values(times)
+        at = lambda ts: np.searchsorted(times, ts)
+        for j, series in enumerate(ds.censored):
+            if weights[j]:
+                total += weights[j] * icll(vals.Xi[at(series.boundaries), j],
+                                           series.counts)
+        for j, ts in enumerate(ds.events, start=ds.e):
+            if weights[j]:
+                total += weights[j] * ppll_nll(vals.xi[at(ts), j],
+                                               float(vals.Xi[at(ds.T), j]))
+    return total
+
+
+@pytest.mark.parametrize("dim,gamma,weight,finite", [
+    (2, 0.1, 1.0, False),   # an observed dimension with events
+    (0, 0.3, 1.0, True),    # counts only in the first window, gamma > 0
+    (0, 0.0, 1.0, False),   # the same with gamma = 0
+    (2, 0.1, 0.0, True),    # an impossible dimension of weight 0
+], ids=["observed", "first_window", "first_window_no_gamma", "zero_weight"])
+def test_dead_dimension_matches_the_full_evaluation(monkeypatch, dim, gamma,
+                                                    weight, finite):
+    # nu_i = 0 and alpha[i, :] = 0 leave xi_i = 0 and Xi_i = gamma_i 1{t>0}
+    params, datasets = _dead_case()
+    alpha = params.alpha.copy()
+    alpha[dim] = 0.0
+    params = params.replace(alpha=alpha, nu=np.where(np.arange(3) == dim, 0.0,
+                                                     params.nu),
+                            gamma=np.where(np.arange(3) == dim, gamma,
+                                           params.gamma))
+    weights = np.where(np.arange(3) == dim, weight, 1.0)
+    cfg = LikelihoodConfig(weights=weights)
+    expected = _full_evaluation(params, datasets, weights)
+    assert np.isfinite(expected) == finite
+    if not finite:
+        # rejected before any decay sum
+        def refuse(*args, **kwargs):
+            raise AssertionError("decay sums at a dead dimension")
+
+        monkeypatch.setattr(pmbp.likelihood, "SourceDecay", refuse)
+        assert joint_nll(params, datasets, config=cfg) == np.inf
+        value, grad = nll_and_grad(params, datasets, config=cfg)
+        assert value == np.inf and np.all(np.isnan(grad))
+        return
+    assert joint_nll(params, datasets, config=cfg) == pytest.approx(
+        expected, rel=1e-12)
+    value, grad = nll_and_grad(params, datasets, config=cfg)
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert np.all(np.isfinite(grad))
+
+
+def test_dead_dimension_after_a_supercritical_block():
+    # the layout's regularity check comes first, as in the full evaluation
+    params, datasets = _dead_case()
+    params = params.replace(
+        alpha=[[1.2, 0.1, 0.2], [0.2, 0.1, 0.2], [0.0, 0.0, 0.0]],
+        nu=[0.4, 0.3, 0.0])
+    with pytest.raises(RegularityError):
+        _full_evaluation(params, datasets, np.ones(3))
+    with pytest.raises(RegularityError):
+        joint_nll(params, datasets)
+    with pytest.raises(RegularityError):
+        nll_and_grad(params, datasets)

@@ -24,7 +24,7 @@ from pmbp import (
     xi_eval,
 )
 from pmbp import closed_form_pmbp21
-from pmbp.decay import SourceDecay
+from pmbp.decay import SourceDecay, _stack
 from pmbp.poi import _CHUNK, _Layout
 
 from oracles import (
@@ -232,7 +232,7 @@ def test_derivatives_match_fd_past_chunk():
 
     ev = PoiEvaluator(p, events)
     vals = ev.values(t)
-    assert vals.scan.dt.size > _CHUNK
+    assert vals.scan.grid.dt.size > _CHUNK
     g_an = ev.vjp(vals, c_xi, c_Xi, True)
     g_fd = fd_gradient(f, pack(p, True))
     assert np.max(np.abs(g_an - g_fd) / np.maximum(np.abs(g_fd), 1e-3)) < 1e-6
@@ -260,7 +260,7 @@ def test_derivatives_match_fd_through_squarings():
 
     ev = PoiEvaluator(p, events)
     vals = ev.values(t)
-    sq = np.ceil(np.log2(ev.layout.expm.norm * vals.scan.dt))
+    sq = np.ceil(np.log2(ev.layout.expm.norm * vals.scan.grid.dt))
     assert sq.min() >= 5 and sq.max() == 14
     g_an = ev.vjp(vals, c_xi, c_Xi, True)
     g_fd = fd_gradient(f, pack(p, True))
@@ -387,3 +387,21 @@ def test_source_decay_matches_event_loop(n, r):
     tiny = np.finfo(float).tiny
     np.testing.assert_allclose(decay._B, B, rtol=1e-12, atol=tiny)
     np.testing.assert_allclose(decay._C, C, rtol=1e-12, atol=tiny)
+
+
+def test_stacked_source_decay_matches_one_source_at_a_time():
+    # a stack of sources padded to one length runs the same arithmetic as
+    # each source alone: bitwise equal sums, empty sources included
+    rng = np.random.default_rng(11)
+    sources = [np.cumsum(rng.exponential(1.0, n)) for n in (0, 1, 7, 40, 3)]
+    queries = [np.sort(rng.uniform(0.0, 45.0, m)) for m in (5, 0, 9, 30, 4)]
+    rates = rng.uniform(0.1, 5.0, (3, len(sources)))
+    times, gaps, located = _stack(sources, queries)
+    cnt, esum, wsum = SourceDecay(times, rates, gaps)._sums(located)
+    start = 0
+    for k, (ts, u) in enumerate(zip(sources, queries)):
+        rows = slice(start, start + u.size)
+        start += u.size
+        ref = SourceDecay(ts, rates[:, k]).query(u)
+        for got, want in zip((cnt[rows], esum[rows], wsum[rows]), ref):
+            assert np.array_equal(got, want), k
