@@ -9,15 +9,13 @@ to its own last event, so every stored term lies in [0, n] and queries cost
 O(log n).
 
 Each sum splits into a data side, fixed by the event and query times, and a
-rate side.  The data side is the stride gaps of the doubling pass
-(`_stride_gaps`) and, per query, the count of earlier events and the gap to
-the last of them (`_locate`).  The rate side is every exp(-r gap) and the
-products with it: `SourceDecay` builds the prefix sums from the gaps, and
-`SourceDecay._sums` reads them at located queries.  `SourceDecay.query`
-does both for one source.  The fit objective (`pmbp.likelihood`) prepares
-the data side once per fit for a stack of sources, every observed source
-of every dataset padded to one length (`_stack`), and per call runs the
-rate side over the whole stack at once.
+rate side.  The data side (`_stack`) is built once for a stack of sources,
+padded to one length: the stride gaps of the doubling pass and, per query,
+the count of earlier events and the gap to the last of them.  The rate side
+is every exp(-r gap) and the products with it: `SourceDecay` builds the
+prefix sums from the gaps, and `SourceDecay._sums` reads them at the
+located queries.  An evaluation plan (`pmbp.poi._plan`) holds the data side
+of every observed source of every dataset it evaluates.
 """
 
 from __future__ import annotations
@@ -35,49 +33,43 @@ def _stride_gaps(times: np.ndarray) -> list:
     return gaps
 
 
-def _locate(times: np.ndarray, u: np.ndarray, seq: int = 0, width: int = 0):
-    """The data side of queries at times u of source `seq` of a stack of
-    sources padded to `width` events (a lone source is seq 0): count(u) =
-    #{k : t_k < u}, the mask of queries with count > 0, and for those the
-    flat index of the last event before them, the gap to it and seq."""
-    count = np.searchsorted(times, u, side="left")
-    mask = count > 0
-    last = count[mask] - 1
-    return (count, mask, seq * width + last, u[mask] - times[last],
-            np.full(last.size, seq))
-
-
 def _stack(sources, queries):
     """The data side of a stack of S sources, sources[k] queried at
-    queries[k]: their event times as one (S, n) array, each padded at the
-    end with its last time (padding gives finite sums that no query reads),
-    its stride gaps, and every source's located queries, concatenated."""
+    queries[k] (any order): their event times as one (S, n) array, each
+    padded at the end with its last time (padding gives finite sums that no
+    query reads), its stride gaps, and the located queries of every source,
+    concatenated.  A query u of source k is located by count(u) =
+    #{t_k < u}, the mask of count > 0 and, where it holds, the flat index of
+    the last event before u, the gap to it and k."""
     n = max((ts.size for ts in sources), default=0)
     times = np.zeros((len(sources), n))
-    for k, ts in enumerate(sources):
+    located = []
+    for k, (ts, u) in enumerate(zip(sources, queries)):
         times[k, : ts.size] = ts
         times[k, ts.size :] = ts[-1] if ts.size else 0.0
-    located = [_locate(ts, u, k, n)
-               for k, (ts, u) in enumerate(zip(sources, queries))]
+        count = np.searchsorted(ts, u, side="left")
+        mask = count > 0
+        last = count[mask] - 1
+        located.append((count, mask, k * n + last, u[mask] - ts[last],
+                        np.full(last.size, k)))
     located = tuple(np.concatenate(f) for f in zip(*located))
     return times, _stride_gaps(times), located
 
 
 class SourceDecay:
-    """Decayed prefix sums over one source dimension's sorted event times,
-    or over a stack of sources at once.
+    """Decayed prefix sums over a stack of S sources' sorted event times.
 
     Parameters
     ----------
-    times : (n,) or (S, n) array
-        Strictly increasing event times of the source dimension, or of S
-        sources padded as by `_stack`.
-    rates : (d,) or (d, S) array
-        One positive decay rate per target dimension (and source).
+    times : (S, n) array
+        Strictly increasing event times of each source, padded as by
+        `_stack`.
+    rates : (d, S) array
+        One positive decay rate per target dimension and source.
     gaps : list, optional
         `_stride_gaps(times)`, when the caller has it already.
 
-    For each query time u and rate r the accessors return
+    For each query time u and rate r the sums are
         count(u)  = #{k : t_k < u}
         esum(u)   = sum_{t_k < u} exp(-r (u - t_k))
         wsum(u)   = sum_{t_k < u} (u - t_k) exp(-r (u - t_k))
@@ -88,9 +80,8 @@ class SourceDecay:
     def __init__(self, times: np.ndarray, rates: np.ndarray, gaps=None):
         times = np.asarray(times, dtype=float)
         rates = np.asarray(rates, dtype=float)
-        if times.ndim not in (1, 2) or rates.ndim != times.ndim:
-            raise ValueError("need times (n,) and rates (d,), or times "
-                             "(S, n) and rates (d, S)")
+        if times.ndim != 2 or rates.ndim != 2:
+            raise ValueError("need times (S, n) and rates (d, S)")
         self.times = times
         self.rates = rates
         # B[i, k] = sum_{m <= k} exp(-r_i (t_k - t_m));  C is its (t_k - t_m)-
@@ -108,37 +99,16 @@ class SourceDecay:
             self._B[..., s:] += a * self._B[..., :-s]
             s *= 2
 
-    def query(self, u: np.ndarray):
-        """Return (count, esum, wsum) at query times u (any order) of a
-        lone source.
-
-        count : (m,) int, esum/wsum : (m, d).
-        """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return self._sums(_locate(self.times, u))
-
     def _sums(self, located):
-        """(count, esum, wsum) at queries located by `_locate` (or `_stack`)."""
+        """(count, esum, wsum) at the queries located by `_stack`."""
         count, mask, idx, gap, seq = located
         d = self.rates.shape[0]
         esum = np.zeros((count.size, d))
         wsum = np.zeros((count.size, d))
         if idx.size:
-            fade = np.exp(-gap[:, None] * self.rates.reshape(d, -1).T[seq])
+            fade = np.exp(-gap[:, None] * self.rates.T[seq])
             B = self._B.reshape(d, -1)[:, idx].T
             esum[mask] = fade * B
             wsum[mask] = fade * (self._C.reshape(d, -1)[:, idx].T
                                  + gap[:, None] * B)
         return count, esum, wsum
-
-
-def build_source_decays(events, theta: np.ndarray, sources):
-    """One SourceDecay, with rates theta[:, j], per source dimension j in
-    `sources` that has at least one event in the per-dimension time arrays
-    `events`."""
-    out = {}
-    for j in sources:
-        ts = np.asarray(events[j], dtype=float)
-        if ts.size:
-            out[j] = SourceDecay(ts, theta[:, j])
-    return out

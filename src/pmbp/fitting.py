@@ -33,7 +33,6 @@ from .hawkes import sample_hawkes
 from .likelihood import (
     LikelihoodConfig,
     _as_datasets,
-    _check_compat,
     _Prepared,
     nll_and_grad,
 )
@@ -348,7 +347,6 @@ def fit(datasets, cfg: FitConfig | None = None) -> FitResult:
         d=d, e=e, theta=np.ones((d, d)), alpha=np.zeros((d, d)),
         gamma=gamma_fixed, nu=np.ones(d),
     )
-    _check_compat(template, datasets)
     emp = _empirical_rates(datasets)
     lb, ub = _bounds(cfg, d, emp)
     f_and_g = _make_objective(template, datasets, cfg)

@@ -11,15 +11,14 @@ differentiate exactly the computed objective: its cotangents on xi and Xi
 go through the evaluator's adjoint pass.
 
 The data side of the objective is prepared once (`_Prepared`; a fit builds
-it once and passes it to `nll_and_grad` in place of the datasets): every
-dataset's query times, stacked into one table, the rows of its windows,
-events and T, the decay data of every observed source, the scan's knot
-grid, and which dimensions need intensity.  Each call does only parameter
-work.  It first rejects a dead dimension (nu_i = 0, alpha[i, :] = 0) that
-carries an observation it cannot explain; then it runs one decay pass over
-every source of every dataset, scores the dimensions that the scan does
-not reach, runs one layout's scan over every dataset (`pmbp.poi`), and
-scores the rest.
+it once and passes it to `nll_and_grad` in place of the datasets): the
+evaluation plan of every dataset's query times (`pmbp.poi._plan`, the
+same data path as `PoiEvaluator.values`), the rows of each dataset's
+windows, events and T, and which dimensions need intensity.  Each call
+does only parameter work.  It first rejects a dead dimension (nu_i = 0,
+alpha[i, :] = 0) that carries an observation it cannot explain; then it
+runs the plan's decay pass, scores the dimensions that the scan does not
+reach, runs one layout's scan over every dataset, and scores the rest.
 """
 
 from __future__ import annotations
@@ -33,17 +32,9 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .decay import SourceDecay, _stack
 from .params import Dataset, ModelParams
 from .paramvec import n_free
-from .poi import (
-    _decay_values,
-    _decay_vjp,
-    _grid,
-    _Layout,
-    _scan_values,
-    _scan_vjp,
-)
+from .poi import _decay_values, _Layout, _plan, _scan_values, _vjp
 
 _INCREMENT_SLACK = -1e-9  # tolerated negative compensator increment
 
@@ -151,45 +142,34 @@ class _Prepared:
     """The data side of the objective over a list of datasets of one
     (d, e) split, built once; evaluations only read it.
 
-    The datasets' query times (T, the window boundaries and the events of
-    each, sorted and unique) are stacked in dataset order into one table of
-    rows t.  Dataset b owns the rows cuts[b]; windows[b], marks[b] and
-    at_T[b] are the rows of its window boundaries, events and T.  The
-    observed sources of every dataset, source-major, form one decay stack
-    (`pmbp.decay._stack`), each queried at its dataset's rows; for e > 0
-    grid is the joint scan's knot grid.  Per dimension, `late` flags an
-    event or a positive count in a window that starts after 0, and `seen`
-    any event or positive count.
+    Each dataset's query times (T, the window boundaries and the events,
+    sorted and unique) are one dataset of the evaluation plan.  Of dataset
+    b's rows in the plan, windows[b], marks[b] and at_T[b] are those of its
+    window boundaries, events and T.  Per dimension, `late` flags an event
+    or a positive count in a window that starts after 0, and `seen` any
+    event or positive count.
     """
 
     def __init__(self, datasets):
         self.datasets = datasets
         d, e = datasets[0].d, datasets[0].e
-        events = [ds.event_list() for ds in datasets]  # validated by Dataset
         times = [_query_times(ds) for ds in datasets]
-        self.t = np.concatenate(times)
-        self.cuts, self.windows, self.marks, self.at_T = [], [], [], []
+        # the events are validated by Dataset
+        self.plan = _plan([ds.event_list() for ds in datasets], times, e)
+        self.windows, self.marks, self.at_T = [], [], []
         self.late = np.zeros(d, dtype=bool)
         self.seen = np.zeros(d, dtype=bool)
-        start = 0
-        for ds, t in zip(datasets, times):
-            at = lambda x: start + np.searchsorted(t, x)
+        for ds, t, rows in zip(datasets, times, self.plan.cuts):
+            at = lambda x: rows.start + np.searchsorted(t, x)
             self.windows.append([at(series.boundaries) for series in ds.censored])
             self.marks.append([at(ts) for ts in ds.events])
             self.at_T.append(at(ds.T))
-            self.cuts.append(slice(start, start + t.size))
-            start += t.size
             for j, series in enumerate(ds.censored):
                 self.late[j] |= np.any(series.counts[1:] > 0)
                 self.seen[j] |= np.any(series.counts > 0)
             for j, ts in enumerate(ds.events, start=e):
                 self.late[j] |= ts.size > 0
                 self.seen[j] |= ts.size > 0
-        self.decay = None
-        if e < d:
-            self.decay = _stack([ev[j] for j in range(e, d) for ev in events],
-                                times * (d - e))
-        self.grid = _grid(events, times, e) if e > 0 else None
 
 
 def _prepared(params: ModelParams, data) -> _Prepared:
@@ -263,16 +243,7 @@ def _accumulate(
     dead = (w != 0) & (params.nu == 0) & ~np.any(params.alpha, axis=1)
     if np.any(dead & (prep.late | prep.seen & (params.gamma == 0))):
         return impossible(np.inf)
-    sums = {}
-    if prep.decay is not None:
-        times, gaps, located = prep.decay
-        rates = np.repeat(params.theta[:, e:], len(prep.datasets), axis=1)
-        cnt, esum, wsum = SourceDecay(times, rates, gaps)._sums(located)
-        m = prep.t.size
-        for k in range(d - e):
-            rows = slice(k * m, (k + 1) * m)
-            sums[e + k] = (cnt[rows], esum[rows], wsum[rows])
-    out = _decay_values(params, sums, prep.t)
+    out = _decay_values(params, prep.plan)
     g_xi, g_Xi = np.zeros_like(out.xi), np.zeros_like(out.Xi)
     scan_free = ~np.any(params.alpha[:, :e], axis=1)
     first, rest = (w != 0) & scan_free, (w != 0) & ~scan_free
@@ -281,9 +252,8 @@ def _accumulate(
         bad = _score(prep, b, out, w, first, terms[b], g_xi, g_Xi)
         if bad is not None:
             return impossible(bad)
-    sc = None
     if lay is not None:
-        sc = _scan_values(lay, prep.grid, out)
+        _scan_values(lay, out)
         for b in range(len(prep.datasets)):
             bad = _score(prep, b, out, w, rest, terms[b], g_xi, g_Xi)
             if bad is not None:
@@ -299,9 +269,7 @@ def _accumulate(
     grad = np.zeros(n_free(d, include_gamma))
     if config.w_nu:
         grad[2 * d * d : 2 * d * d + d] += config.w_nu
-    _decay_vjp(params, out, g_xi, g_Xi, grad, include_gamma, prep.cuts)
-    if sc is not None:
-        _scan_vjp(params, lay, sc, g_xi, g_Xi, grad, include_gamma)
+    _vjp(params, lay, out, g_xi, g_Xi, grad, include_gamma)
     return total, grad
 
 

@@ -30,13 +30,18 @@ M depends only on the parameters, so one scan serves any number of datasets
 (the joint objective of `pmbp.likelihood`; a single dataset is the batch of
 one).  Their knots are stacked on a batch axis, and the datasets with fewer
 knots are padded at the end with dt = 0 steps.  Those steps are set to the
-identity, not evaluated, and no query reads a padded knot.  The knots are
-data alone, so a scan splits into a grid (`_grid`: the step lengths, the
-knot of every query row, the event counts and the real steps), which the
-fit objective builds once per fit and `PoiEvaluator.values` and the
-sampler build per call, and the parameter pass (`_scan`): the steps, then
-one loop over the knot axis on (B, s, 1) states.  The adjoint is one loop
-back.
+identity, not evaluated, and no query reads a padded knot.
+
+An evaluation splits into a data side and parameter passes.  The data side
+is a plan (`_plan`), built once for the query times of B datasets: the
+stacked query rows, one decay stack of every observed source of every
+dataset (`pmbp.decay._stack`) and the scan's knot grid (`_grid`: the step
+lengths, the knot of every query row, the event counts and the real
+steps).  The fit objective builds one plan per fit, and
+`PoiEvaluator.values` one per call.  The parameter passes read it: the
+decay sums (`_decay_values`), the scan (`_scan_values`: the steps, then one
+loop over the knot axis on (B, s, 1) states) and the adjoint of both
+(`_vjp`), whose scan part is one loop back.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each interval's scaled step has norm at
@@ -67,7 +72,7 @@ import functools
 
 import numpy as np
 
-from .decay import build_source_decays
+from .decay import SourceDecay, _stack
 from .errors import DomainError, RegularityError
 from .params import ModelParams, spectral_radius, validate_events_for
 from .paramvec import n_free
@@ -91,14 +96,19 @@ _FRECHET = np.r_[1.0 / _FACTORIALS[1:], np.zeros(_TAYLOR_DEGREE - 1)][
 
 @dataclasses.dataclass
 class PoiValues:
-    """xi/Xi rows (m, d) at the query times t, with what the gradient reuses:
-    the decay sums (count, esum, wsum) per observed source and the scan."""
+    """xi/Xi rows (m, d) at the query times t of the plan, with what the
+    gradient reuses: the plan, the decay sums (count, esum, wsum), one row
+    block per observed source, and the scan."""
 
-    t: np.ndarray
     xi: np.ndarray
     Xi: np.ndarray
-    sums: dict = dataclasses.field(default_factory=dict, repr=False)
+    plan: "_Plan" = dataclasses.field(repr=False)
+    sums: tuple = dataclasses.field(default=(), repr=False)
     scan: "_Scan | None" = dataclasses.field(default=None, repr=False)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.plan.t
 
 
 @dataclasses.dataclass
@@ -288,6 +298,39 @@ class _Layout:
         return _Expm(self.M)
 
 
+@dataclasses.dataclass
+class _Plan:
+    """The data side of an evaluation at the query times of B datasets.
+
+    t stacks the datasets' query times in dataset order; dataset b owns the
+    rows cuts[b].  decay is the `pmbp.decay._stack` of every observed source
+    of every dataset, source-major (source e + k of dataset b is entry
+    k * B + b), each queried at its dataset's rows, or None at e = d; grid
+    is the scan's, or None at e = 0 or with no query.
+    """
+
+    t: np.ndarray
+    cuts: list
+    decay: tuple | None
+    grid: _Grid | None
+
+
+def _plan(events, times, e: int) -> _Plan:
+    """The plan of B datasets: events[b] holds dataset b's event times by
+    absolute dimension (entries below e are ignored) and times[b] its query
+    times, in any order."""
+    d = len(events[0])
+    t = np.concatenate(times)
+    bounds = np.cumsum([0] + [tb.size for tb in times])
+    cuts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    decay = None
+    if e < d:
+        decay = _stack([ev[j] for j in range(e, d) for ev in events],
+                       list(times) * (d - e))
+    grid = _grid(events, times, e) if e > 0 and t.size else None
+    return _Plan(t=t, cuts=cuts, decay=decay, grid=grid)
+
+
 def _grid(events, times, e: int) -> _Grid:
     """The knots of every dataset b: 0, its query times times[b] and the
     events of its observed sources (events[b] is indexed by absolute
@@ -338,67 +381,68 @@ def _scan(lay: _Layout, grid: _Grid) -> _Scan:
     return _Scan(grid=grid, E=E, X=X[..., 0], jumps=jumps)
 
 
-def _scan_values(lay: _Layout, grid: _Grid, vals: PoiValues) -> _Scan:
-    """One joint scan of the datasets' states across `grid`; adds its part
-    of xi and Xi to the datasets' stacked query rows vals in place.  A
-    dimension i whose row alpha[i, :e] is zero gets exactly 0.0."""
-    sc = _scan(lay, grid)
-    rows = sc.X.reshape(-1, lay.s)[grid.rows]
-    vals.xi += rows[:, lay.Y].sum(axis=2)
-    vals.Xi += rows[:, lay.I]
-    return sc
-
-
-def _grad_blocks(grad: np.ndarray, d: int):
-    """Views of alpha, theta and nu in a gradient in the canonical layout."""
-    return (grad[: d * d].reshape(d, d), grad[d * d : 2 * d * d].reshape(d, d),
-            grad[2 * d * d : 2 * d * d + d])
-
-
-def _decay_values(p: ModelParams, sums, t: np.ndarray) -> PoiValues:
-    """xi and Xi at the query times t from the observed-source decay sums
-    {source: (count, esum, wsum)} alone: the whole evaluator at e = 0, and
-    otherwise everything but the scan's part."""
+def _decay_values(p: ModelParams, plan: _Plan) -> PoiValues:
+    """xi and Xi at the plan's query rows from one decay pass over its
+    stack: the whole evaluator at e = 0, and otherwise everything but the
+    scan's part."""
+    t, e = plan.t, p.e
     a = np.zeros((t.size, p.d))
     A = np.zeros((t.size, p.d))
-    for src, (cnt, esum, wsum) in sums.items():
+    sums = ()
+    if plan.decay is not None:
+        times, gaps, located = plan.decay
+        rates = np.repeat(p.theta[:, e:], len(plan.cuts), axis=1)
+        cnt, esum, wsum = SourceDecay(times, rates, gaps)._sums(located)
+        o = p.d - e
+        sums = (cnt.reshape(o, t.size), esum.reshape(o, t.size, p.d),
+                wsum.reshape(o, t.size, p.d))
+    for src, (cnt, esum, wsum) in enumerate(zip(*sums), start=e):
         a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
         A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
     xi = p.nu[None, :] + a
     Xi = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
-    return PoiValues(t=t, xi=xi, Xi=Xi, sums=sums)
+    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums)
 
 
-def _decay_vjp(p: ModelParams, vals: PoiValues, gxi, gXi, grad,
-               include_gamma: bool, cuts=(slice(None),)) -> None:
-    """Add to grad the gradient of sum(gxi * xi + gXi * Xi) through the
-    decay sums, nu and gamma (everything but the scan), summed over the
-    rows of each dataset's slice in cuts in turn."""
-    g_alpha, g_theta, g_nu = _grad_blocks(grad, p.d)
+def _scan_values(lay: _Layout, vals: PoiValues) -> None:
+    """One joint scan of the states of the datasets of vals' plan; adds its
+    part of xi and Xi to vals in place and keeps the scan in vals.scan.  A
+    dimension i whose row alpha[i, :e] is zero gets exactly 0.0."""
+    grid = vals.plan.grid
+    vals.scan = _scan(lay, grid)
+    rows = vals.scan.X.reshape(-1, lay.s)[grid.rows]
+    vals.xi += rows[:, lay.Y].sum(axis=2)
+    vals.Xi += rows[:, lay.I]
+
+
+def _vjp(p: ModelParams, lay: _Layout | None, vals: PoiValues, gxi, gXi,
+         grad, include_gamma: bool) -> None:
+    """Add to grad the gradient of sum(gxi * xi + gXi * Xi) over vals' rows.
+
+    The decay sums, nu and gamma are summed over each dataset's rows in
+    turn.  Then, if vals has a scan, one reverse pass over every dataset's
+    knots, and one Frechet sum over all their real intervals."""
+    d, e = p.d, p.e
+    g_alpha = grad[: d * d].reshape(d, d)
+    g_theta = grad[d * d : 2 * d * d].reshape(d, d)
+    g_nu = grad[2 * d * d : 2 * d * d + d]
     t = vals.t
     parts = []  # (gradient column, its terms per row)
-    for src, (cnt, esum, wsum) in vals.sums.items():
+    for src, (cnt, esum, wsum) in enumerate(zip(*vals.sums), start=e):
         al, th = p.alpha[:, src], p.theta[:, src]
         parts.append((g_alpha[:, src],
                       gxi * th * esum + gXi * (cnt[:, None] - esum)))
         parts.append((g_theta[:, src],
                       al * (gxi * (esum - th * wsum) + gXi * wsum)))
-    for rows in cuts:
+    for rows in vals.plan.cuts:
         for g, terms in parts:
             g += np.sum(terms[rows], axis=0)
         g_nu += gxi[rows].sum(axis=0) + t[rows] @ gXi[rows]
         if include_gamma:
-            grad[2 * p.d * p.d + p.d :] += (t[rows] > 0) @ gXi[rows]
-
-
-def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
-              include_gamma: bool) -> None:
-    """Add to grad the scan's part of the gradient of
-    sum(gxi * xi + gXi * Xi) over the datasets' stacked query rows: one
-    reverse pass over every dataset's knots, then one Frechet sum over all
-    their real intervals."""
-    d, e = p.d, p.e
-    g_alpha, g_theta, g_nu = _grad_blocks(grad, d)
+            grad[2 * d * d + d :] += (t[rows] > 0) @ gXi[rows]
+    sc = vals.scan
+    if sc is None:
+        return
     grid = sc.grid
     N, B, s = sc.X.shape
     # cotangents on the state at each knot, then the reverse pass
@@ -464,21 +508,16 @@ class PoiEvaluator:
     def __init__(self, params: ModelParams, events):
         self.params = params
         self.events = validate_events_for(params, events)
-        d, e = params.d, params.e
-        self.decays = build_source_decays(
-            self.events, params.theta, sources=range(e, d)
-        )
-        self.layout = _Layout(params) if e > 0 else None
+        self.layout = _Layout(params) if params.e > 0 else None
 
     def values(self, times) -> PoiValues:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(~np.isfinite(t)) or np.any(t < 0):
             raise DomainError("query times must be finite and >= 0")
-        sums = {src: sd.query(t) for src, sd in self.decays.items()}
-        vals = _decay_values(self.params, sums, t)
-        if self.layout is not None and t.size:
-            grid = _grid([self.events], [t], self.params.e)
-            vals.scan = _scan_values(self.layout, grid, vals)
+        vals = _decay_values(self.params, _plan([self.events], [t],
+                                                self.params.e))
+        if vals.plan.grid is not None:
+            _scan_values(self.layout, vals)
         return vals
 
     def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
@@ -489,8 +528,5 @@ class PoiEvaluator:
         gxi = np.asarray(gxi, dtype=float)
         gXi = np.asarray(gXi, dtype=float)
         grad = np.zeros(n_free(p.d, include_gamma))
-        _decay_vjp(p, vals, gxi, gXi, grad, include_gamma)
-        if vals.scan is not None:
-            _scan_vjp(p, self.layout, vals.scan, gxi, gXi, grad,
-                      include_gamma)
+        _vjp(p, self.layout, vals, gxi, gXi, grad, include_gamma)
         return grad

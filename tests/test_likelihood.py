@@ -553,7 +553,7 @@ def test_dead_dimension_matches_the_full_evaluation(monkeypatch, dim, gamma,
         def refuse(*args, **kwargs):
             raise AssertionError("decay sums at a dead dimension")
 
-        monkeypatch.setattr(pmbp.likelihood, "SourceDecay", refuse)
+        monkeypatch.setattr(pmbp.poi, "SourceDecay", refuse)
         assert joint_nll(params, datasets, config=cfg) == np.inf
         value, grad = nll_and_grad(params, datasets, config=cfg)
         assert value == np.inf and np.all(np.isnan(grad))

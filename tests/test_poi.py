@@ -135,6 +135,33 @@ def test_chunking_invariance(pmbp21, events21):
     assert np.allclose(whole.Xi, Xi_parts, rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("e", [0, 1, 3])
+def test_query_order_repeats_and_empty_queries(e):
+    # the rows of any query are those of its sorted unique times, bitwise;
+    # an empty query gives (0, d) rows and a zero gradient
+    d = 3
+    rng = np.random.default_rng(60 + e)
+    p = ModelParams(
+        d=d, e=e, theta=rng.uniform(0.3, 3.0, size=(d, d)),
+        alpha=rng.uniform(0.05, 0.25, size=(d, d)),
+        gamma=rng.uniform(0.2, 1.0, size=d), nu=rng.uniform(0.1, 1.0, size=d),
+    )
+    events = [np.sort(rng.uniform(0.0, 20.0, 15)) for _ in range(d)]
+    ev = PoiEvaluator(p, events)
+    t = np.concatenate([rng.uniform(0.0, 25.0, 30), events[-1][:5], [0.0]])
+    t = rng.permutation(np.concatenate([t, t[:10]]))
+    tu, inv = np.unique(t, return_inverse=True)
+    vals, ref = ev.values(t), ev.values(tu)
+    assert np.array_equal(vals.xi, ref.xi[inv])
+    assert np.array_equal(vals.Xi, ref.Xi[inv])
+    empty = ev.values([])
+    assert empty.xi.shape == empty.Xi.shape == (0, d)
+    for include_gamma in (False, True):
+        grad = ev.vjp(empty, np.zeros((0, d)), np.zeros((0, d)), include_gamma)
+        assert grad.shape == (len(pack(p, include_gamma)),)
+        assert np.all(grad == 0.0)
+
+
 def test_rejects_times_outside_span(pmbp21, events21):
     ev = PoiEvaluator(pmbp21, events21)
     with pytest.raises(DomainError):
@@ -382,11 +409,11 @@ def test_source_decay_matches_event_loop(n, r):
     # precision left, so differences there are held to the smallest normal
     times = np.cumsum(np.random.default_rng(n).exponential(1.0, n))
     rates = r * np.array([1.0, 0.5, 2.0])
-    decay = SourceDecay(times, rates)
+    decay = SourceDecay(times[None], rates[:, None])
     B, C = decay_prefix_loop(times, rates)
     tiny = np.finfo(float).tiny
-    np.testing.assert_allclose(decay._B, B, rtol=1e-12, atol=tiny)
-    np.testing.assert_allclose(decay._C, C, rtol=1e-12, atol=tiny)
+    np.testing.assert_allclose(decay._B[:, 0], B, rtol=1e-12, atol=tiny)
+    np.testing.assert_allclose(decay._C[:, 0], C, rtol=1e-12, atol=tiny)
 
 
 def test_stacked_source_decay_matches_one_source_at_a_time():
@@ -402,6 +429,7 @@ def test_stacked_source_decay_matches_one_source_at_a_time():
     for k, (ts, u) in enumerate(zip(sources, queries)):
         rows = slice(start, start + u.size)
         start += u.size
-        ref = SourceDecay(ts, rates[:, k]).query(u)
+        one, one_gaps, one_located = _stack([ts], [u])
+        ref = SourceDecay(one, rates[:, k : k + 1], one_gaps)._sums(one_located)
         for got, want in zip((cnt[rows], esum[rows], wsum[rows]), ref):
             assert np.array_equal(got, want), k
