@@ -33,4 +33,5 @@ def unpack(template: ModelParams, vec: np.ndarray, include_gamma: bool = False) 
     theta = vec[d * d : 2 * d * d].reshape(d, d)
     nu = vec[2 * d * d : 2 * d * d + d]
     gamma = vec[2 * d * d + d :] if include_gamma else template.gamma
-    return template.replace(alpha=alpha, theta=theta, nu=nu, gamma=gamma)
+    return ModelParams(d=d, e=template.e, theta=theta, alpha=alpha,
+                       gamma=gamma, nu=nu)

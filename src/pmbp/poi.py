@@ -371,13 +371,13 @@ def _scan(lay: _Layout, grid: _Grid) -> _Scan:
         E = np.empty(dt.shape + (lay.s, lay.s))
         E[~real] = np.eye(lay.s)
         E[real] = lay.expm(dt[real])
-    # (B, s, 1) columns: each step is one batched matrix-vector product
+    # (B, s, 1) columns: each step is one batched matrix-vector product,
+    # written into the next knot's rows
     N, B = grid.counts.shape[:2]
     X = np.empty((N, B, lay.s, 1))
     X[0] = lay.x0[:, None]
-    kicks = jumps[..., None]
-    for n in range(N - 1):
-        X[n + 1] = E[n] @ (X[n] + kicks[n])
+    for E_n, x, kick, nxt in zip(E, X, jumps[..., None], X[1:]):
+        np.matmul(E_n, x + kick, out=nxt)
     return _Scan(grid=grid, E=E, X=X[..., 0], jumps=jumps)
 
 
@@ -450,12 +450,13 @@ def _vjp(p: ModelParams, lay: _Layout | None, vals: PoiValues, gxi, gXi,
     np.add.at(g, (grid.rows[:, None, None], lay.Y[None]), gxi[:, :, None])
     np.add.at(g, (grid.rows[:, None], lay.I[None]), gXi)
     g = g.reshape(N, B, s)
-    # (B, 1, s) rows: each step back is one batched vector-matrix product
+    # (B, 1, s) rows: each step back is one batched vector-matrix product,
+    # summed into the previous knot's rows
     lam = np.empty((N, B, 1, s))
     g_rows = g[:, :, None]
     a = lam[-1] = g_rows[-1]
-    for n in range(N - 2, -1, -1):
-        a = lam[n] = g_rows[n] + a @ sc.E[n]
+    for E_n, g_n, prev in zip(sc.E[::-1], g_rows[-2::-1], lam[-2::-1]):
+        a = np.add(g_n, a @ E_n, out=prev)
     lam = lam[:, :, 0]
     mu = lam - g  # adjoint of the state just after each knot's jump
 

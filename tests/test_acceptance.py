@@ -87,6 +87,7 @@ def test_A1_expected_intensity_matches_closed_form(ref_params, ref_events):
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_A2_expected_intensity_matches_monte_carlo(ref_params, ref_events):
     t0 = time.perf_counter()
     grid = ConvGrid.make(30.0, 0.01)

@@ -127,6 +127,7 @@ def test_compute_h_residual_below_tolerance(tables21):
 # Expected intensity / compensator on the grid
 
 
+@pytest.mark.slow
 def test_xi_matches_dense_oracle(pmbp21):
     events = [np.zeros(0), np.array([2.5, 5.0])]
     grid = ConvGrid.make(8.0, 0.01)

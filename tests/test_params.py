@@ -15,9 +15,11 @@ from pmbp import (
     PoiEvaluator,
     censor_series,
     check_subcriticality,
+    pack,
     phi_eval,
     phi_integral,
     spectral_radius,
+    unpack,
 )
 from pmbp.params import column_masks, validate_events_for
 
@@ -80,6 +82,31 @@ def test_replace_updates_one_field():
     q = p.replace(nu=[1.0, 2.0])
     assert np.allclose(q.nu, [1.0, 2.0])
     assert np.allclose(q.alpha, p.alpha)
+
+
+@pytest.mark.parametrize("include_gamma", [False, True])
+def test_unpack_inverts_pack(include_gamma):
+    p = make_params(d=3, e=1, theta=np.arange(1.0, 10.0).reshape(3, 3),
+                    alpha=np.full((3, 3), 0.1), gamma=[0.1, 0.2, 0.3],
+                    nu=[0.4, 0.5, 0.6])
+    # the template gives d, e and, unless it is free, gamma
+    template = make_params(d=3, e=1, gamma=p.gamma)
+    vec = pack(p, include_gamma)
+    q = unpack(template, vec, include_gamma)
+    assert q == p
+    vec[:] = 7.0  # the parameters own their arrays
+    assert q == p
+    d = 3
+    for pos, value in ((0, -0.1), (d * d, 0.0), (2 * d * d, np.nan)):
+        bad = pack(p, include_gamma)
+        bad[pos] = value
+        with pytest.raises(ParameterError):
+            unpack(template, bad, include_gamma)
+    if include_gamma:
+        bad = pack(p, True)
+        bad[-1] = -1.0
+        with pytest.raises(ParameterError):
+            unpack(template, bad, True)
 
 
 # ---------------------------------------------------------------------------

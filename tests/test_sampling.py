@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmbp.sampling
@@ -169,6 +169,49 @@ def test_sampler_matches_scipy_reference(d, data, seed, theta):
     jump = (params.alpha * params.theta).sum(axis=1).max()
     np.testing.assert_allclose(integrals, ref_integrals, rtol=1e-8,
                                atol=1e-8 * (1.0 + jump))
+
+
+# intensities in tenths put u * sum(lam) on a cumulative boundary often
+_TENTHS = st.integers(0, 40).map(lambda v: v / 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.lists(st.one_of(_TENTHS, st.floats(0.0, 1e3)), min_size=1,
+                    max_size=12),
+       k=st.integers(0, 11),
+       free=st.none() | st.floats(0.0, 1.0, exclude_max=True))
+# r exactly on a boundary, after a zero intensity, and at u = 0
+@example(lam=[1.0, 1.0, 2.0], k=0, free=None)
+@example(lam=[0.0, 2.0, 0.0, 2.0], k=1, free=None)
+@example(lam=[0.0, 0.0, 1.0], k=0, free=0.0)
+@example(lam=[0.0, 0.0], k=0, free=0.3)
+# 8 intensities, where NumPy's pairwise sum differs from the running sum
+# by enough to move the draw
+@example(lam=[0.9, 1.2, 0.7, 0.6, 0.6, 0.6, 0.0, 2.2], k=0,
+         free=0.30882352941176466)
+def test_dimension_draw_matches_searchsorted(lam, k, free):
+    # the scalar draw picks the index the array search picks, clipped to
+    # the last dimension; free=None puts u * sum(lam) on the k-th
+    # cumulative sum
+    lam = np.array(lam)
+    cum = np.cumsum(lam)
+    total = float(lam.sum())
+    if free is not None:
+        u = free
+    else:
+        u = float(cum[k % lam.size]) / total if total > 0 else 0.5
+    want = min(int(np.searchsorted(cum, u * lam.sum(), side="right")),
+               lam.size - 1)
+    assert pmbp.sampling._pick(lam, u) == want
+
+
+def test_continue_requires_zero_integrals(pmbp21_sub):
+    lay = _Layout(pmbp21_sub, full=True)
+    x = lay.x0.copy()
+    x[lay.I[0]] = 1.0
+    with pytest.raises(ValueError):
+        pmbp.sampling._continue(lay, x, 0.0, [1.0], range(2),
+                                np.random.default_rng(0), 100)
 
 
 def test_explosion_guard():
