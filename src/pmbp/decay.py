@@ -15,7 +15,10 @@ the count of earlier events and the gap to the last of them.  The rate side
 is every exp(-r gap) and the products with it: `SourceDecay` builds the
 prefix sums from the gaps, and `SourceDecay._sums` reads them at the
 located queries.  An evaluation plan (`pmbp.poi._plan`) holds the data side
-of every observed source of every dataset it evaluates.
+of every observed source of every dataset it evaluates.  The rate side may
+carry leading axes, one per parameter point of a batch: rates (P, d, S)
+give sums (P, ...), and every entry is the same arithmetic as for that
+point's (d, S) rates alone.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ def _stack(sources, queries):
     padded at the end with its last time (padding gives finite sums that no
     query reads), its stride gaps, and the located queries of every source,
     concatenated.  A query u of source k is located by count(u) =
-    #{t_k < u}, the mask of count > 0 and, where it holds, the flat index of
-    the last event before u, the gap to it and k."""
+    #{t_k < u}, whether count > 0 and, where it is, the flat index of the
+    last event before u and the gap to it (index k * n and gap 0 where it is
+    not), and k."""
     n = max((ts.size for ts in sources), default=0)
     times = np.zeros((len(sources), n))
     located = []
@@ -48,10 +52,11 @@ def _stack(sources, queries):
         times[k, : ts.size] = ts
         times[k, ts.size :] = ts[-1] if ts.size else 0.0
         count = np.searchsorted(ts, u, side="left")
-        mask = count > 0
-        last = count[mask] - 1
-        located.append((count, mask, k * n + last, u[mask] - ts[last],
-                        np.full(last.size, k)))
+        seen = count > 0
+        last = np.maximum(count - 1, 0)
+        gap = np.zeros(u.size)
+        gap[seen] = u[seen] - ts[last[seen]]
+        located.append((count, seen, k * n + last, gap, np.full(u.size, k)))
     located = tuple(np.concatenate(f) for f in zip(*located))
     return times, _stride_gaps(times), located
 
@@ -64,8 +69,9 @@ class SourceDecay:
     times : (S, n) array
         Strictly increasing event times of each source, padded as by
         `_stack`.
-    rates : (d, S) array
-        One positive decay rate per target dimension and source.
+    rates : (..., d, S) array
+        One positive decay rate per target dimension and source, with any
+        leading axes (one per parameter point of a batch).
     gaps : list, optional
         `_stride_gaps(times)`, when the caller has it already.
 
@@ -80,8 +86,8 @@ class SourceDecay:
     def __init__(self, times: np.ndarray, rates: np.ndarray, gaps=None):
         times = np.asarray(times, dtype=float)
         rates = np.asarray(rates, dtype=float)
-        if times.ndim != 2 or rates.ndim != 2:
-            raise ValueError("need times (S, n) and rates (d, S)")
+        if times.ndim != 2 or rates.ndim < 2:
+            raise ValueError("need times (S, n) and rates (..., d, S)")
         self.times = times
         self.rates = rates
         # B[i, k] = sum_{m <= k} exp(-r_i (t_k - t_m));  C is its (t_k - t_m)-
@@ -90,25 +96,31 @@ class SourceDecay:
         # 2s events, each pass decaying the block s events back by
         # a = exp(-r (t_k - t_{k-s})) <= 1 (log-depth doubling of the
         # recursion B_k = 1 + q_k B_{k-1}, C_k = q_k (C_{k-1} + dt_k B_{k-1})).
+        # The factors of every stride come from one exp over all the gaps.
         self._B = np.ones(rates.shape + times.shape[-1:])
         self._C = np.zeros(self._B.shape)
-        s = 1
-        for gap in _stride_gaps(times) if gaps is None else gaps:
-            a = np.exp(-rates[..., None] * gap)
+        gaps = _stride_gaps(times) if gaps is None else gaps
+        if gaps:
+            fades = np.exp(-rates[..., None] * np.concatenate(gaps, axis=-1))
+        s, lo = 1, 0
+        for gap in gaps:
+            a = fades[..., lo : lo + gap.shape[-1]]
+            lo += gap.shape[-1]
             self._C[..., s:] += a * (self._C[..., :-s] + gap * self._B[..., :-s])
             self._B[..., s:] += a * self._B[..., :-s]
             s *= 2
 
     def _sums(self, located):
-        """(count, esum, wsum) at the queries located by `_stack`."""
-        count, mask, idx, gap, seq = located
-        d = self.rates.shape[0]
-        esum = np.zeros((count.size, d))
-        wsum = np.zeros((count.size, d))
-        if idx.size:
-            fade = np.exp(-gap[:, None] * self.rates.T[seq])
-            B = self._B.reshape(d, -1)[:, idx].T
-            esum[mask] = fade * B
-            wsum[mask] = fade * (self._C.reshape(d, -1)[:, idx].T
-                                 + gap[:, None] * B)
-        return count, esum, wsum
+        """(count, esum, wsum) at the queries located by `_stack`: count
+        (m,), and esum and wsum (..., m, d) with the rates' leading axes."""
+        count, seen, idx, gap, seq = located
+        lead, d = self.rates.shape[:-2], self.rates.shape[-2]
+        if not self.times.shape[-1]:
+            return (count, np.zeros(lead + (count.size, d)),
+                    np.zeros(lead + (count.size, d)))
+        # a query with no earlier event has a zero fade, so zero sums
+        rates = np.take(np.swapaxes(self.rates, -1, -2), seq, axis=-2)
+        fade = np.exp(-gap[:, None] * rates) * seen[:, None]
+        B, C = (np.swapaxes(np.take(x.reshape(lead + (d, -1)), idx, axis=-1),
+                            -1, -2) for x in (self._B, self._C))
+        return count, fade * B, fade * (C + gap[:, None] * B)

@@ -10,6 +10,13 @@ numerically, or under which an observation is impossible (an event at zero
 intensity, a counted window with no compensator mass) score +inf and are
 simply rejected by the line search.
 
+The starts run in lockstep.  The solver is a coroutine that yields each
+point it needs; each round answers at once the pending points that the data
+alone show impossible, then evaluates the other pending points of all
+starts in one batched objective pass (`pmbp.likelihood._evaluate`).  Every
+start takes exactly the steps it takes alone, so a fit's result does not
+depend on which starts share a round.
+
 Subcriticality is reported, not enforced: fitted kernels may be
 supercritical, and the result carries a stability report for the caller to
 inspect.
@@ -23,18 +30,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    NumericalConsistencyError,
-    ParameterError,
-    RegularityError,
-)
+from .errors import ConvergenceError, ParameterError
 from .hawkes import sample_hawkes
 from .likelihood import (
     LikelihoodConfig,
     _as_datasets,
+    _evaluate,
     _Prepared,
-    nll_and_grad,
 )
 from .params import (
     CensoredSeries,
@@ -160,11 +162,13 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f):
-    """Minimize over a box; returns (x, f, n_iter, reason, pg_norm), the last
-    the max-norm of the projected gradient at x."""
+def _minimize_box(x0, lb, ub, max_iter, tol_f):
+    """Minimize over a box, as a coroutine: it yields each point x at which
+    it needs the objective and is sent (f, g) there, f = inf where the
+    objective is not finite.  Returns (x, f, n_iter, reason, pg_norm), the
+    last the max-norm of the projected gradient at x."""
     x = np.clip(x0, lb, ub)
-    fx, gx = f_and_g(x)
+    fx, gx = yield x
     if not np.isfinite(fx):
         return x, np.inf, 0, "infeasible_start", np.nan
     pairs = []
@@ -189,7 +193,7 @@ def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f):
                 delta = xn - x
                 if not np.any(delta):
                     break
-                fn, gn = f_and_g(xn)
+                fn, gn = yield xn
                 if np.isfinite(fn) and fn <= fx + 1e-4 * gx.dot(delta):
                     accepted = True
                     break
@@ -217,6 +221,40 @@ def _minimize_box(f_and_g, x0, lb, ub, max_iter, tol_f):
     return x, fx, it, reason, pg_norm
 
 
+def _lockstep(objective, starts, lb, ub, max_iter, tol_f) -> list:
+    """Run `_minimize_box` from every start together; returns each start's
+    result, in start order.
+
+    Each round first answers every pending point that the objective shows
+    impossible from the data alone (`_Objective.dead_end`) with +inf, which
+    lets that start move on within the round, then evaluates the remaining
+    pending points, one per start, in one batch.  A start's points and
+    answers are those of its run alone."""
+    runs = [_minimize_box(x0, lb, ub, max_iter, tol_f) for x0 in starts]
+    ends = [None] * len(runs)
+    pending = {k: next(run) for k, run in enumerate(runs)}
+
+    def answer(k, fg):
+        try:
+            pending[k] = runs[k].send(fg)
+        except StopIteration as stop:
+            ends[k] = stop.value
+            del pending[k]
+
+    while pending:
+        batch = {}
+        for k in list(pending):
+            while k in pending:
+                p = objective.params(pending[k])
+                if not objective.dead_end(p):
+                    batch[k] = p
+                    break
+                answer(k, (np.inf, None))
+        for k, fg in zip(batch, objective.batch(list(batch.values()))):
+            answer(k, fg)
+    return ends
+
+
 # ---------------------------------------------------------------------------
 # Objective plumbing
 
@@ -234,26 +272,36 @@ def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return g
 
 
-_FAILURES = (RegularityError, NumericalConsistencyError)
+class _Objective:
+    """The fit objective over points x of the free parameters, on data
+    prepared once: (f, g) at each point, and (inf, None) where the
+    parameters make an observation impossible, the censored block is not
+    subcritical or the evaluation breaks down numerically."""
 
+    def __init__(self, template: ModelParams, datasets, cfg: FitConfig):
+        self.template = template
+        self.include_gamma = cfg.include_gamma
+        self.config = cfg.likelihood
+        self.prep = _Prepared(datasets)
+        self.weights = cfg.likelihood.dim_weights(template.d)
 
-def _make_objective(template, datasets, cfg: FitConfig):
-    prep = _Prepared(datasets)
+    def params(self, x) -> ModelParams:
+        return unpack(self.template, x, self.include_gamma)
 
-    def f_and_g(x):
-        p = unpack(template, x, cfg.include_gamma)
-        try:
-            val, g = nll_and_grad(
-                p, prep, config=cfg.likelihood,
-                include_gamma=cfg.include_gamma,
-            )
-        except _FAILURES:
-            return np.inf, None
-        if not np.isfinite(val):
-            return np.inf, None
-        return val, g
+    def dead_end(self, p: ModelParams) -> bool:
+        # a dead dimension has nu_i = 0
+        return not p.nu.all() and bool(
+            self.prep.dead_end(self.weights, p.nu, p.alpha, p.gamma))
 
-    return f_and_g
+    def batch(self, ps) -> list:
+        """(f, g) at each of the points ps (ModelParams), in one pass."""
+        out = _evaluate(ps, self.prep, self.config, True, self.include_gamma)
+        return [(np.inf, None) if isinstance(res, Exception)
+                or not np.isfinite(res[0]) else res for res in out]
+
+    def __call__(self, x):
+        """(f, g) at one point x."""
+        return self.batch([self.params(x)])[0]
 
 
 def _empirical_rates(datasets) -> np.ndarray:
@@ -349,13 +397,13 @@ def fit(datasets, cfg: FitConfig | None = None) -> FitResult:
     )
     emp = _empirical_rates(datasets)
     lb, ub = _bounds(cfg, d, emp)
-    f_and_g = _make_objective(template, datasets, cfg)
+    starts = _starts(cfg, d, e, emp, lb, ub)
+    ends = _lockstep(_Objective(template, datasets, cfg), starts, lb, ub,
+                     cfg.max_iter, cfg.tol_f)
     records = []
     best = None
-    for k, x0 in enumerate(_starts(cfg, d, e, emp, lb, ub)):
-        x, fx, n_iter, reason, pg_norm = _minimize_box(
-            f_and_g, x0, lb, ub, cfg.max_iter, cfg.tol_f
-        )
+    for k, (x0, end) in enumerate(zip(starts, ends)):
+        x, fx, n_iter, reason, pg_norm = end
         records.append(StartRecord(k, x0, fx, n_iter, reason, pg_norm))
         if np.isfinite(fx) and (best is None or fx < best[1]):
             best = (x, fx, k)

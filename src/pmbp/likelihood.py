@@ -11,14 +11,20 @@ differentiate exactly the computed objective: its cotangents on xi and Xi
 go through the evaluator's adjoint pass.
 
 The data side of the objective is prepared once (`_Prepared`; a fit builds
-it once and passes it to `nll_and_grad` in place of the datasets): the
-evaluation plan of every dataset's query times (`pmbp.poi._plan`, the
-same data path as `PoiEvaluator.values`), the rows of each dataset's
-windows, events and T, and which dimensions need intensity.  Each call
-does only parameter work.  It first rejects a dead dimension (nu_i = 0,
-alpha[i, :] = 0) that carries an observation it cannot explain; then it
-runs the plan's decay pass, scores the dimensions that the scan does not
-reach, runs one layout's scan over every dataset, and scores the rest.
+it once and passes it in place of the datasets): the evaluation plan of
+every dataset's query times (`pmbp.poi._plan`, the same data path as
+`PoiEvaluator.values`), flat scoring tables of every dataset's windows,
+events and T, and which dimensions need intensity.  Each evaluation does
+only parameter work, for a batch of P parameter points at once
+(`_evaluate`; `nll_and_grad` and `joint_nll` are the batch of one).  It
+first rejects a dead dimension (nu_i = 0, alpha[i, :] = 0) that carries an
+observation it cannot explain; then it runs the plan's decay pass for all
+points on a leading points axis, scores the dimensions that the scan does
+not reach in one pass per dimension over all datasets and points, runs
+each point's scan over every dataset, and scores the rest.  A point that
+fails leaves the batch, and every point's value and gradient are bitwise
+those of its evaluation alone: each term is the sum of its own segment,
+and the terms and gradients are added in the same order.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import (
     DimensionError,
     NumericalConsistencyError,
     ParameterError,
+    RegularityError,
 )
 from .params import Dataset, ModelParams
 from .paramvec import n_free
@@ -58,26 +65,29 @@ class LikelihoodConfig:
         return w
 
 
-def _window_nll(Xi_bounds: np.ndarray, counts: np.ndarray):
-    """Poisson window terms on compensator increments: the value and its
-    derivative with respect to each increment.
-
-    Raises NumericalConsistencyError if an increment is below -1e-9; smaller
-    negatives are clipped to zero (and get a zero derivative).  A zero
-    increment scores +inf under a positive count and 0 under a zero count.
-    """
-    inc = np.diff(Xi_bounds)
+def _negative_increment(inc: np.ndarray):
+    """The NumericalConsistencyError for a window's increments inc, naming
+    the window of the least, when that is below -1e-9; else None."""
     if inc.size and inc.min() < _INCREMENT_SLACK:
         k = int(np.argmin(inc))
-        raise NumericalConsistencyError(
+        return NumericalConsistencyError(
             f"compensator increment {inc[k]:.3g} < {_INCREMENT_SLACK} on "
             f"window {k}"
         )
+    return None
+
+
+def _window_terms(inc: np.ndarray, counts: np.ndarray):
+    """The Poisson window terms inc - C log inc on compensator increments
+    inc (any shape; negatives are clipped to zero), and their derivatives
+    with respect to each increment (zero where it was clipped).  A zero
+    increment scores +inf under a positive count and 0 under a zero count.
+    """
     clipped = inc < 0
     inc = np.clip(inc, 0.0, None)
     seen = counts > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = float(np.sum(inc - np.where(seen, counts * np.log(inc), 0.0)))
+        value = inc - np.where(seen, counts * np.log(inc), 0.0)
         dinc = np.where(seen, 1.0 - counts / inc, 1.0)
     dinc[clipped] = 0.0
     return value, dinc
@@ -97,7 +107,11 @@ def icll(Xi_bounds: np.ndarray, counts: np.ndarray) -> float:
         raise DimensionError(
             f"need {counts.size + 1} boundary values for {counts.size} windows"
         )
-    return _window_nll(Xi_bounds, counts)[0]
+    inc = np.diff(Xi_bounds)
+    exc = _negative_increment(inc)
+    if exc is not None:
+        raise exc
+    return float(np.sum(_window_terms(inc, counts)[0]))
 
 
 def ppll_nll(xi_events: np.ndarray, Xi_T: float) -> float:
@@ -138,16 +152,26 @@ def _query_times(ds: Dataset) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
+def _cuts(pieces) -> list:
+    """The slices of consecutive pieces in their concatenation."""
+    bounds = np.cumsum([0] + [len(x) for x in pieces])
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 class _Prepared:
     """The data side of the objective over a list of datasets of one
     (d, e) split, built once; evaluations only read it.
 
     Each dataset's query times (T, the window boundaries and the events,
-    sorted and unique) are one dataset of the evaluation plan.  Of dataset
-    b's rows in the plan, windows[b], marks[b] and at_T[b] are those of its
-    window boundaries, events and T.  Per dimension, `late` flags an event
-    or a positive count in a window that starts after 0, and `seen` any
-    event or positive count.
+    sorted and unique) are one dataset of the evaluation plan.  The scoring
+    tables are flat over all datasets, in dataset order, with rows into the
+    plan: for censored dimension j, windows[j] holds the rows of every
+    window's start and end, its count, and each dataset's slice of the
+    windows; for observed dimension e + k, events[k] holds the rows of every
+    event and each dataset's slice of them; at_T holds the row of each
+    dataset's T.  Per dimension, `late` flags an event or a positive count
+    in a window that starts after 0, and `seen` any event or positive
+    count.
     """
 
     def __init__(self, datasets):
@@ -156,20 +180,40 @@ class _Prepared:
         times = [_query_times(ds) for ds in datasets]
         # the events are validated by Dataset
         self.plan = _plan([ds.event_list() for ds in datasets], times, e)
-        self.windows, self.marks, self.at_T = [], [], []
+        at_T = []
+        bounds = [[] for _ in range(e)]
+        events = [[] for _ in range(d - e)]
         self.late = np.zeros(d, dtype=bool)
         self.seen = np.zeros(d, dtype=bool)
         for ds, t, rows in zip(datasets, times, self.plan.cuts):
             at = lambda x: rows.start + np.searchsorted(t, x)
-            self.windows.append([at(series.boundaries) for series in ds.censored])
-            self.marks.append([at(ts) for ts in ds.events])
-            self.at_T.append(at(ds.T))
+            at_T.append(at(ds.T))
             for j, series in enumerate(ds.censored):
+                bounds[j].append(at(series.boundaries))
                 self.late[j] |= np.any(series.counts[1:] > 0)
                 self.seen[j] |= np.any(series.counts > 0)
-            for j, ts in enumerate(ds.events, start=e):
-                self.late[j] |= ts.size > 0
-                self.seen[j] |= ts.size > 0
+            for k, ts in enumerate(ds.events):
+                events[k].append(at(ts))
+                self.late[e + k] |= ts.size > 0
+                self.seen[e + k] |= ts.size > 0
+        self.at_T = np.array(at_T)
+        self.windows = []
+        for j, pos in enumerate(bounds):
+            counts = np.concatenate([ds.censored[j].counts for ds in datasets])
+            self.windows.append((np.concatenate([x[:-1] for x in pos]),
+                                 np.concatenate([x[1:] for x in pos]),
+                                 counts, _cuts([x[1:] for x in pos])))
+        self.events = [(np.concatenate(pos), _cuts(pos)) for pos in events]
+
+    def dead_end(self, w, nu, alpha, gamma):
+        """Whether a dimension i of weight w_i != 0 with nu_i = 0 and a zero
+        row alpha[i, :] carries an observation it cannot explain, for each
+        point of the parameter arrays' leading axes.  Such a dimension has
+        xi_i = 0 and Xi_i = gamma_i 1{t > 0} exactly, so an event there, or
+        a positive count in a window after 0 (any window when gamma_i = 0),
+        scores +inf."""
+        dead = (w != 0) & (nu == 0) & ~alpha.any(axis=-1)
+        return (dead & (self.late | self.seen & (gamma == 0))).any(axis=-1)
 
 
 def _prepared(params: ModelParams, data) -> _Prepared:
@@ -183,94 +227,162 @@ def _prepared(params: ModelParams, data) -> _Prepared:
     return _Prepared(datasets)
 
 
-def _score(prep: _Prepared, b: int, out, w, dims, terms, g_xi, g_Xi):
-    """Score the terms of dataset b on the dimensions flagged in dims into
-    terms (weighted by w), and their cotangents on out.xi and out.Xi into
-    g_xi and g_Xi.  Returns the first term that is not finite (the
-    observations are impossible), else None."""
-    ds = prep.datasets[b]
-    for j, (series, pos) in enumerate(zip(ds.censored, prep.windows[b])):
-        if not dims[j]:
+def _score(prep: _Prepared, vals, w, dims, terms, g_xi, g_Xi, fails):
+    """Score the terms of every dataset on the dimensions that dims (P, d)
+    flags for each of P points into terms (P, B, d) (weighted by w), and
+    their cotangents on vals.xi and vals.Xi into g_xi and g_Xi: one pass per
+    dimension over all datasets and flagged points.
+
+    Each (point, dataset, dimension) term is the sum of its own contiguous
+    segment, as in an evaluation of that point and dataset alone.  A term
+    that cannot be scored goes into fails[(p, b, j)]: the
+    NumericalConsistencyError of a negative increment, or else the term
+    itself where it is not finite (the observations are impossible)."""
+    e = len(prep.windows)
+    for j, (left, right, counts, cuts) in enumerate(prep.windows):
+        pts = np.flatnonzero(dims[:, j])
+        if not pts.size:
             continue
-        try:
-            value, dinc = _window_nll(out.Xi[pos, j], series.counts)
-        except NumericalConsistencyError as exc:
-            raise NumericalConsistencyError(f"dimension {j + 1}: {exc}") from None
-        terms[j] = w[j] * value
-        if not np.isfinite(terms[j]):
-            return terms[j]
-        g_Xi[pos[1:], j] += w[j] * dinc
-        g_Xi[pos[:-1], j] -= w[j] * dinc
-    pos_T = prep.at_T[b]
-    for j, pos in enumerate(prep.marks[b], start=ds.e):
-        if not dims[j]:
+        at = pts[:, None]
+        inc = vals.Xi[at, right, j] - vals.Xi[at, left, j]
+        if (inc < _INCREMENT_SLACK).any():
+            for p, row in zip(pts, inc):
+                for b, cut in enumerate(cuts):
+                    exc = _negative_increment(row[cut])
+                    if exc is not None:
+                        fails[p, b, j] = NumericalConsistencyError(
+                            f"dataset {b}, dimension {j + 1}: {exc}")
+        value, dinc = _window_terms(inc, counts)
+        # the cotangents of a point with an impossible term are dropped
+        with np.errstate(invalid="ignore"):
+            g_Xi[at, right, j] += w[j] * dinc
+            g_Xi[at, left, j] -= w[j] * dinc
+        sums = np.empty((pts.size, len(cuts)))
+        for b, cut in enumerate(cuts):
+            sums[:, b] = value[:, cut].sum(axis=1)
+        terms[pts, :, j] = w[j] * sums
+    for j, (rows, cuts) in enumerate(prep.events, start=e):
+        pts = np.flatnonzero(dims[:, j])
+        if not pts.size:
             continue
-        xi_ev = out.xi[pos, j]
-        terms[j] = w[j] * ppll_nll(xi_ev, float(out.Xi[pos_T, j]))
-        if not np.isfinite(terms[j]):
-            return terms[j]
-        g_xi[pos, j] -= w[j] * (1.0 / xi_ev)
-        g_Xi[pos_T, j] += w[j]
-    return None
+        at = pts[:, None]
+        xi_ev = vals.xi[at, rows, j]
+        with np.errstate(divide="ignore"):
+            logs = np.log(xi_ev)
+            g_xi[at, rows, j] -= w[j] * (1.0 / xi_ev)
+        Xi_T = vals.Xi[at, prep.at_T, j]
+        for b, cut in enumerate(cuts):
+            Xi_T[:, b] -= logs[:, cut].sum(axis=1)
+        terms[pts, :, j] = w[j] * Xi_T
+        g_Xi[at, prep.at_T, j] += w[j]
+    for p, b, j in zip(*np.nonzero(dims[:, None, :] & ~np.isfinite(terms))):
+        fails.setdefault((p, b, j), terms[p, b, j])
 
 
-def _accumulate(
-    params: ModelParams,
-    prep: _Prepared,
-    config: LikelihoodConfig,
-    need_grad: bool,
-    include_gamma: bool,
-):
-    """Objective value and, if need_grad, its gradient; the gradient is NaN
-    where the value is not finite.
+def _evaluate(ps, prep: _Prepared, config: LikelihoodConfig, need_grad: bool,
+              include_gamma: bool) -> list:
+    """The objective at each of the points ps (a list of ModelParams of
+    prep's split): per point, (value, gradient or None), or the
+    RegularityError or NumericalConsistencyError its evaluation alone
+    raises.  The gradient is NaN where the value is not finite.  Every
+    point's outcome is bitwise that of its evaluation alone.
 
-    A dimension with nu_i = 0 and a zero row alpha[i, :] has xi_i = 0 and
-    Xi_i = gamma_i 1{t > 0} exactly, so an event there, or a positive count
-    in a window after 0 (any window when gamma_i = 0), scores +inf before
-    any sum.  The scan adds to dimension i only through alpha[i, :e];
-    where that row is zero, xi_i and Xi_i are final from the decay sums.
-    Those dimensions are scored next, so an impossible observation there
-    costs no scan.  The rest are scored after one joint scan of every
-    dataset.
+    Per point the work runs in the order of an evaluation alone, and a
+    point leaves the batch at its first failure.  The layout's regularity
+    check comes first.  A dead dimension (`_Prepared.dead_end`) scores +inf
+    before any sum.  The scan adds to dimension i only through
+    alpha[i, :e]; where that row is zero, xi_i and Xi_i are final from the
+    decay sums.  Those dimensions are scored after one decay pass over all
+    points, so an impossible observation there costs no scan.  The rest are
+    scored after each point's joint scan of every dataset, and the first
+    failure of a point, in order of dataset and then dimension, is its
+    outcome.
     """
-    d, e = params.d, params.e
+    d, e = ps[0].d, ps[0].e
+    B = len(prep.datasets)
     w = config.dim_weights(d)
-    lay = _Layout(params) if e > 0 else None
+    out = [None] * len(ps)
+    lays = [None] * len(ps)
+    if e > 0:
+        for i, p in enumerate(ps):
+            try:
+                lays[i] = _Layout(p)
+            except RegularityError as exc:
+                out[i] = exc
 
-    def impossible(value):
-        return value, np.full(n_free(d, include_gamma), np.nan) if need_grad else None
+    def impossible(i, value):
+        n = n_free(d, include_gamma)
+        out[i] = value, np.full(n, np.nan) if need_grad else None
 
-    dead = (w != 0) & (params.nu == 0) & ~np.any(params.alpha, axis=1)
-    if np.any(dead & (prep.late | prep.seen & (params.gamma == 0))):
-        return impossible(np.inf)
-    out = _decay_values(params, prep.plan)
-    g_xi, g_Xi = np.zeros_like(out.xi), np.zeros_like(out.Xi)
-    scan_free = ~np.any(params.alpha[:, :e], axis=1)
-    first, rest = (w != 0) & scan_free, (w != 0) & ~scan_free
-    terms = np.zeros((len(prep.datasets), d))
-    for b in range(len(prep.datasets)):
-        bad = _score(prep, b, out, w, first, terms[b], g_xi, g_Xi)
-        if bad is not None:
-            return impossible(bad)
-    if lay is not None:
-        _scan_values(lay, out)
-        for b in range(len(prep.datasets)):
-            bad = _score(prep, b, out, w, rest, terms[b], g_xi, g_Xi)
-            if bad is not None:
-                return impossible(bad)
-    # summed dataset by dataset, dimension by dimension
-    total = config.w_nu * float(np.sum(np.abs(params.nu)))
-    for term in terms.ravel():
-        total += term
-    if not np.isfinite(total):
-        return impossible(total)
-    if not need_grad:
-        return total, None
-    grad = np.zeros(n_free(d, include_gamma))
+    live = [i for i in range(len(ps)) if out[i] is None]
+    if live:
+        dead = prep.dead_end(w, *(np.array([getattr(ps[i], k) for i in live])
+                                  for k in ("nu", "alpha", "gamma")))
+        for i in np.array(live)[dead]:
+            impossible(i, np.inf)
+        live = [i for i, no in zip(live, dead) if not no]
+    if not live:
+        return out
+    vals = _decay_values([ps[i] for i in live], prep.plan)
+    g_xi, g_Xi = np.zeros_like(vals.xi), np.zeros_like(vals.Xi)
+    scan_free = ~np.array([ps[i].alpha[:, :e] for i in live]).any(axis=2)
+    terms = np.zeros((len(live), B, d))
+    ok = np.ones(len(live), dtype=bool)
+
+    def score(dims):
+        fails = {}
+        _score(prep, vals, w, dims & ok[:, None], terms, g_xi, g_Xi, fails)
+        for (p, b, j), bad in sorted(fails.items()):
+            if ok[p]:
+                ok[p] = False
+                if isinstance(bad, Exception):
+                    out[live[p]] = bad
+                else:
+                    impossible(live[p], bad)
+
+    score((w != 0) & scan_free)
+    if e > 0:
+        for p in np.flatnonzero(ok):
+            _scan_values(lays[live[p]], vals, p)
+        score((w != 0) & ~scan_free)
+    for p, i in enumerate(live):
+        if not ok[p]:
+            continue
+        # summed dataset by dataset, dimension by dimension
+        total = config.w_nu * float(np.sum(np.abs(ps[i].nu)))
+        for term in terms[p].ravel():
+            total += term
+        if np.isfinite(total):
+            out[i] = total, None
+        else:
+            ok[p] = False
+            impossible(i, total)
+    if not need_grad or not ok.any():
+        return out
+    keep = np.flatnonzero(ok)
+    if not ok.all():
+        vals = dataclasses.replace(
+            vals, sums=(vals.sums[:1] + tuple(x[keep] for x in vals.sums[1:])),
+            scan=[vals.scan[p] for p in keep])
+        g_xi, g_Xi = g_xi[keep], g_Xi[keep]
+    grad = np.zeros((keep.size, n_free(d, include_gamma)))
     if config.w_nu:
-        grad[2 * d * d : 2 * d * d + d] += config.w_nu
-    _vjp(params, lay, out, g_xi, g_Xi, grad, include_gamma)
-    return total, grad
+        grad[:, 2 * d * d : 2 * d * d + d] += config.w_nu
+    _vjp([ps[live[p]] for p in keep], [lays[live[p]] for p in keep], vals,
+         g_xi, g_Xi, grad, include_gamma)
+    for p, g in zip(keep, grad):
+        out[live[p]] = out[live[p]][0], g
+    return out
+
+
+def _one(params: ModelParams, data, config, need_grad: bool,
+         include_gamma: bool):
+    """The objective at one point: the batch of one."""
+    (res,) = _evaluate([params], _prepared(params, data),
+                       config or LikelihoodConfig(), need_grad, include_gamma)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def total_nll(
@@ -289,11 +401,7 @@ def joint_nll(
 ) -> float:
     """Weighted negative log-likelihood summed over datasets (the L1 baseline
     penalty is applied once)."""
-    value, _ = _accumulate(
-        params, _prepared(params, datasets), config or LikelihoodConfig(),
-        False, False,
-    )
-    return value
+    return _one(params, datasets, config, False, False)[0]
 
 
 def nll_and_grad(
@@ -306,7 +414,4 @@ def nll_and_grad(
 
     `data` is a Dataset or a sequence of them, or their `_Prepared` form.
     """
-    return _accumulate(
-        params, _prepared(params, data), config or LikelihoodConfig(), True,
-        include_gamma,
-    )
+    return _one(params, data, config, True, include_gamma)

@@ -61,13 +61,18 @@ class ModelParams:
             raise DimensionError(f"gamma must have length {d}, got {gamma.shape}")
         if nu.shape != (d,):
             raise DimensionError(f"nu must have length {d}, got {nu.shape}")
-        if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
-            raise ParameterError("theta entries must be finite and > 0")
-        if not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
-            raise ParameterError("alpha entries must be finite and >= 0")
-        if not np.all(np.isfinite(gamma)) or np.any(gamma < 0):
-            raise ParameterError("gamma entries must be finite and >= 0")
-        if not np.all(np.isfinite(nu)) or np.any(nu < 0):
+        # every fit evaluation builds one, and per-field checks on arrays
+        # this small cost mostly call overhead: one check over all entries,
+        # then the field checks only to name the field that failed
+        values = np.concatenate((theta.ravel(), alpha.ravel(), gamma, nu))
+        if not (np.isfinite(values).all() and values.min() >= 0
+                and theta.min() > 0):
+            if not np.isfinite(theta).all() or (theta <= 0).any():
+                raise ParameterError("theta entries must be finite and > 0")
+            if not np.isfinite(alpha).all() or (alpha < 0).any():
+                raise ParameterError("alpha entries must be finite and >= 0")
+            if not np.isfinite(gamma).all() or (gamma < 0).any():
+                raise ParameterError("gamma entries must be finite and >= 0")
             raise ParameterError("nu entries must be finite and >= 0")
         for name, arr in (("theta", theta), ("alpha", alpha), ("gamma", gamma), ("nu", nu)):
             arr.setflags(write=False)

@@ -41,7 +41,11 @@ steps).  The fit objective builds one plan per fit, and
 `PoiEvaluator.values` one per call.  The parameter passes read it: the
 decay sums (`_decay_values`), the scan (`_scan_values`: the steps, then one
 loop over the knot axis on (B, s, 1) states) and the adjoint of both
-(`_vjp`), whose scan part is one loop back.
+(`_vjp`), whose scan part (`_scan_vjp`) is one loop back.  The decay
+sums and their adjoint run for P parameter points at once, on a leading
+points axis, with each point's entries the same arithmetic as alone; the
+scan and its adjoint run point by point.  The evaluator is the batch of
+one.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each interval's scaled step has norm at
@@ -98,13 +102,18 @@ _FRECHET = np.r_[1.0 / _FACTORIALS[1:], np.zeros(_TAYLOR_DEGREE - 1)][
 class PoiValues:
     """xi/Xi rows (m, d) at the query times t of the plan, with what the
     gradient reuses: the plan, the decay sums (count, esum, wsum), one row
-    block per observed source, and the scan."""
+    block per observed source, and the scan.
+
+    Inside the parameter passes the values are those of P points at once:
+    xi and Xi are (P, m, d), esum and wsum carry the same leading axis, and
+    scan is a list of one scan (or None) per point.  `PoiEvaluator`
+    evaluates the batch of one and returns that point's values."""
 
     xi: np.ndarray
     Xi: np.ndarray
     plan: "_Plan" = dataclasses.field(repr=False)
     sums: tuple = dataclasses.field(default=(), repr=False)
-    scan: "_Scan | None" = dataclasses.field(default=None, repr=False)
+    scan: "_Scan | list | None" = dataclasses.field(default=None, repr=False)
 
     @property
     def t(self) -> np.ndarray:
@@ -381,68 +390,102 @@ def _scan(lay: _Layout, grid: _Grid) -> _Scan:
     return _Scan(grid=grid, E=E, X=X[..., 0], jumps=jumps)
 
 
-def _decay_values(p: ModelParams, plan: _Plan) -> PoiValues:
-    """xi and Xi at the plan's query rows from one decay pass over its
-    stack: the whole evaluator at e = 0, and otherwise everything but the
-    scan's part."""
-    t, e = plan.t, p.e
-    a = np.zeros((t.size, p.d))
-    A = np.zeros((t.size, p.d))
+def _stacked(ps) -> tuple:
+    """(alpha, theta, nu, gamma) of a list of P points of one split, each
+    with a leading points axis."""
+    return tuple(np.array([getattr(p, k) for p in ps])
+                 for k in ("alpha", "theta", "nu", "gamma"))
+
+
+def _decay_values(ps, plan: _Plan) -> PoiValues:
+    """xi and Xi (P, m, d) of P points of one split at the plan's m query
+    rows, from one decay pass over its stack: the whole evaluator at e = 0,
+    and otherwise everything but the scan's part.  Each point's rows are the
+    same arithmetic as its evaluation alone."""
+    t, e, d = plan.t, ps[0].e, ps[0].d
+    alpha, theta, nu, gamma = _stacked(ps)
+    a = np.zeros((len(ps), t.size, d))
+    A = np.zeros((len(ps), t.size, d))
     sums = ()
     if plan.decay is not None:
         times, gaps, located = plan.decay
-        rates = np.repeat(p.theta[:, e:], len(plan.cuts), axis=1)
+        rates = np.repeat(theta[:, :, e:], len(plan.cuts), axis=2)
         cnt, esum, wsum = SourceDecay(times, rates, gaps)._sums(located)
-        o = p.d - e
-        sums = (cnt.reshape(o, t.size), esum.reshape(o, t.size, p.d),
-                wsum.reshape(o, t.size, p.d))
-    for src, (cnt, esum, wsum) in enumerate(zip(*sums), start=e):
-        a += (p.alpha[:, src] * p.theta[:, src])[None, :] * esum
-        A += p.alpha[:, src][None, :] * (cnt[:, None] - esum)
-    xi = p.nu[None, :] + a
-    Xi = p.gamma[None, :] * (t > 0)[:, None] + p.nu[None, :] * t[:, None] + A
-    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums)
+        o = d - e
+        shape = (len(ps), o, t.size, d)
+        sums = (cnt.reshape(o, t.size), esum.reshape(shape),
+                wsum.reshape(shape))
+    for k, src in enumerate(range(e, d)):
+        cnt, esum = sums[0][k], sums[1][:, k]
+        a += (alpha[:, :, src] * theta[:, :, src])[:, None, :] * esum
+        A += alpha[:, None, :, src] * (cnt[:, None] - esum)
+    xi = nu[:, None, :] + a
+    Xi = (gamma[:, None, :] * (t > 0)[:, None] + nu[:, None, :] * t[:, None]
+          + A)
+    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums,
+                     scan=[None] * len(ps))
 
 
-def _scan_values(lay: _Layout, vals: PoiValues) -> None:
-    """One joint scan of the states of the datasets of vals' plan; adds its
-    part of xi and Xi to vals in place and keeps the scan in vals.scan.  A
-    dimension i whose row alpha[i, :e] is zero gets exactly 0.0."""
+def _scan_values(lay: _Layout, vals: PoiValues, p: int = 0) -> None:
+    """One joint scan of the states of the datasets of vals' plan for point
+    p; adds its part of xi and Xi to vals in place and keeps the scan in
+    vals.scan[p].  A dimension i whose row alpha[i, :e] is zero gets
+    exactly 0.0."""
     grid = vals.plan.grid
-    vals.scan = _scan(lay, grid)
-    rows = vals.scan.X.reshape(-1, lay.s)[grid.rows]
-    vals.xi += rows[:, lay.Y].sum(axis=2)
-    vals.Xi += rows[:, lay.I]
+    vals.scan[p] = scan = _scan(lay, grid)
+    rows = scan.X.reshape(-1, lay.s)[grid.rows]
+    vals.xi[p] += rows[:, lay.Y].sum(axis=2)
+    vals.Xi[p] += rows[:, lay.I]
 
 
-def _vjp(p: ModelParams, lay: _Layout | None, vals: PoiValues, gxi, gXi,
-         grad, include_gamma: bool) -> None:
-    """Add to grad the gradient of sum(gxi * xi + gXi * Xi) over vals' rows.
+def _vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
+         include_gamma: bool) -> None:
+    """Add to grad[p] the gradient of sum(gxi[p] * xi[p] + gXi[p] * Xi[p])
+    over vals' rows, for each of the P points ps (lays[p] is point p's
+    layout, or None).
 
     The decay sums, nu and gamma are summed over each dataset's rows in
-    turn.  Then, if vals has a scan, one reverse pass over every dataset's
-    knots, and one Frechet sum over all their real intervals."""
+    turn, for all points at once.  Then, for each point with a scan, one
+    reverse pass over every dataset's knots, and one Frechet sum over all
+    their real intervals."""
+    d, e = ps[0].d, ps[0].e
+    alpha, theta, _, _ = _stacked(ps)
+    t = vals.t
+    # the row terms of the alpha and theta columns of each observed source,
+    # then those of nu's xi part, summed over each dataset at once
+    terms = np.empty((2 * (d - e) + 1,) + gxi.shape)
+    cols = (np.arange(e, d)[:, None, None] + np.array([0, d * d])[:, None]
+            + d * np.arange(d)).ravel()
+    for k, src in enumerate(range(e, d)):
+        cnt, esum, wsum = (vals.sums[0][k], vals.sums[1][:, k],
+                           vals.sums[2][:, k])
+        al, th = alpha[:, None, :, src], theta[:, None, :, src]
+        np.add(gxi * th * esum, gXi * (cnt[:, None] - esum), out=terms[2 * k])
+        np.multiply(al, gxi * (esum - th * wsum) + gXi * wsum,
+                    out=terms[2 * k + 1])
+    terms[-1] = gxi
+    g_nu = grad[:, 2 * d * d : 2 * d * d + d]
+    for rows in vals.plan.cuts:
+        S = terms[:, :, rows].sum(axis=2)
+        grad[:, cols] += S[:-1].transpose(1, 0, 2).reshape(len(ps), -1)
+        g_nu += S[-1] + t[rows] @ gXi[:, rows]
+        if include_gamma:
+            grad[:, 2 * d * d + d :] += (t[rows] > 0) @ gXi[:, rows]
+    for p, lay, sc, gxi_p, gXi_p, grad_p in zip(ps, lays, vals.scan, gxi,
+                                                gXi, grad):
+        if sc is not None:
+            _scan_vjp(p, lay, sc, gxi_p, gXi_p, grad_p, include_gamma)
+
+
+def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
+              include_gamma: bool) -> None:
+    """Add to grad the scan's part of the gradient of sum(gxi * xi + gXi *
+    Xi) for one point: one reverse pass over every dataset's knots, and one
+    Frechet sum over all their real intervals."""
     d, e = p.d, p.e
     g_alpha = grad[: d * d].reshape(d, d)
     g_theta = grad[d * d : 2 * d * d].reshape(d, d)
     g_nu = grad[2 * d * d : 2 * d * d + d]
-    t = vals.t
-    parts = []  # (gradient column, its terms per row)
-    for src, (cnt, esum, wsum) in enumerate(zip(*vals.sums), start=e):
-        al, th = p.alpha[:, src], p.theta[:, src]
-        parts.append((g_alpha[:, src],
-                      gxi * th * esum + gXi * (cnt[:, None] - esum)))
-        parts.append((g_theta[:, src],
-                      al * (gxi * (esum - th * wsum) + gXi * wsum)))
-    for rows in vals.plan.cuts:
-        for g, terms in parts:
-            g += np.sum(terms[rows], axis=0)
-        g_nu += gxi[rows].sum(axis=0) + t[rows] @ gXi[rows]
-        if include_gamma:
-            grad[2 * d * d + d :] += (t[rows] > 0) @ gXi[rows]
-    sc = vals.scan
-    if sc is None:
-        return
     grid = sc.grid
     N, B, s = sc.X.shape
     # cotangents on the state at each knot, then the reverse pass
@@ -515,10 +558,15 @@ class PoiEvaluator:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(~np.isfinite(t)) or np.any(t < 0):
             raise DomainError("query times must be finite and >= 0")
-        vals = _decay_values(self.params, _plan([self.events], [t],
-                                                self.params.e))
+        vals = _decay_values([self.params], _plan([self.events], [t],
+                                                  self.params.e))
         if vals.plan.grid is not None:
             _scan_values(self.layout, vals)
+        # the batch of one, as that point's values
+        if vals.sums:
+            cnt, esum, wsum = vals.sums
+            vals.sums = (cnt, esum[0], wsum[0])
+        vals.xi, vals.Xi, vals.scan = vals.xi[0], vals.Xi[0], vals.scan[0]
         return vals
 
     def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
@@ -528,6 +576,10 @@ class PoiEvaluator:
         p = self.params
         gxi = np.asarray(gxi, dtype=float)
         gXi = np.asarray(gXi, dtype=float)
-        grad = np.zeros(n_free(p.d, include_gamma))
-        _vjp(p, self.layout, vals, gxi, gXi, grad, include_gamma)
-        return grad
+        sums = vals.sums and (vals.sums[0], vals.sums[1][None],
+                              vals.sums[2][None])
+        batch = dataclasses.replace(vals, sums=sums, scan=[vals.scan])
+        grad = np.zeros((1, n_free(p.d, include_gamma)))
+        _vjp([p], [self.layout], batch, gxi[None], gXi[None], grad,
+             include_gamma)
+        return grad[0]

@@ -18,7 +18,14 @@ from pmbp import (
     recovery_experiment,
     sample_hawkes,
 )
-from pmbp.fitting import _bounds, _empirical_rates, _make_objective
+from pmbp.fitting import (
+    _bounds,
+    _empirical_rates,
+    _minimize_box,
+    _Objective,
+    _starts,
+)
+from pmbp.paramvec import unpack
 
 
 def _poisson_events_dataset(rate=2.0, T=60.0, seed=1):
@@ -98,7 +105,7 @@ def test_start_records_report_the_projected_gradient():
     cfg = FitConfig(n_starts=2, max_iter=40, seed=5)
     res = fit([ds], cfg)
     lb, ub = _bounds(cfg, 1, _empirical_rates([ds]))
-    f_and_g = _make_objective(res.params, [ds], cfg)
+    f_and_g = _Objective(res.params, [ds], cfg)
     best = min(res.starts, key=lambda s: s.nll)
     x = pack(res.params)
     g = f_and_g(x)[1]
@@ -107,6 +114,69 @@ def test_start_records_report_the_projected_gradient():
         assert start.to_dict()["pg_norm"] == start.pg_norm
         if start.reason == "projected_gradient":
             assert start.pg_norm <= 1e-5
+
+
+def _sequential_fit(datasets, cfg):
+    """fit's starts run one after another, each optimizer alone on
+    single-point evaluations: (StartRecord fields and returned x per start,
+    the template)."""
+    d, e = datasets[0].d, datasets[0].e
+    template = ModelParams(d=d, e=e, theta=np.ones((d, d)),
+                           alpha=np.zeros((d, d)), gamma=np.zeros(d),
+                           nu=np.ones(d))
+    emp = _empirical_rates(datasets)
+    lb, ub = _bounds(cfg, d, emp)
+    objective = _Objective(template, datasets, cfg)
+    runs = []
+    for k, x0 in enumerate(_starts(cfg, d, e, emp, lb, ub)):
+        run = _minimize_box(x0, lb, ub, cfg.max_iter, cfg.tol_f)
+        try:
+            x = next(run)
+            while True:
+                x = run.send(objective(x))
+        except StopIteration as stop:
+            x, fx, n_iter, reason, pg_norm = stop.value
+        runs.append(((k, x0, fx, n_iter, reason, pg_norm), x))
+    return runs, template
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("n_starts", [1, 2, 8])
+def test_lockstep_starts_match_sequential_runs(e, n_starts):
+    # fit advances all starts together and evaluates each round's points
+    # in one batch; every start takes the steps it takes alone
+    truth = ModelParams(d=2, e=0, theta=np.ones((2, 2)),
+                        alpha=[[0.3, 0.2], [0.2, 0.3]], gamma=np.zeros(2),
+                        nu=[0.4, 0.4])
+    datasets = []
+    for seed in (3, 4):
+        times = sample_hawkes(truth, 30.0, seed).times
+        censored = ()
+        if e:
+            bounds = np.arange(31.0)
+            censored = (CensoredSeries(bounds, np.histogram(times[0],
+                                                            bounds)[0]),)
+        datasets.append(Dataset(T=30.0, censored=censored,
+                                events=tuple(times[e:])))
+    cfg = FitConfig(n_starts=n_starts, max_iter=8, seed=n_starts + e)
+    res = fit(datasets, cfg)
+    runs, template = _sequential_fit(datasets, cfg)
+    assert len(res.starts) == n_starts
+    best = None
+    for rec, ((k, x0, fx, n_iter, reason, pg_norm), x) in zip(res.starts, runs):
+        assert (rec.start_index, rec.n_iter, rec.reason) == (k, n_iter, reason)
+        assert _bits(rec.x0) == _bits(x0)
+        assert _bits(rec.nll) == _bits(fx)
+        assert _bits(rec.pg_norm) == _bits(pg_norm)
+        if np.isfinite(fx) and (best is None or fx < best[1]):
+            best = (x, fx, k)
+    assert res.params == unpack(template, best[0])
+    assert _bits(res.nll) == _bits(best[1])
+    assert res.converged == res.starts[best[2]].converged
 
 
 def test_fit_rejects_mixed_splits():
@@ -126,7 +196,7 @@ def test_supercritical_censored_block_scores_inf():
                            alpha=np.zeros((2, 2)), gamma=np.zeros(2),
                            nu=np.ones(2))
     x = pack(template.replace(alpha=np.array([[1.5, 0.2], [0.2, 0.3]])))
-    f_and_g = _make_objective(template, [ds], FitConfig())
+    f_and_g = _Objective(template, [ds], FitConfig())
     assert f_and_g(x) == (np.inf, None)
 
 

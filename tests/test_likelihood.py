@@ -363,6 +363,52 @@ def test_joint_objective_is_the_sum_of_single_dataset_objectives(d, data):
     assert np.max(np.abs(grad - g_sum)) <= 1e-12 * np.max(np.abs(grad))
 
 
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_joint_objective_adds_in_dataset_order(d, data):
+    # at e = 0 the joint value is bitwise the terms of each dataset and
+    # dimension added in that order, and the joint gradient the datasets'
+    # gradients added in order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    params = ModelParams(
+        d=d, e=0, theta=rng.uniform(0.5, 2.0, (d, d)),
+        alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+        gamma=rng.uniform(0.1, 0.5, d), nu=rng.uniform(0.3, 0.9, d),
+    )
+    datasets = _random_datasets(rng, d, 0, 3)
+    value, grad = nll_and_grad(params, datasets)
+    total, g_sum = 0.0, 0.0
+    for ds in datasets:
+        for j in range(d):
+            total += joint_nll(params, [ds], LikelihoodConfig(
+                weights=np.arange(d) == j))
+        g_sum = g_sum + nll_and_grad(params, [ds])[1]
+    assert np.float64(value).tobytes() == np.float64(total).tobytes()
+    assert grad.tobytes() == g_sum.tobytes()
+
+
+def test_first_failure_in_dataset_order_decides(monkeypatch):
+    # dataset A has an event at zero intensity (+inf after the scan), and
+    # dataset B narrow windows under a raised slack
+    # (NumericalConsistencyError): the earlier dataset's outcome is the
+    # objective's
+    params = ModelParams(d=2, e=1, theta=np.ones((2, 2)),
+                         alpha=[[0.3, 0.2], [0.2, 0.0]], gamma=[0.0, 0.0],
+                         nu=[0.4, 0.0])
+    a = Dataset(T=8.0, censored=(CensoredSeries([0.0, 4.0, 8.0],
+                                                [2.0, 3.0]),),
+                events=(np.array([0.0, 4.0, 6.5]),))
+    b = Dataset(T=8.0, censored=(CensoredSeries(np.arange(0.0, 8.5, 0.5),
+                                                np.ones(16)),),
+                events=(np.array([1.5, 4.0, 6.5]),))
+    monkeypatch.setattr(pmbp.likelihood, "_INCREMENT_SLACK", 1.0)
+    assert nll_and_grad(params, [a, b])[0] == np.inf
+    assert joint_nll(params, [a, b]) == np.inf
+    with pytest.raises(NumericalConsistencyError, match="^dataset 0, "):
+        nll_and_grad(params, [b, a])
+
+
 def _screen_case():
     """d=3, e=2: dimension 1 (censored) and dimension 3 (observed) have zero
     rows alpha[i, :2], so the scan adds nothing to them; dimension 2 is
@@ -577,3 +623,158 @@ def test_dead_dimension_after_a_supercritical_block():
         joint_nll(params, datasets)
     with pytest.raises(RegularityError):
         nll_and_grad(params, datasets)
+
+
+# ---------------------------------------------------------------------------
+# a batch of points against their evaluations alone
+
+
+def _batch_point(rng, d, e, kind):
+    """A random point of one of these kinds: regular; dead (a dimension with
+    nu_i = 0 and a zero row alpha[i, :]); silent (nothing drives the
+    censored block, so its compensator stays flat and any observation it
+    must explain is impossible only after the scan); supercritical (the
+    censored block's branching radius is 1.5)."""
+    alpha = rng.uniform(0.05, 0.9 / d, (d, d))
+    nu = rng.uniform(0.1, 1.0, d)
+    gamma = rng.uniform(0.0, 0.5, d)
+    if kind == "dead":
+        i = rng.integers(d)
+        alpha[i] = 0.0
+        nu[i] = 0.0
+    elif kind == "silent" and e:
+        alpha[:e, e:] = 0.0
+        nu[:e] = 0.0
+        gamma[:e] = 0.0
+    elif kind == "supercritical" and e:
+        alpha[:e, :e] *= 1.5 / pmbp.spectral_radius(alpha[:e, :e])
+    return ModelParams(d=d, e=e, theta=10.0 ** rng.uniform(-1.0, 1.0, (d, d)),
+                       alpha=alpha, gamma=gamma, nu=nu)
+
+
+def _assert_outcomes_equal_solo(ps, datasets, cfg, include_gamma):
+    """Every point's batch outcome, with and without the gradient, is
+    bitwise its evaluation alone, or the same exception."""
+    batch = pmbp.likelihood._evaluate(
+        ps, pmbp.likelihood._Prepared(datasets), cfg, True, include_gamma)
+    values = pmbp.likelihood._evaluate(
+        ps, pmbp.likelihood._Prepared(datasets), cfg, False, False)
+    for p, got, got_value in zip(ps, batch, values):
+        try:
+            want = nll_and_grad(p, datasets, cfg, include_gamma)
+        except (RegularityError, NumericalConsistencyError) as exc:
+            for out in (got, got_value):
+                assert type(out) is type(exc) and str(out) == str(exc)
+            continue
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        value = joint_nll(p, datasets, cfg)
+        assert got_value == (got_value[0], None)
+        assert np.float64(got_value[0]).tobytes() == np.float64(value).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_batch_outcomes_equal_evaluations_alone(d, data):
+    # a batch mixes regular, dead, silent and supercritical points; a slack
+    # raised above 0 makes points with narrow increments fail on them
+    e = data.draw(st.integers(0, d), label="e")
+    n = data.draw(st.integers(1, 3), label="datasets")
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["regular", "dead", "silent", "supercritical"]), min_size=1,
+        max_size=4), label="kinds")
+    include_gamma = data.draw(st.booleans(), label="include_gamma")
+    slack = data.draw(st.sampled_from([None, 0.3, 1.0]), label="slack")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    datasets = _random_datasets(rng, d, e, n)
+    ps = [_batch_point(rng, d, e, kind) for kind in kinds]
+    cfg = LikelihoodConfig(weights=rng.choice([0.0, 0.5, 1.0], d),
+                           w_nu=data.draw(st.sampled_from([0.0, 0.7]),
+                                          label="w_nu"))
+    with pytest.MonkeyPatch.context() as mp:
+        if slack is not None:
+            mp.setattr(pmbp.likelihood, "_INCREMENT_SLACK", slack)
+        _assert_outcomes_equal_solo(ps, datasets, cfg, include_gamma)
+
+
+def test_batch_reaches_every_outcome(monkeypatch):
+    # one batch of d=3, e=1 points whose evaluations alone give a finite
+    # value, NumericalConsistencyError, +inf before any sum, +inf after the
+    # scan and RegularityError; each keeps its outcome in the batch
+    rng = np.random.default_rng(5)
+    datasets = _random_datasets(rng, 3, 1, 2)
+    ds = datasets[0]
+    datasets[0] = Dataset(T=ds.T, censored=ds.censored,
+                          events=(np.r_[0.0, ds.events[0]], ds.events[1]))
+    ps = [_batch_point(rng, 3, 1, kind) for kind in
+          ("regular", "regular", "dead", "regular", "supercritical")]
+    # the second point's censored increments are all below the slack
+    ps[1] = ps[1].replace(nu=[1e-3, *ps[1].nu[1:]], gamma=np.zeros(3),
+                          alpha=np.where(np.arange(3)[:, None] == 0, 1e-3,
+                                         ps[1].alpha))
+    ps[2] = ps[2].replace(alpha=np.where(np.arange(3)[:, None] == 2, 0.0,
+                                         ps[2].alpha),
+                          nu=[*ps[2].nu[:2], 0.0])
+    # the fourth has xi_2(0) = alpha_21 theta_21 gamma_1 = 0 at the event at
+    # 0, which only the scan reaches
+    alpha = ps[3].alpha.copy()
+    alpha[1, 1:] = 0.0
+    ps[3] = ps[3].replace(alpha=alpha, gamma=np.zeros(3),
+                          nu=[ps[3].nu[0], 0.0, ps[3].nu[2]])
+    inc = [[np.diff(pmbp.PoiEvaluator(p, ds.event_list()).values(
+        ds.censored[0].boundaries).Xi[:, 0]) for ds in datasets]
+        for p in ps[:4]]
+    slack = 0.5 * (max(x.max() for x in inc[1])
+                   + min(x.min() for x in inc[0] + inc[3]))
+    monkeypatch.setattr(pmbp.likelihood, "_INCREMENT_SLACK", slack)
+    outcomes = []
+    for p in ps:
+        try:
+            outcomes.append(nll_and_grad(p, datasets)[0])
+        except (RegularityError, NumericalConsistencyError) as exc:
+            outcomes.append(type(exc))
+    assert np.isfinite(outcomes[0])
+    assert outcomes[1] is NumericalConsistencyError
+    assert outcomes[2] == outcomes[3] == np.inf
+    assert outcomes[4] is RegularityError
+    _assert_outcomes_equal_solo(ps, datasets, LikelihoodConfig(), True)
+    _assert_outcomes_equal_solo(ps[::-1], datasets, LikelihoodConfig(), False)
+
+    # the dead point is rejected before any decay sum; the fourth only
+    # after the scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan of an impossible point")
+
+    monkeypatch.setattr(pmbp.likelihood, "_scan_values", refuse)
+    assert nll_and_grad(ps[2], datasets)[0] == np.inf
+    with pytest.raises(AssertionError):
+        nll_and_grad(ps[3], datasets)
+
+
+def test_negative_increment_error_names_the_dataset(monkeypatch):
+    # a slack between the least increment of the narrow windows of dataset
+    # 1 and every increment of the wide ones of dataset 0 fails dataset 1
+    params = ModelParams(d=2, e=1, theta=np.ones((2, 2)),
+                         alpha=[[0.3, 0.2], [0.2, 0.3]], gamma=[0.0, 0.0],
+                         nu=[0.4, 0.4])
+    events = (np.array([1.5, 4.0, 6.5]),)
+    wide = Dataset(T=8.0, censored=(CensoredSeries([0.0, 4.0, 8.0],
+                                                   [2.0, 3.0]),),
+                   events=events)
+    narrow = Dataset(T=8.0, censored=(CensoredSeries(np.arange(0.0, 8.5, 0.5),
+                                                     np.ones(16)),),
+                     events=events)
+    Xi = pmbp.PoiEvaluator(params, narrow.event_list()).values(
+        narrow.censored[0].boundaries).Xi[:, 0]
+    inc = np.diff(Xi)
+    k = int(np.argmin(inc))
+    monkeypatch.setattr(pmbp.likelihood, "_INCREMENT_SLACK", 1.0)
+    assert inc.min() < 1.0 < np.diff(pmbp.PoiEvaluator(
+        params, wide.event_list()).values([0.0, 4.0, 8.0]).Xi[:, 0]).min()
+    message = (f"dataset 1, dimension 1: compensator increment "
+               f"{inc[k]:.3g} < 1.0 on window {k}")
+    for call in (joint_nll, nll_and_grad):
+        with pytest.raises(NumericalConsistencyError) as info:
+            call(params, [wide, narrow])
+        assert str(info.value) == message

@@ -72,6 +72,33 @@ def test_negative_nu_and_gamma_rejected():
         make_params(gamma=[-1.0, 0.0])
 
 
+_MESSAGES = {
+    "theta": "theta entries must be finite and > 0",
+    "alpha": "alpha entries must be finite and >= 0",
+    "gamma": "gamma entries must be finite and >= 0",
+    "nu": "nu entries must be finite and >= 0",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MESSAGES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 0.0],
+                         ids=["nan", "inf", "-inf", "negative", "zero"])
+def test_invalid_entries_raise_the_field_message(field, bad):
+    # one bad entry in one field raises ParameterError naming that field;
+    # zero is invalid only for theta
+    base = make_params()
+    value = np.array(getattr(base, field))
+    value.flat[-1] = bad
+    if bad == 0.0 and field != "theta":
+        assert np.array_equal(getattr(make_params(**{field: value}), field),
+                              value)
+        return
+    with pytest.raises(ParameterError) as info:
+        make_params(**{field: value})
+    assert type(info.value) is ParameterError
+    assert str(info.value) == _MESSAGES[field]
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises((DimensionError, ParameterError)):
         make_params(alpha=np.full((3, 3), 0.2))
