@@ -226,9 +226,10 @@ def _lockstep(objective, starts, lb, ub, max_iter, tol_f) -> list:
     result, in start order.
 
     Each round first answers every pending point that the objective shows
-    impossible from the data alone (`_Objective.dead_end`) with +inf, which
-    lets that start move on within the round, then evaluates the remaining
-    pending points, one per start, in one batch.  A start's points and
+    impossible from the data alone (`_Objective.dead_end`, read off the
+    point vector) with +inf, which lets that start move on within the
+    round, then builds the parameters of the remaining pending points, one
+    per start, and evaluates them in one batch.  A start's points and
     answers are those of its run alone."""
     runs = [_minimize_box(x0, lb, ub, max_iter, tol_f) for x0 in starts]
     ends = [None] * len(runs)
@@ -245,9 +246,8 @@ def _lockstep(objective, starts, lb, ub, max_iter, tol_f) -> list:
         batch = {}
         for k in list(pending):
             while k in pending:
-                p = objective.params(pending[k])
-                if not objective.dead_end(p):
-                    batch[k] = p
+                if not objective.dead_end(pending[k]):
+                    batch[k] = objective.params(pending[k])
                     break
                 answer(k, (np.inf, None))
         for k, fg in zip(batch, objective.batch(list(batch.values()))):
@@ -288,10 +288,17 @@ class _Objective:
     def params(self, x) -> ModelParams:
         return unpack(self.template, x, self.include_gamma)
 
-    def dead_end(self, p: ModelParams) -> bool:
+    def dead_end(self, x) -> bool:
+        """Whether the data alone make the point x impossible
+        (`likelihood._Prepared.dead_end`), read off x's slices."""
+        d = self.template.d
+        nu = x[2 * d * d : 2 * d * d + d]
         # a dead dimension has nu_i = 0
-        return not p.nu.all() and bool(
-            self.prep.dead_end(self.weights, p.nu, p.alpha, p.gamma))
+        if nu.all():
+            return False
+        gamma = x[2 * d * d + d :] if self.include_gamma else self.template.gamma
+        return bool(self.prep.dead_end(self.weights, nu,
+                                       x[: d * d].reshape(d, d), gamma))
 
     def batch(self, ps) -> list:
         """(f, g) at each of the points ps (ModelParams), in one pass."""

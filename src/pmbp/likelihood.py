@@ -171,7 +171,8 @@ class _Prepared:
     event and each dataset's slice of them; at_T holds the row of each
     dataset's T.  Per dimension, `late` flags an event or a positive count
     in a window that starts after 0, and `seen` any event or positive
-    count.
+    count.  The plan's grid groups its steps by length here
+    (`pmbp.poi._Grid.group`), so that no evaluation does.
     """
 
     def __init__(self, datasets):
@@ -180,6 +181,8 @@ class _Prepared:
         times = [_query_times(ds) for ds in datasets]
         # the events are validated by Dataset
         self.plan = _plan([ds.event_list() for ds in datasets], times, e)
+        if self.plan.grid is not None:
+            self.plan.grid.group()
         at_T = []
         bounds = [[] for _ in range(e)]
         events = [[] for _ in range(d - e)]
@@ -341,9 +344,9 @@ def _evaluate(ps, prep: _Prepared, config: LikelihoodConfig, need_grad: bool,
                     impossible(live[p], bad)
 
     score((w != 0) & scan_free)
-    if e > 0:
-        for p in np.flatnonzero(ok):
-            _scan_values(lays[live[p]], vals, p)
+    if e > 0 and ok.any():
+        pts = np.flatnonzero(ok)
+        _scan_values([lays[live[p]] for p in pts], vals, pts)
         score((w != 0) & ~scan_free)
     for p, i in enumerate(live):
         if not ok[p]:
@@ -363,7 +366,7 @@ def _evaluate(ps, prep: _Prepared, config: LikelihoodConfig, need_grad: bool,
     if not ok.all():
         vals = dataclasses.replace(
             vals, sums=(vals.sums[:1] + tuple(x[keep] for x in vals.sums[1:])),
-            scan=[vals.scan[p] for p in keep])
+            slot=None if vals.slot is None else vals.slot[keep])
         g_xi, g_Xi = g_xi[keep], g_Xi[keep]
     grad = np.zeros((keep.size, n_free(d, include_gamma)))
     if config.w_nu:

@@ -37,22 +37,26 @@ is a plan (`_plan`), built once for the query times of B datasets: the
 stacked query rows, one decay stack of every observed source of every
 dataset (`pmbp.decay._stack`) and the scan's knot grid (`_grid`: the step
 lengths, the knot of every query row, the event counts and the real
-steps).  The fit objective builds one plan per fit, and
-`PoiEvaluator.values` one per call.  The parameter passes read it: the
-decay sums (`_decay_values`), the scan (`_scan_values`: the steps, then one
-loop over the knot axis on (B, s, 1) states) and the adjoint of both
-(`_vjp`), whose scan part (`_scan_vjp`) is one loop back.  The decay
-sums and their adjoint run for P parameter points at once, on a leading
-points axis, with each point's entries the same arithmetic as alone; the
-scan and its adjoint run point by point.  The evaluator is the batch of
-one.
+steps, and on request their schedule grouped by length).  The fit
+objective builds one plan per fit and groups its steps once, and
+`PoiEvaluator.values` builds one plan per call, ungrouped.  The parameter
+passes read it: the decay sums (`_decay_values`), the scan (`_scan_values`:
+the steps, then one loop over the knot axis) and the adjoint of both
+(`_vjp`), whose scan part (`_scan_vjp`) is one loop back.  All of them run for P
+parameter points at once, with each point's entries the same arithmetic
+as alone: the decay sums and their adjoint on a leading points axis, and
+the scan and its reverse loop on (P, B, s) states, one batched product per
+knot for every point and dataset.  Each point's steps, Frechet sum and
+generator entries are its own.  The evaluator is the batch of one.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
-come from one set of powers of M: each interval's scaled step has norm at
+come from one set of powers of M: each length's scaled step has norm at
 most 1, and its Taylor polynomial is a combination of those powers,
-evaluated for all intervals at once with no linear solve (`_Expm`).  The
-intervals are taken in order of length, so each squaring is a slice.  The
-sampler's Taylor table is the same powers.
+evaluated for all lengths at once with no linear solve (`_Expm`).  Each
+distinct length is evaluated once and gathered into every interval of
+that length (width-1 windows with no event share one), and the lengths
+are taken in increasing order, so each squaring is a slice.  The sampler's
+Taylor table is the same powers.
 
 The scan reaches dimension i only through alpha[i, :e].  Where that row is
 zero, M's rows for y[i, :] hold only the decay -theta_ij on the diagonal,
@@ -65,8 +69,10 @@ Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
 reverse (adjoint) pass gives the adjoint state at every knot of every
 dataset.  The derivative of each step's expm is then a Frechet derivative of
 expm(M dt) in a rank-one direction, summed over the real intervals of all
-datasets in one call, whatever the parameter count.  The initial state is
-shared, so its adjoint is the sum of the datasets' adjoints at knot 0.
+datasets in one call, whatever the parameter count; the intervals of one
+length have their derivatives summed before that length's squarings.  The
+initial state is shared, so its adjoint is the sum of the datasets'
+adjoints at knot 0.
 """
 
 from __future__ import annotations
@@ -106,14 +112,16 @@ class PoiValues:
 
     Inside the parameter passes the values are those of P points at once:
     xi and Xi are (P, m, d), esum and wsum carry the same leading axis, and
-    scan is a list of one scan (or None) per point.  `PoiEvaluator`
-    evaluates the batch of one and returns that point's values."""
+    scan is the scan of the points that have one, point p on its points
+    axis at slot[p].  `PoiEvaluator` evaluates the batch of one and returns
+    that point's values."""
 
     xi: np.ndarray
     Xi: np.ndarray
     plan: "_Plan" = dataclasses.field(repr=False)
     sums: tuple = dataclasses.field(default=(), repr=False)
-    scan: "_Scan | list | None" = dataclasses.field(default=None, repr=False)
+    scan: "_Scan | None" = dataclasses.field(default=None, repr=False)
+    slot: np.ndarray | None = dataclasses.field(default=None, repr=False)
 
     @property
     def t(self) -> np.ndarray:
@@ -130,20 +138,41 @@ class _Grid:
     n of dataset b at flat row n * B + b of rows; dt[n, b] is the step from
     knot n to n+1, real marks the steps that are not padding, and
     counts[n, b, k] holds the events of source e + k at knot n.
+
+    grouped is the real steps' schedule grouped by length (`_Schedule`),
+    so that `_Expm` evaluates and squares each distinct length once.  It is
+    built on request (`group`): the fit objective, which scans one grid
+    many times, builds it once with its plan.  A grid without one, scanned
+    once by the evaluator or the sampler, steps each real interval on its
+    own, in order of length, and builds nothing new.
     """
 
     rows: np.ndarray
     dt: np.ndarray
     real: np.ndarray
     counts: np.ndarray
+    grouped: "_Schedule | None" = None
+
+    def group(self) -> None:
+        """Group the real steps by length, once."""
+        if self.grouped is None:
+            self.grouped = _schedule(self.dt[self.real])
+
+    def schedule(self) -> "_Schedule":
+        """The grouped schedule, or else one in which each real step is a
+        length of its own."""
+        if self.grouped is not None:
+            return self.grouped
+        return _schedule(self.dt[self.real], group=False)
 
 
 @dataclasses.dataclass
 class _Scan:
-    """One forward pass of a layout's linear state over a grid, kept for
-    the adjoint: E[n, b] steps dataset b's state from knot n to n+1 (the
-    identity on padding), X[n, b] is the state just before knot n's jump
-    and jumps[n, b] that jump."""
+    """One forward pass of the linear states of P points over a grid, on
+    one (P, B) batch axis, kept for the adjoint: E[n, p, b] steps point p's
+    state of dataset b from knot n to n+1 (the identity on padding), X[n,
+    p, b] is that state just before knot n's jump and jumps[n, p, b] that
+    jump."""
 
     grid: _Grid
     E: np.ndarray
@@ -152,23 +181,27 @@ class _Scan:
 
 
 class _Expm:
-    """expm(M dt_n) for one generator M and a stack of step lengths dt_n,
-    or the sum over n of the Frechet derivatives L(M dt_n, u_n v_n^T) in a
-    stack of rank-one directions, by scaling and squaring with the Taylor
-    polynomial of degree K = _TAYLOR_DEGREE.
+    """expm(M dt) for one generator M at the distinct step lengths of a
+    schedule, or the sum over its intervals n of the Frechet derivatives
+    L(M dt_n, u_n v_n^T) in a stack of rank-one directions, by scaling and
+    squaring with the Taylor polynomial of degree K = _TAYLOR_DEGREE.
 
     The powers P[k] = (M / ||M||_1)^k, k <= K, are computed once (none
-    overflows).  Each step gets its own squaring count, the least sq_n with
-    ||M||_1 dt_n 2^-sq_n <= 1, so its scaled step is a_n P[1] with a_n <= 1
-    and its polynomial sum_k a_n^k / k! P[k] a combination of the shared
-    powers: all steps are evaluated together, _CHUNK at a time, and no
-    linear system is solved.  The polynomial's Frechet derivative in the
-    direction u v^T is
+    overflows).  Each length gets its own squaring count, the least sq with
+    ||M||_1 dt 2^-sq <= 1, so its scaled step is a P[1] with a <= 1 and its
+    polynomial sum_k a^k / k! P[k] a combination of the shared powers: all
+    lengths are evaluated together, _CHUNK at a time, and no linear system
+    is solved.  The lengths are taken in increasing order, so in a chunk
+    the lengths squared more than k times are a suffix and each squaring is
+    one slice.  The polynomial's Frechet derivative in the direction u v^T
+    is
 
         sum_{j + l < K} a^(j+l) / (j+l+1)! (P[j] u) (P[l]^T v)^T,
 
-    an (s, K) by (K, K) by (K, s) product; each squaring R <- R R carries
-    it as L <- R L + L R.
+    an (s, K) by (K, K) by (K, s) product.  The derivative is linear in the
+    direction, so the intervals of one length that is squared have their
+    derivatives summed first; each squaring R <- R R then carries the sum
+    as L <- R L + L R, once per distinct length.
     """
 
     def __init__(self, M: np.ndarray):
@@ -182,50 +215,81 @@ class _Expm:
         self.P = P
 
     def __call__(self, dt, u=None, v=None):
-        """The (n, s, s) stack expm(M dt_n), or with factors u and v of
-        shape (n, s) the (s, s) sum over n of L(M dt_n, u_n v_n^T),
-        accumulated chunk by chunk.
+        """The (n, s, s) stack expm(M dt_n) for step lengths dt in any
+        order, or with factors u and v of shape (n, s) the (s, s) sum over
+        n of L(M dt_n, u_n v_n^T)."""
+        sched = _schedule(np.asarray(dt, dtype=float), group=False)
+        if u is None:
+            R = np.empty(sched.lengths.shape + self.P.shape[1:])
+            self.steps(sched.lengths, R)
+            return R[sched.index]
+        return self.frechet(sched, u, v)
 
-        The squaring count grows with dt, so the intervals are taken in
-        order of length: in each chunk the intervals squared more than k
-        times are a suffix, and each squaring is one slice."""
-        dt = np.asarray(dt, dtype=float)
+    def _size(self) -> int:
         s = self.P.shape[1]
-        size = min(_CHUNK, max(1, _CHUNK_FLOATS // (s * s)))
-        if u is not None:
-            size = max(1, size // 2)
-        order = np.argsort(dt, kind="stable")
-        cuts = [order[lo : lo + size] for lo in range(0, dt.size, size)]
-        if u is not None:
-            return sum((self._chunk(dt[c], u[c], v[c]) for c in cuts),
-                       np.zeros((s, s)))
-        R = np.empty((dt.size, s, s))
-        for c in cuts:
-            R[c] = self._chunk(dt[c])
-        return R
+        return min(_CHUNK, max(1, _CHUNK_FLOATS // (s * s)))
 
-    def _chunk(self, dt, u=None, v=None):
-        """One chunk of __call__, dt in increasing order: the steps, or the
-        sum of their Frechet derivatives."""
-        K, s = _TAYLOR_DEGREE, self.P.shape[1]
+    def steps(self, lengths, out) -> None:
+        """Write expm(M dt) at increasing lengths into the (n, s, s) stack
+        out, chunk by chunk."""
+        size = self._size()
+        for lo in range(0, lengths.size, size):
+            sq, _, pw = self._scaled(lengths[lo : lo + size])
+            R = self._polynomial(pw, out[lo : lo + size])
+            for i in np.searchsorted(sq, np.arange(sq[-1]), side="right"):
+                R[i:] = R[i:] @ R[i:]
+
+    def frechet(self, sched: "_Schedule", u, v) -> np.ndarray:
+        """The (s, s) sum over the intervals n of a schedule of L(M dt_n,
+        u_n v_n^T), u and v in the schedule's interval order, accumulated
+        over chunks of the intervals in order of length.  A chunk also
+        holds three (chunk, s, K) factors, so it takes half as many."""
+        s = self.P.shape[1]
+        size = max(1, self._size() // 2)
+        dt = sched.lengths[sched.index[sched.order]]
+        total = np.zeros((s, s))
+        for lo in range(0, dt.size, size):
+            hi = lo + size
+            c = sched.order[lo:hi]
+            # the chunk's intervals of each length start at heads
+            heads = sched.heads[np.searchsorted(sched.heads, lo, side="right")
+                                : np.searchsorted(sched.heads, hi)] - lo
+            total += self._frechet_chunk(dt[lo:hi], np.concatenate(([0], heads)),
+                                         u[c], v[c])
+        return total
+
+    def _scaled(self, dt):
+        """Squaring counts sq, scales 2^-sq and powers pw[n, k] = a_n^k, k <=
+        K, of increasing lengths dt, each scaled step being a_n P[1]."""
         norm = self.norm * dt
         with np.errstate(divide="ignore"):
             sq = np.maximum(np.ceil(np.log2(norm)), 0.0)
         scale = 2.0 ** -sq
-        a = norm * scale  # the scaled step is a * P[1]
-        pw = a[:, None] ** np.arange(K + 1)
-        # the intervals squared more than k times start at first[k]; the
-        # Frechet sum reads only the steps of those from lo on
-        first = np.searchsorted(sq, np.arange(sq[-1]), side="right")
-        lo = 0 if u is None else (first[0] if first.size else dt.size)
-        # M leaves the integrals' columns zero, and so does every P[k],
-        # k >= 1: those columns of R are exact unit columns, whose error
-        # would otherwise double with every squaring
-        R = ((pw[lo:] / _FACTORIALS) @ self.P.reshape(K + 1, -1)).reshape(-1, s, s)
-        if u is None:
-            for i in first:
-                R[i:] = R[i:] @ R[i:]
-            return R
+        pw = np.empty((_TAYLOR_DEGREE + 1, dt.size))
+        pw[0] = 1.0
+        pw[1:] = norm * scale
+        # running products: a^k = a^(k-1) a
+        return sq, scale, np.multiply.accumulate(pw, axis=0).T
+
+    def _polynomial(self, pw, out=None) -> np.ndarray:
+        """The Taylor polynomials sum_k pw[n, k] / k! P[k], in out when
+        given.  M leaves the integrals' columns zero, and so does every
+        P[k], k >= 1: those columns are exact unit columns, whose error
+        would otherwise double with every squaring."""
+        K, s = _TAYLOR_DEGREE, self.P.shape[1]
+        if out is None:
+            out = np.empty((len(pw), s, s))
+        np.matmul(pw / _FACTORIALS, self.P.reshape(K + 1, -1),
+                  out=out.reshape(len(pw), -1))
+        return out
+
+    def _frechet_chunk(self, dt, heads, u, v):
+        """One chunk of frechet: dt increasing, and the intervals of each
+        length starting at heads."""
+        K, s = _TAYLOR_DEGREE, self.P.shape[1]
+        sq, scale, pw = self._scaled(dt)
+        # the intervals from lo on are squared at least once
+        lo = np.searchsorted(sq, 0.0, side="right")
         # U[i, n, j] = a^j (P[j] u)_i and V[i, n, l] = a^l (P[l]^T v)_i
         # times the direction's scaling 2^-sq, so L_n = U_n _FRECHET V_n^T
         # with U_n = U[:, n]
@@ -239,13 +303,58 @@ class _Expm:
         # (s, nK) by (nK, s) product
         total = U[:, :lo].reshape(s, -1) @ V[:, :lo].reshape(s, -1).T
         if lo < dt.size:
+            # lo starts a length: one summed L and one R per length
+            heads = heads[heads >= lo]
             L = U[:, lo:].transpose(1, 0, 2) @ V[:, lo:].transpose(1, 2, 0)
-            for i in first - lo:
+            if heads.size < L.shape[0]:
+                L = np.add.reduceat(L, heads - lo, axis=0)
+            R = self._polynomial(pw[heads])
+            first = np.searchsorted(sq[heads], np.arange(sq[-1]), side="right")
+            # the lengths squared more than k times start at first[k]; a
+            # length's R is squared only while its L has a squaring left
+            for k, i in enumerate(first):
                 Ri, Li = R[i:], L[i:]
                 L[i:] = Ri @ Li + Li @ Ri
-                R[i:] = Ri @ Ri
+                if k + 1 < first.size:
+                    i = first[k + 1]
+                    R[i:] = R[i:] @ R[i:]
             total += L.sum(axis=0)
         return total
+
+
+@dataclasses.dataclass
+class _Schedule:
+    """Step lengths in the order _Expm takes them: lengths holds the
+    distinct lengths in increasing order (or, ungrouped, one per step) and
+    index[n] the position in lengths of step n (for a grid, its real steps
+    in the order of grid.dt[grid.real]); order lists the steps by
+    increasing length (stably), and the steps of each length start at
+    heads in that order."""
+
+    lengths: np.ndarray
+    index: np.ndarray
+    order: np.ndarray
+    heads: np.ndarray
+
+
+def _schedule(dt, group: bool = True) -> _Schedule:
+    """The _Schedule of step lengths dt (1-D, any order); without group,
+    each interval is a length of its own, repeated or not."""
+    order = np.argsort(dt, kind="stable")
+    ordered = dt[order]
+    index = np.empty(dt.size, dtype=np.intp)
+    if not group:
+        heads = np.arange(dt.size)
+        index[order] = heads
+        return _Schedule(lengths=ordered, index=index, order=order,
+                         heads=heads)
+    new = np.empty(dt.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    index[order] = np.cumsum(new) - 1
+    return _Schedule(lengths=ordered[heads], index=index, order=order,
+                     heads=heads)
 
 
 class _Layout:
@@ -368,26 +477,34 @@ def _grid(events, times, e: int) -> _Grid:
                  counts=counts)
 
 
-def _scan(lay: _Layout, grid: _Grid) -> _Scan:
-    """Step the linear state of `lay` from x0 at 0 across the knots of
-    every dataset of `grid` at once, jumping at the observed events."""
-    dt, real = grid.dt, grid.real
-    jumps = grid.counts @ lay.J
-    # the padding steps are the identity, set here rather than evaluated
-    if real.all():
-        E = lay.expm(dt.ravel()).reshape(dt.shape + (lay.s, lay.s))
-    else:
-        E = np.empty(dt.shape + (lay.s, lay.s))
-        E[~real] = np.eye(lay.s)
-        E[real] = lay.expm(dt[real])
-    # (B, s, 1) columns: each step is one batched matrix-vector product,
-    # written into the next knot's rows
-    N, B = grid.counts.shape[:2]
-    X = np.empty((N, B, lay.s, 1))
-    X[0] = lay.x0[:, None]
-    for E_n, x, kick, nxt in zip(E, X, jumps[..., None], X[1:]):
+def _scan(lays, grid: _Grid) -> _Scan:
+    """Step the linear states of the layouts lays (P points of one split)
+    from x0 at 0 across the knots of every dataset of `grid`, all points
+    and datasets at once, jumping at the observed events."""
+    (N, B, _), P, s = grid.counts.shape, len(lays), lays[0].s
+    sched = grid.schedule()
+    # each point's steps, one per distinct length after the identity (P[0])
+    # that every padding step reads, set rather than evaluated, gathered
+    # into the point's slot of the one step stack
+    R = np.empty((sched.lengths.size + 1, s, s))
+    R[0] = lays[0].expm.P[0]
+    at = np.zeros(grid.real.shape, dtype=np.intp)
+    at[grid.real] = sched.index + 1
+    E = np.empty((N - 1, P, B, s, s))
+    for p, lay in enumerate(lays):
+        lay.expm.steps(sched.lengths, R[1:])
+        np.take(R, at, axis=0, out=E[:, p], mode="clip")
+    # at most one source jumps each entry, so every sum is exact
+    jumps = grid.counts[:, None] @ np.array([lay.J for lay in lays])
+    # (P B, s, 1) columns: each step is one batched matrix-vector product
+    # over every point and dataset, written into the next knot's rows
+    X = np.empty((N, P, B, s))
+    X[0] = np.array([lay.x0 for lay in lays])[:, None]
+    cols = X.reshape(N, P * B, s, 1)
+    for E_n, x, kick, nxt in zip(E.reshape(N - 1, P * B, s, s), cols,
+                                 jumps.reshape(N, P * B, s, 1), cols[1:]):
         np.matmul(E_n, x + kick, out=nxt)
-    return _Scan(grid=grid, E=E, X=X[..., 0], jumps=jumps)
+    return _Scan(grid=grid, E=E, X=X, jumps=jumps)
 
 
 def _stacked(ps) -> tuple:
@@ -422,20 +539,25 @@ def _decay_values(ps, plan: _Plan) -> PoiValues:
     xi = nu[:, None, :] + a
     Xi = (gamma[:, None, :] * (t > 0)[:, None] + nu[:, None, :] * t[:, None]
           + A)
-    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums,
-                     scan=[None] * len(ps))
+    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums)
 
 
-def _scan_values(lay: _Layout, vals: PoiValues, p: int = 0) -> None:
-    """One joint scan of the states of the datasets of vals' plan for point
-    p; adds its part of xi and Xi to vals in place and keeps the scan in
-    vals.scan[p].  A dimension i whose row alpha[i, :e] is zero gets
-    exactly 0.0."""
+def _scan_values(lays, vals: PoiValues, pts) -> None:
+    """One joint scan of the states of the points pts of vals (an index of
+    its points axis, in order; lays[i] is the layout of the i-th) over
+    every dataset of vals' plan; adds its part of xi and Xi to those
+    points' rows in place and keeps the scan in vals.scan, the i-th point
+    at slot i.  A dimension i whose row alpha[i, :e] is zero gets exactly
+    0.0."""
     grid = vals.plan.grid
-    vals.scan[p] = scan = _scan(lay, grid)
-    rows = scan.X.reshape(-1, lay.s)[grid.rows]
-    vals.xi[p] += rows[:, lay.Y].sum(axis=2)
-    vals.Xi[p] += rows[:, lay.I]
+    vals.scan = scan = _scan(lays, grid)
+    vals.slot = np.full(len(vals.xi), -1)
+    vals.slot[pts] = np.arange(len(lays))
+    rows = scan.X.swapaxes(0, 1).reshape(len(lays), -1, scan.X.shape[-1])
+    rows = rows[:, grid.rows]
+    lay = lays[0]
+    vals.xi[pts] += rows[:, :, lay.Y].sum(axis=3)
+    vals.Xi[pts] += rows[:, :, lay.I]
 
 
 def _vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
@@ -445,9 +567,9 @@ def _vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
     layout, or None).
 
     The decay sums, nu and gamma are summed over each dataset's rows in
-    turn, for all points at once.  Then, for each point with a scan, one
-    reverse pass over every dataset's knots, and one Frechet sum over all
-    their real intervals."""
+    turn, for all points at once.  Then, when the points have a scan, one
+    reverse pass over every dataset's knots for all of them, and for each
+    point one Frechet sum over all their real intervals."""
     d, e = ps[0].d, ps[0].e
     alpha, theta, _, _ = _stacked(ps)
     t = vals.t
@@ -471,46 +593,60 @@ def _vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
         g_nu += S[-1] + t[rows] @ gXi[:, rows]
         if include_gamma:
             grad[:, 2 * d * d + d :] += (t[rows] > 0) @ gXi[:, rows]
-    for p, lay, sc, gxi_p, gXi_p, grad_p in zip(ps, lays, vals.scan, gxi,
-                                                gXi, grad):
-        if sc is not None:
-            _scan_vjp(p, lay, sc, gxi_p, gXi_p, grad_p, include_gamma)
+    if vals.scan is not None:
+        _scan_vjp(ps, lays, vals, gxi, gXi, grad, include_gamma)
 
 
-def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
+def _scan_vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
               include_gamma: bool) -> None:
-    """Add to grad the scan's part of the gradient of sum(gxi * xi + gXi *
-    Xi) for one point: one reverse pass over every dataset's knots, and one
-    Frechet sum over all their real intervals."""
+    """Add to grad[p] the scan's part of the gradient of sum(gxi[p] * xi[p]
+    + gXi[p] * Xi[p]) for each point p: one reverse pass over every
+    dataset's knots for all points at once, then per point one Frechet sum
+    over all their real intervals and the generator's entries."""
+    sc, grid = vals.scan, vals.scan.grid
+    N, Q, B, s = sc.X.shape
+    Y, I = lays[0].Y, lays[0].I
+    # cotangents on the states at each knot, on the scan's slots; a slot
+    # whose point has left the batch keeps zero cotangents
+    g = np.zeros((N, Q, B, s))
+    knot, b = np.divmod(grid.rows, B)
+    at = (knot[:, None], vals.slot[:, None, None], b[:, None])
+    np.add.at(g, (*(i[..., None] for i in at), Y), gxi[..., None])
+    np.add.at(g, (*at, I), gXi)
+    # (Q B, 1, s) rows: each step back is one batched vector-matrix
+    # product, summed into the previous knot's rows
+    lam = np.empty((N, Q * B, 1, s))
+    g_rows = g.reshape(N, Q * B, 1, s)
+    a = lam[-1] = g_rows[-1]
+    for E_n, g_n, prev in zip(sc.E.reshape(N - 1, Q * B, s, s)[::-1],
+                              g_rows[-2::-1], lam[-2::-1]):
+        a = np.add(g_n, a @ E_n, out=prev)
+    lam = lam.reshape(N, Q, B, s)
+    mu = lam - g  # adjoint of the state just after each knot's jump
+    # the states entering each real step and the adjoints of its end times
+    # its length, (real steps, Q, s); padding steps are left out
+    u = (sc.X[:-1] + sc.jumps[:-1]).swapaxes(1, 2)[grid.real]
+    v = (lam[1:] * grid.dt[:, None, :, None]).swapaxes(1, 2)[grid.real]
+    sched = grid.schedule()
+    for p, lay, q, grad_p in zip(ps, lays, vals.slot, grad):
+        _point_vjp(p, lay, grid, sched, u[:, q], v[:, q], lam[0, q],
+                   mu[:, q], grad_p, include_gamma)
+
+
+def _point_vjp(p: ModelParams, lay: _Layout, grid: _Grid, sched: _Schedule,
+               u, v, lam0, mu, grad, include_gamma: bool) -> None:
+    """Add to grad one point's gradient through its steps, initial state
+    and jumps, from the states u entering the real steps of the schedule
+    sched and the adjoints v of their ends times their lengths, and the
+    adjoints lam0 at knot 0 and mu after each knot's jump."""
     d, e = p.d, p.e
     g_alpha = grad[: d * d].reshape(d, d)
     g_theta = grad[d * d : 2 * d * d].reshape(d, d)
     g_nu = grad[2 * d * d : 2 * d * d + d]
-    grid = sc.grid
-    N, B, s = sc.X.shape
-    # cotangents on the state at each knot, then the reverse pass
-    g = np.zeros((N * B, s))
-    np.add.at(g, (grid.rows[:, None, None], lay.Y[None]), gxi[:, :, None])
-    np.add.at(g, (grid.rows[:, None], lay.I[None]), gXi)
-    g = g.reshape(N, B, s)
-    # (B, 1, s) rows: each step back is one batched vector-matrix product,
-    # summed into the previous knot's rows
-    lam = np.empty((N, B, 1, s))
-    g_rows = g[:, :, None]
-    a = lam[-1] = g_rows[-1]
-    for E_n, g_n, prev in zip(sc.E[::-1], g_rows[-2::-1], lam[-2::-1]):
-        a = np.add(g_n, a @ E_n, out=prev)
-    lam = lam[:, :, 0]
-    mu = lam - g  # adjoint of the state just after each knot's jump
-
     # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
     # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
-    # every derivative is of expm(M dt) and uses its powers of M; padding
-    # steps are left out
-    real = grid.real
-    u = (sc.X[:-1] + sc.jumps[:-1])[real]
-    v = (lam[1:] * grid.dt[..., None])[real]
-    G = lay.expm(grid.dt[real], u, v).T
+    # every derivative is of expm(M dt) and uses its powers of M
+    G = lay.expm.frechet(sched, u, v).T
 
     # generator entries
     R = np.zeros((d, e))
@@ -529,13 +665,13 @@ def _scan_vjp(p: ModelParams, lay: _Layout, sc: _Scan, gxi, gXi, grad,
     g_theta[:e, e:] -= G[lay.W, lay.W]
     # initial state y_ij(0) = alpha_ij theta_ij gamma_j, shared by every
     # dataset: its adjoint is the sum of theirs at knot 0
-    lam_Y = lam[0].sum(axis=0)[lay.Y]
+    lam_Y = lam0.sum(axis=0)[lay.Y]
     g_alpha[:, :e] += p.theta[:, :e] * p.gamma[:e] * lam_Y
     g_theta[:, :e] += p.alpha[:, :e] * p.gamma[:e] * lam_Y
     if include_gamma:
         grad[2 * d * d + d : 2 * d * d + d + e] += np.sum(c[:, :e] * lam_Y, axis=0)
     # event jumps alpha_jk theta_jk on w[j, k]
-    S = np.einsum("nbjk,nbk->jk", mu[:, :, lay.W], grid.counts)
+    S = np.einsum("nbjk,nbk->jk", mu[..., lay.W], grid.counts)
     g_alpha[:e, e:] += p.theta[:e, e:] * S
     g_theta[:e, e:] += p.alpha[:e, e:] * S
 
@@ -561,12 +697,12 @@ class PoiEvaluator:
         vals = _decay_values([self.params], _plan([self.events], [t],
                                                   self.params.e))
         if vals.plan.grid is not None:
-            _scan_values(self.layout, vals)
+            _scan_values([self.layout], vals, slice(None))
         # the batch of one, as that point's values
         if vals.sums:
             cnt, esum, wsum = vals.sums
             vals.sums = (cnt, esum[0], wsum[0])
-        vals.xi, vals.Xi, vals.scan = vals.xi[0], vals.Xi[0], vals.scan[0]
+        vals.xi, vals.Xi = vals.xi[0], vals.Xi[0]
         return vals
 
     def vjp(self, vals: PoiValues, gxi, gXi, include_gamma: bool = False):
@@ -578,7 +714,7 @@ class PoiEvaluator:
         gXi = np.asarray(gXi, dtype=float)
         sums = vals.sums and (vals.sums[0], vals.sums[1][None],
                               vals.sums[2][None])
-        batch = dataclasses.replace(vals, sums=sums, scan=[vals.scan])
+        batch = dataclasses.replace(vals, sums=sums)
         grad = np.zeros((1, n_free(p.d, include_gamma)))
         _vjp([p], [self.layout], batch, gxi[None], gXi[None], grad,
              include_gamma)

@@ -308,7 +308,7 @@ def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
     lay = _Layout(params, full=True)
     observed = validate_events_for(params, dataset.event_list())
     grid = _grid([observed], [np.array([T_train])], params.e)
-    x_train = _scan(lay, grid).X[-1, 0]
+    x_train = _scan([lay], grid).X[-1, 0, 0]
     x_train[lay.I] = 0.0
     return lay, x_train, bnds
 

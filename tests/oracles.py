@@ -295,7 +295,7 @@ def compensator_forecast_mc(params, dataset, boundaries, n_samples, seed):
     e = params.e
     lay = _Layout(params, full=True)
     events = validate_events_for(params, dataset.event_list())
-    x = _scan(lay, _grid([events], [np.array([dataset.T])], e)).X[-1, 0]
+    x = _scan([lay], _grid([events], [np.array([dataset.T])], e)).X[-1, 0, 0]
     x[lay.I] = 0.0
     draws = []
     for child in np.random.SeedSequence(seed).spawn(n_samples):

@@ -534,6 +534,33 @@ def test_prepared_objective_keeps_no_state_between_calls(d, data):
     assert joint_nll(p1, prep) == first[0]
 
 
+def test_fit_builds_its_step_schedule_once(monkeypatch):
+    # the plan's steps are grouped by length with the prepared data, once
+    # per fit; no evaluation groups them, whatever the batch
+    built = []
+    make = pmbp.poi._schedule
+
+    def counting(dt, group=True):
+        if group:
+            built.append(dt.size)
+        return make(dt, group)
+
+    monkeypatch.setattr(pmbp.poi, "_schedule", counting)
+    rng = np.random.default_rng(8)
+    datasets = _random_datasets(rng, 3, 1, 3)
+    prep = pmbp.likelihood._Prepared(datasets)
+    assert len(built) == 1
+    ps = [_batch_point(rng, 3, 1, "regular") for _ in range(3)]
+    for batch in (ps, ps[:1]):
+        for need_grad in (True, False):
+            out = pmbp.likelihood._evaluate(batch, prep, LikelihoodConfig(),
+                                            need_grad, False)
+            assert all(np.isfinite(res[0]) for res in out)
+    assert len(built) == 1
+    pmbp.fit(datasets, pmbp.FitConfig(n_starts=3, max_iter=2))
+    assert len(built) == 2
+
+
 def _dead_case():
     """d=3, e=1: dimension 1 is censored with counts only in its first
     window; dimensions 2 and 3 are observed with events."""

@@ -1,5 +1,7 @@
 """Exact evaluator: values against exact references, adjoint gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,19 @@ from pmbp import (
 )
 from pmbp import closed_form_pmbp21
 from pmbp.decay import SourceDecay, _stack
-from pmbp.poi import _CHUNK, _Layout
+from pmbp.paramvec import n_free
+from pmbp.poi import (
+    _CHUNK,
+    _CHUNK_FLOATS,
+    _decay_values,
+    _grid,
+    _Layout,
+    _plan,
+    _scan,
+    _schedule,
+    _scan_values,
+    _vjp,
+)
 
 from oracles import (
     decay_prefix_loop,
@@ -355,6 +369,145 @@ def test_expm_stack_matches_scipy_and_van_loan(d, data):
     )
     dt = np.concatenate([[0.0, 1e-12], rng.exponential(1.0, size=6), [25.0]])
     _check_expm_stack(_Layout(p, full), dt, rng)
+
+
+def _check_grouped(lay, grid, rng):
+    """The scan's steps of a grid against scipy.linalg.expm, and the
+    Frechet sums over its schedule against the Van Loan oracle, each
+    length's alone and the whole schedule's, to 1e-12 as in
+    _check_expm_stack."""
+    grid.group()
+    sched = grid.schedule()
+    dt = grid.dt[grid.real]
+    assert np.array_equal(sched.lengths[sched.index], dt)
+    # the scan's steps: one per distinct length, gathered, identity padding
+    E = _scan([lay], grid).E[:, 0]
+    assert np.all(E[~grid.real] == np.eye(lay.s))
+    refs = [expm(lay.M * h) for h in sched.lengths]
+    for got, k in zip(E[grid.real], sched.index):
+        assert np.max(np.abs(got - refs[k])) <= 1e-12 * np.max(np.abs(refs[k]))
+    x = rng.standard_normal((dt.size, lay.s))
+    lam = rng.standard_normal((dt.size, lay.s))
+    v = lam * dt[:, None]
+    scale = 0.0
+    for k in range(sched.lengths.size):
+        at = sched.index == k
+        ref = van_loan_frechet_sum(lay.M, dt[at], lam[at], x[at])
+        got = lay.expm.frechet(_schedule(dt[at]), x[at], v[at]).T
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+        scale += sum(np.max(np.abs(van_loan_frechet_sum(
+            lay.M, dt[n : n + 1], lam[n : n + 1], x[n : n + 1])))
+            for n in np.flatnonzero(at))
+    ref = van_loan_frechet_sum(lay.M, dt, lam, x)
+    got = lay.expm.frechet(sched, x, v).T
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_grouped_steps_and_frechet_sums_on_repeated_lengths(d, data):
+    # width-1 windows shared by every dataset, events on a 0.5 lattice,
+    # and a last dataset of horizon 2 with no events (padding): many real
+    # steps share a length, and the lengths above 1 / ||M||_1 are squared.
+    # Each distinct length is evaluated and squared once, its intervals'
+    # Frechet derivatives summed before the squarings
+    e = data.draw(st.integers(1, d), label="e")
+    B = data.draw(st.integers(1, 2), label="datasets")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    p = ModelParams(d=d, e=e, theta=rng.uniform(1.0, 3.0, (d, d)),
+                    alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+                    gamma=rng.uniform(0.0, 0.5, d), nu=rng.uniform(0.1, 1.0, d))
+    lay = _Layout(p)
+    events, times = [], []
+    for _ in range(B):
+        T = float(rng.integers(4, 9))
+        times.append(np.arange(T + 1.0))
+        events.append([np.zeros(0)] * e + [
+            0.5 * np.unique(rng.integers(1, 2 * T, rng.integers(0, 4)))
+            for _ in range(d - e)])
+    times.append(np.arange(3.0))
+    events.append([np.zeros(0)] * d)
+    grid = _grid(events, times, e)
+    assert not grid.real.all()
+    grid.group()
+    sched = grid.schedule()
+    sizes = np.diff(np.r_[sched.heads, sched.index.size])
+    assert np.all(sizes[lay.expm.norm * sched.lengths > 1.0] > 1)
+    _check_grouped(lay, grid, rng)
+
+
+def test_grouped_frechet_sum_spans_chunks():
+    # 200 width-1 windows and a few events: the Frechet pass takes the
+    # intervals in chunks, and the width-1 group runs across chunk ends
+    p = _model(2, 1, [0.4, 0.3])
+    lay = _Layout(p)
+    rng = np.random.default_rng(3)
+    grid = _grid([[np.zeros(0), np.sort(rng.uniform(0.0, 200.0, 12))]],
+                 [np.arange(201.0)], 1)
+    grid.group()
+    sched = grid.schedule()
+    size = min(_CHUNK, _CHUNK_FLOATS // lay.s**2) // 2
+    ends = np.r_[sched.heads[1:], sched.index.size]
+    assert np.any((sched.heads < size) & (ends > size))
+    _check_grouped(lay, grid, rng)
+
+
+def _bytes(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_round_scan_gives_each_point_its_scan_alone(d, data):
+    # P points scanned on one (P, B) batch axis, some of which leave the
+    # batch before the adjoint: every point's states, values and gradient
+    # are bitwise those of its scan alone
+    e = data.draw(st.integers(1, d), label="e")
+    P = data.draw(st.integers(1, 4), label="points")
+    B = data.draw(st.integers(1, 3), label="datasets")
+    keep = data.draw(st.lists(st.integers(0, P - 1), min_size=1, unique=True),
+                     label="keep")
+    keep = np.sort(keep)
+    include_gamma = data.draw(st.booleans(), label="include_gamma")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    ps = [ModelParams(d=d, e=e, theta=10.0 ** rng.uniform(-1.0, 1.0, (d, d)),
+                      alpha=rng.uniform(0.0, 0.9 / d, (d, d)),
+                      gamma=rng.uniform(0.0, 0.5, d),
+                      nu=rng.uniform(0.1, 1.0, d)) for _ in range(P)]
+    lays = [_Layout(p) for p in ps]
+    events, times = [], []
+    for _ in range(B):
+        T = float(rng.integers(3, 12))
+        events.append([np.sort(rng.uniform(0.0, T, rng.integers(0, 8)))
+                       for _ in range(d)])
+        times.append(np.unique(np.r_[np.arange(T + 1.0), *events[-1][e:]]))
+    plan = _plan(events, times, e)
+    m = plan.t.size
+    gxi = rng.standard_normal((P, m, d))
+    gXi = rng.standard_normal((P, m, d))
+
+    def gradient(points, vals, rows):
+        sums = vals.sums[:1] + tuple(x[rows] for x in vals.sums[1:])
+        part = dataclasses.replace(vals, sums=sums, slot=vals.slot[rows])
+        grad = np.zeros((len(rows), n_free(d, include_gamma)))
+        _vjp([ps[i] for i in points], [lays[i] for i in points], part,
+             gxi[points], gXi[points], grad, include_gamma)
+        return grad
+
+    vals = _decay_values(ps, plan)
+    _scan_values(lays, vals, np.arange(P))
+    grad = gradient(keep, vals, keep)
+    for i in range(P):
+        one = _decay_values([ps[i]], plan)
+        _scan_values([lays[i]], one, [0])
+        assert _bytes(vals.scan.X[:, i]) == _bytes(one.scan.X[:, 0])
+        assert _bytes(vals.xi[i]) == _bytes(one.xi[0])
+        assert _bytes(vals.Xi[i]) == _bytes(one.Xi[0])
+        if i in keep:
+            alone = gradient([i], one, [0])
+            assert _bytes(grad[np.searchsorted(keep, i)]) == _bytes(alone[0])
 
 
 @pytest.mark.parametrize("theta,dt", [
