@@ -8,15 +8,6 @@ interval counts of them are needed), while the remaining dimensions
 contribute through their exact event times.
 """
 
-from .engine import (
-    ConvGrid,
-    HTables,
-    compensator_eval,
-    compute_h,
-    default_step,
-    xi_eval,
-    xi_monte_carlo,
-)
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -27,9 +18,7 @@ from .errors import (
     ParameterError,
     PMBPError,
     RegularityError,
-    TruncationError,
 )
-from .closed_form import closed_form_pmbp21
 from .fitting import (
     FitConfig,
     FitResult,
@@ -39,10 +28,7 @@ from .fitting import (
     recovery_experiment,
 )
 from .gof import GofReport, fit_score, gof_anscombe, gof_report, gof_time_rescaling
-from .hawkes import (
-    sample_conditional_hawkes,
-    sample_hawkes,
-)
+from .hawkes import sample_hawkes
 from .io import (
     censor,
     format_float,
@@ -69,8 +55,6 @@ from .params import (
     RegularityReport,
     censor_series,
     check_subcriticality,
-    phi_eval,
-    phi_integral,
     spectral_radius,
 )
 from .paramvec import n_free, pack, unpack
@@ -86,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CensoredSeries",
-    "ConvGrid",
     "ConvergenceError",
     "Dataset",
     "DimensionError",
@@ -96,7 +79,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "GofReport",
-    "HTables",
     "InsufficientDataError",
     "LikelihoodConfig",
     "ModelParams",
@@ -109,14 +91,9 @@ __all__ = [
     "RegularityError",
     "RegularityReport",
     "StartRecord",
-    "TruncationError",
     "censor",
     "censor_series",
     "check_subcriticality",
-    "closed_form_pmbp21",
-    "compensator_eval",
-    "compute_h",
-    "default_step",
     "fd_gradient",
     "fit",
     "fit_score",
@@ -129,8 +106,6 @@ __all__ = [
     "n_free",
     "nll_and_grad",
     "pack",
-    "phi_eval",
-    "phi_integral",
     "ppll_nll",
     "predict_counts",
     "predict_counts_sampled",
@@ -138,7 +113,6 @@ __all__ = [
     "read_dataset",
     "read_events",
     "recovery_experiment",
-    "sample_conditional_hawkes",
     "sample_hawkes",
     "sample_pmbp",
     "spectral_radius",
@@ -147,6 +121,4 @@ __all__ = [
     "write_csv",
     "write_dataset",
     "write_events",
-    "xi_eval",
-    "xi_monte_carlo",
 ]

@@ -14,8 +14,8 @@ class ParameterError(PMBPError, ValueError):
 
 
 class DomainError(PMBPError, ValueError):
-    """A function was queried outside its valid domain (e.g. negative time,
-    or an off-grid time where only grid samples are available)."""
+    """A function was queried outside its valid domain (e.g. a negative
+    time)."""
 
 
 class NumericalConsistencyError(PMBPError, RuntimeError):
@@ -25,10 +25,6 @@ class NumericalConsistencyError(PMBPError, RuntimeError):
 
 class ConvergenceError(PMBPError, RuntimeError):
     """An iterative routine failed to converge within its iteration budget."""
-
-
-class TruncationError(ConvergenceError):
-    """A series truncation failed to reach its threshold within the term cap."""
 
 
 class RegularityError(PMBPError, ValueError):

@@ -39,7 +39,6 @@ from .likelihood import (
     _Prepared,
 )
 from .params import (
-    CensoredSeries,
     Dataset,
     ModelParams,
     RegularityReport,
@@ -47,7 +46,7 @@ from .params import (
     check_subcriticality,
     spectral_radius,
 )
-from .paramvec import n_free, pack, unpack
+from .paramvec import unpack
 
 
 @dataclasses.dataclass(frozen=True)

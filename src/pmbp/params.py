@@ -1,4 +1,4 @@
-"""Model parameters, data containers, kernel primitives, and regularity checks.
+"""Model parameters, data containers, and regularity checks.
 
 Conventions used throughout the package:
 
@@ -351,42 +351,6 @@ class RegularityReport:
             "rho_cross": self.rho_cross,
             "subcritical": bool(self.subcritical),
         }
-
-
-# ---------------------------------------------------------------------------
-# Kernel primitives
-
-
-def phi_eval(params: ModelParams, t) -> np.ndarray:
-    """Kernel matrix phi(t); zero for t < 0.  Scalar t -> (d, d); array t ->
-    t.shape + (d, d)."""
-    t_arr = np.asarray(t, dtype=float)
-    u = t_arr[..., None, None]
-    # broadcasting against the (d, d) parameters already yields (d, d) for
-    # scalar t and t.shape + (d, d) otherwise
-    return np.where(
-        u >= 0,
-        params.alpha * params.theta * np.exp(-params.theta * np.maximum(u, 0.0)),
-        0.0,
-    )
-
-
-def phi_integral(params: ModelParams, t) -> np.ndarray:
-    """Entrywise kernel integral Phi(t) = int_0^t phi; zero for t < 0."""
-    t_arr = np.asarray(t, dtype=float)
-    u = t_arr[..., None, None]
-    return np.where(
-        u >= 0,
-        params.alpha * (-np.expm1(-params.theta * np.maximum(u, 0.0))),
-        0.0,
-    )
-
-
-def column_masks(params: ModelParams):
-    """(d, d) 0/1 masks selecting the censored and event-observed columns."""
-    mask_E = np.zeros((params.d, params.d))
-    mask_E[:, : params.e] = 1.0
-    return mask_E, 1.0 - mask_E
 
 
 # ---------------------------------------------------------------------------

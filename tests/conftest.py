@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pmbp import ConvGrid, ModelParams, compute_h, sample_hawkes
+from pmbp import ModelParams, sample_hawkes
+from reference.engine import ConvGrid, compute_h
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, RegularityError
-from .params import ModelParams
+from pmbp.errors import DimensionError, ParameterError, RegularityError
+from pmbp.params import ModelParams
 
 
 def _close(x: float, y: float, tol: float = 1e-12) -> bool:

@@ -13,22 +13,16 @@ from click.testing import CliRunner
 
 from pmbp import (
     CensoredSeries,
-    ConvGrid,
     Dataset,
     FitConfig,
     ModelParams,
     PoiEvaluator,
-    closed_form_pmbp21,
-    compensator_eval,
-    compute_h,
     fd_gradient,
     fit_score,
     gof_anscombe,
     gof_time_rescaling,
     nll_and_grad,
     pack,
-    phi_eval,
-    phi_integral,
     predict_counts,
     predict_counts_sampled,
     read_events,
@@ -38,13 +32,25 @@ from pmbp import (
     spectral_radius,
     total_nll,
     unpack,
+)
+from pmbp.cli import main as cli_main
+from reference.closed_form import closed_form_pmbp21
+from reference.engine import (
+    ConvGrid,
+    _fft_conv,
+    compensator_eval,
+    compute_h,
     xi_eval,
     xi_monte_carlo,
 )
-from pmbp.cli import main as cli_main
-from pmbp.engine import _fft_conv
 
-from oracles import naive_compensator, naive_intensity, naive_pp_loglik
+from oracles import (
+    kernel,
+    kernel_integral,
+    naive_compensator,
+    naive_intensity,
+    naive_pp_loglik,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,22 +74,36 @@ def ref_events():
     return [np.zeros(0), np.array([2.5, 5.0, 15.0])]
 
 
-def _max_rel_err(params, events, step):
+def _kept_points(events, step):
+    """Grid points of [0, 30] with step `step`, less those within one step
+    of an observed event, where the grid's jump smearing is largest."""
     grid = ConvGrid.make(30.0, step)
-    tables = compute_h(params, grid)
-    xi = xi_eval(params, events, tables)
-    ref, _ = closed_form_pmbp21(params, events, grid.points)
     keep = np.ones(grid.n + 1, dtype=bool)
     for t_ev in events[1]:
         keep &= np.abs(grid.points - t_ev) > step * (1 + 1e-9)
+    return grid, keep
+
+
+def _max_rel_err(params, events, step):
+    grid, keep = _kept_points(events, step)
+    tables = compute_h(params, grid)
+    xi = xi_eval(params, events, tables)
+    ref, _ = closed_form_pmbp21(params, events, grid.points)
     return float(np.max(np.abs(xi[keep] - ref[keep]) / np.abs(ref[keep])))
 
 
 def test_A1_expected_intensity_matches_closed_form(ref_params, ref_events):
     t0 = time.perf_counter()
     err = _max_rel_err(ref_params, ref_events, 0.01)
+    # the library's exact path, on the same kept points
+    grid, keep = _kept_points(ref_events, 0.01)
+    t = grid.points[keep]
+    exact = PoiEvaluator(ref_params, ref_events).values(t).xi
+    ref, _ = closed_form_pmbp21(ref_params, ref_events, t)
+    err_exact = float(np.max(np.abs(exact - ref) / np.abs(ref)))
     elapsed = time.perf_counter() - t0
     assert err <= 0.02
+    assert err_exact <= 0.02
     assert elapsed < 10.0
 
 
@@ -98,8 +118,12 @@ def test_A2_expected_intensity_matches_monte_carlo(ref_params, ref_events):
                               n_samples=10_000, seed=11)
     ref = xi[np.searchsorted(grid.points, query)]
     within = np.all(np.abs(mean - ref) <= 3.0 * se, axis=1)
+    # the library's exact path, at the query times themselves
+    exact = PoiEvaluator(ref_params, ref_events).values(query).xi
+    within_exact = np.all(np.abs(mean - exact) <= 3.0 * se, axis=1)
     elapsed = time.perf_counter() - t0
     assert within.sum() >= 18
+    assert within_exact.sum() >= 18
     assert elapsed < 120.0
 
 
@@ -151,9 +175,10 @@ def test_A4_kernel_power_mass_bounded_by_matrix_power():
             alpha=rng.uniform(0.0, 0.4, size=(3, 3)),
             gamma=np.zeros(3), nu=np.zeros(3),
         )
-        phi = phi_eval(params, grid.points)
+        u = grid.points[:, None, None]
+        phi = kernel(params.alpha, params.theta, u)
         D = np.concatenate([np.zeros((1, 3, 3)), np.diff(
-            phi_integral(params, grid.points), axis=0)])
+            kernel_integral(params.alpha, params.theta, u), axis=0)])
         term = phi
         apower = params.alpha.copy()
         for n in range(1, 5):

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from pmbp import (
-    ConvGrid,
-    DimensionError,
-    ModelParams,
-    RegularityError,
-    closed_form_pmbp21,
-    compensator_eval,
-    compute_h,
-    xi_eval,
-)
+from pmbp import DimensionError, ModelParams, RegularityError
+from reference.closed_form import closed_form_pmbp21
+from reference.engine import compensator_eval, xi_eval
 
 from oracles import mbp11_response
 

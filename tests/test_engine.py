@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from pmbp import (
+from pmbp import ModelParams, ParameterError, RegularityError
+from reference import TruncationError
+from reference.engine import (
     ConvGrid,
-    ModelParams,
-    ParameterError,
-    RegularityError,
-    TruncationError,
+    _fft_conv,
     compensator_eval,
     compute_h,
     default_step,
     xi_eval,
     xi_monte_carlo,
 )
-from pmbp.engine import _fft_conv, _grid_diffs
 
 from oracles import (
     broadcast_intensity_compensator,

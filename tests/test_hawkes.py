@@ -10,10 +10,10 @@ from pmbp import (
     ExplosionError,
     ModelParams,
     PoiEvaluator,
-    sample_conditional_hawkes,
     sample_hawkes,
     total_nll,
 )
+from reference.engine import sample_conditional_hawkes
 
 from oracles import naive_compensator, naive_intensity, naive_pp_loglik
 

@@ -20,7 +20,6 @@ from pmbp import (
     ModelParams,
     NumericalConsistencyError,
     RegularityError,
-    closed_form_pmbp21,
     joint_nll,
     nll_and_grad,
     pack,
@@ -29,6 +28,7 @@ from pmbp import (
     unpack,
 )
 from pmbp.likelihood import icll, ppll_nll
+from reference.closed_form import closed_form_pmbp21
 
 from oracles import central_fd, naive_pp_loglik, poisson_window_nll
 

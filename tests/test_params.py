@@ -1,4 +1,4 @@
-"""Parameter containers, validation, kernels, stability checks, censoring."""
+"""Parameter containers, validation, stability checks, censoring."""
 
 import numpy as np
 import pytest
@@ -16,14 +16,10 @@ from pmbp import (
     censor_series,
     check_subcriticality,
     pack,
-    phi_eval,
-    phi_integral,
     spectral_radius,
     unpack,
 )
-from pmbp.params import column_masks, validate_events_for
-
-from oracles import kernel, kernel_integral
+from pmbp.params import validate_events_for
 
 
 def make_params(d=2, e=1, **kw):
@@ -134,42 +130,6 @@ def test_unpack_inverts_pack(include_gamma):
         bad[-1] = -1.0
         with pytest.raises(ParameterError):
             unpack(template, bad, True)
-
-
-# ---------------------------------------------------------------------------
-# Kernels
-
-
-def test_phi_matches_oracle_elementwise():
-    p = make_params(theta=[[1.0, 2.0], [0.5, 3.0]], alpha=[[0.1, 0.4], [0.3, 0.2]])
-    for t in (0.0, 0.3, 1.7):
-        got = phi_eval(p, t)
-        want = kernel(p.alpha, p.theta, t)
-        assert np.allclose(got, want, rtol=1e-14)
-        got_i = phi_integral(p, t)
-        want_i = kernel_integral(p.alpha, p.theta, t)
-        assert np.allclose(got_i, want_i, rtol=1e-14)
-
-
-def test_phi_causal():
-    p = make_params()
-    assert np.all(phi_eval(p, -0.5) == 0.0)
-    assert np.all(phi_integral(p, -0.5) == 0.0)
-
-
-def test_phi_integral_limit_is_alpha():
-    p = make_params(alpha=[[0.7, 0.1], [0.2, 0.3]])
-    assert np.allclose(phi_integral(p, 1e3), p.alpha, atol=1e-12)
-
-
-def test_column_masks_complementary():
-    p = make_params(d=3, e=2, theta=np.full((3, 3), 1.3),
-                    alpha=np.full((3, 3), 0.1), gamma=np.zeros(3),
-                    nu=np.full(3, 0.2))
-    mE, mEc = column_masks(p)
-    assert np.array_equal(mE + mEc, np.ones((3, 3)))
-    assert np.array_equal(mE * mEc, np.zeros((3, 3)))
-    assert np.all(mE[:, :2] == 1.0) and np.all(mEc[:, 2:] == 1.0)
 
 
 # ---------------------------------------------------------------------------

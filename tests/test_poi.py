@@ -15,7 +15,6 @@ from pmbp import (
     ModelParams,
     PoiEvaluator,
     RegularityError,
-    compensator_eval,
     fd_gradient,
     nll_and_grad,
     pack,
@@ -23,9 +22,7 @@ from pmbp import (
     sample_pmbp,
     total_nll,
     unpack,
-    xi_eval,
 )
-from pmbp import closed_form_pmbp21
 from pmbp.decay import SourceDecay, _stack
 from pmbp.paramvec import n_free
 from pmbp.poi import (
@@ -40,6 +37,8 @@ from pmbp.poi import (
     _scan_values,
     _vjp,
 )
+from reference.closed_form import closed_form_pmbp21
+from reference.engine import compensator_eval, xi_eval
 
 from oracles import (
     decay_prefix_loop,
