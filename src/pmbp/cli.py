@@ -284,6 +284,8 @@ def cmd_evaluate(params_path, data, step, t_end, out):
     else:
         events = [np.zeros(0)] * params.d
         T_default = None
+    if t_end is not None and not np.isfinite(t_end):
+        raise click.BadParameter("must be finite", param_hint="'--t-end'")
     T = float((T_default if t_end is None else t_end) or 0.0)
     if T <= 0:
         raise click.UsageError("--t-end (or a dataset) is required")

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .params import CensoredSeries, Dataset, EventHistory, censor_series
+from .params import Dataset, EventHistory, censor_series
 
 __all__ = [
     "write_events",

@@ -171,8 +171,8 @@ class _Prepared:
     event and each dataset's slice of them; at_T holds the row of each
     dataset's T.  Per dimension, `late` flags an event or a positive count
     in a window that starts after 0, and `seen` any event or positive
-    count.  The plan's grid groups its steps by length here
-    (`pmbp.poi._Grid.group`), so that no evaluation does.
+    count.  The plan's grid groups its steps by length when it is built
+    (`pmbp.poi._grid`), so that no evaluation does.
     """
 
     def __init__(self, datasets):
@@ -181,8 +181,6 @@ class _Prepared:
         times = [_query_times(ds) for ds in datasets]
         # the events are validated by Dataset
         self.plan = _plan([ds.event_list() for ds in datasets], times, e)
-        if self.plan.grid is not None:
-            self.plan.grid.group()
         at_T = []
         bounds = [[] for _ in range(e)]
         events = [[] for _ in range(d - e)]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, PMBPError
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,9 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelParams":
+        if not isinstance(obj, dict):
+            raise ParameterError(
+                f"parameters must be an object, got {type(obj).__name__}")
         try:
             return cls(
                 d=int(obj["d"]),
@@ -115,6 +118,10 @@ class ModelParams:
             )
         except KeyError as exc:
             raise ParameterError(f"missing parameter field {exc}") from exc
+        except PMBPError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed parameter record: {exc}") from exc
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -302,11 +309,22 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Dataset":
+        if not isinstance(obj, dict):
+            raise ParameterError(
+                f"a dataset must be an object, got {type(obj).__name__}")
         try:
             T = float(obj["T"])
             e_recs = sorted(obj.get("e_dims", []), key=lambda r: r["dim"])
             ec_recs = sorted(obj.get("ec_dims", []), key=lambda r: r["dim"])
-        except (KeyError, TypeError) as exc:
+            censored = tuple(CensoredSeries(rec["boundaries"], rec["counts"])
+                             for rec in e_recs)
+            events = tuple(np.asarray(rec["events"], dtype=float)
+                           for rec in ec_recs)
+        except KeyError as exc:
+            raise ParameterError(f"missing dataset field {exc}") from exc
+        except PMBPError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed dataset record: {exc}") from exc
         e = len(e_recs)
         for k, rec in enumerate(e_recs):
@@ -321,10 +339,6 @@ class Dataset:
                     "event dimensions must be labelled e+1..d, got "
                     f"{[r['dim'] for r in ec_recs]}"
                 )
-        censored = tuple(
-            CensoredSeries(rec["boundaries"], rec["counts"]) for rec in e_recs
-        )
-        events = tuple(np.asarray(rec["events"], dtype=float) for rec in ec_recs)
         return cls(T=T, censored=censored, events=events)
 
     def to_json(self, indent: int | None = None) -> str:

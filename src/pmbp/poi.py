@@ -36,26 +36,27 @@ An evaluation splits into a data side and parameter passes.  The data side
 is a plan (`_plan`), built once for the query times of B datasets: the
 stacked query rows, one decay stack of every observed source of every
 dataset (`pmbp.decay._stack`) and the scan's knot grid (`_grid`: the step
-lengths, the knot of every query row, the event counts and the real
-steps, and on request their schedule grouped by length).  The fit
-objective builds one plan per fit and groups its steps once, and
-`PoiEvaluator.values` builds one plan per call, ungrouped.  The parameter
-passes read it: the decay sums (`_decay_values`), the scan (`_scan_values`:
-the steps, then one loop over the knot axis) and the adjoint of both
-(`_vjp`), whose scan part (`_scan_vjp`) is one loop back.  All of them run for P
-parameter points at once, with each point's entries the same arithmetic
-as alone: the decay sums and their adjoint on a leading points axis, and
-the scan and its reverse loop on (P, B, s) states, one batched product per
-knot for every point and dataset.  Each point's steps, Frechet sum and
-generator entries are its own.  The evaluator is the batch of one.
+lengths, the knot of every query row, the event counts, the real steps and
+their schedule, grouped by length when the grid is built).  The fit
+objective builds one plan per fit, and `PoiEvaluator.values` and the
+sampler one per call.  The parameter passes read it: the decay sums
+(`_decay_values`), the scan (`_scan_values`: the steps, then one loop over
+the knot axis) and the adjoint of both (`_vjp`), whose scan part
+(`_scan_vjp`) is one loop back.  All of them run for P parameter points at
+once, with each point's entries the same arithmetic as alone: the decay
+sums and their adjoint on a leading points axis, and the scan and its
+reverse loop on (P, B, s) states, one batched product per knot for every
+point and dataset.  Each point's steps, Frechet sum and generator entries
+are its own.  The evaluator is the batch of one.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each length's scaled step has norm at
 most 1, and its Taylor polynomial is a combination of those powers,
-evaluated for all lengths at once with no linear solve (`_Expm`).  Each
-distinct length is evaluated once and gathered into every interval of
-that length (width-1 windows with no event share one), and the lengths
-are taken in increasing order, so each squaring is a slice.  The sampler's
+evaluated for all lengths at once with no linear solve (`_Expm`).  Every
+grid groups its steps by length when it is built, so each distinct length
+is evaluated once and gathered into every interval of that length
+(width-1 windows with no event share one), and the lengths are taken in
+increasing order, so each squaring is a slice.  The sampler's
 Taylor table is the same powers.
 
 The scan reaches dimension i only through alpha[i, :e].  Where that row is
@@ -114,7 +115,7 @@ class PoiValues:
     xi and Xi are (P, m, d), esum and wsum carry the same leading axis, and
     scan is the scan of the points that have one, point p on its points
     axis at slot[p].  `PoiEvaluator` evaluates the batch of one and returns
-    that point's values."""
+    that point's xi and Xi; the sums keep their points axis of one."""
 
     xi: np.ndarray
     Xi: np.ndarray
@@ -139,31 +140,15 @@ class _Grid:
     knot n to n+1, real marks the steps that are not padding, and
     counts[n, b, k] holds the events of source e + k at knot n.
 
-    grouped is the real steps' schedule grouped by length (`_Schedule`),
-    so that `_Expm` evaluates and squares each distinct length once.  It is
-    built on request (`group`): the fit objective, which scans one grid
-    many times, builds it once with its plan.  A grid without one, scanned
-    once by the evaluator or the sampler, steps each real interval on its
-    own, in order of length, and builds nothing new.
+    schedule groups the real steps by length (`_Schedule`), so that
+    `_Expm` evaluates and squares each distinct length once.
     """
 
     rows: np.ndarray
     dt: np.ndarray
     real: np.ndarray
     counts: np.ndarray
-    grouped: "_Schedule | None" = None
-
-    def group(self) -> None:
-        """Group the real steps by length, once."""
-        if self.grouped is None:
-            self.grouped = _schedule(self.dt[self.real])
-
-    def schedule(self) -> "_Schedule":
-        """The grouped schedule, or else one in which each real step is a
-        length of its own."""
-        if self.grouped is not None:
-            return self.grouped
-        return _schedule(self.dt[self.real], group=False)
+    schedule: "_Schedule"
 
 
 @dataclasses.dataclass
@@ -181,10 +166,12 @@ class _Scan:
 
 
 class _Expm:
-    """expm(M dt) for one generator M at the distinct step lengths of a
-    schedule, or the sum over its intervals n of the Frechet derivatives
-    L(M dt_n, u_n v_n^T) in a stack of rank-one directions, by scaling and
-    squaring with the Taylor polynomial of degree K = _TAYLOR_DEGREE.
+    """expm(M dt) for one generator M at increasing step lengths (`steps`:
+    the distinct lengths of a grid's schedule, or the sampler's ladder), or
+    the sum over the intervals n of a schedule of the Frechet derivatives
+    L(M dt_n, u_n v_n^T) in a stack of rank-one directions (`frechet`), by
+    scaling and squaring with the Taylor polynomial of degree K =
+    _TAYLOR_DEGREE.
 
     The powers P[k] = (M / ||M||_1)^k, k <= K, are computed once (none
     overflows).  Each length gets its own squaring count, the least sq with
@@ -213,17 +200,6 @@ class _Expm:
         for k in range(1, _TAYLOR_DEGREE + 1):
             P[k] = P[k - 1] @ B
         self.P = P
-
-    def __call__(self, dt, u=None, v=None):
-        """The (n, s, s) stack expm(M dt_n) for step lengths dt in any
-        order, or with factors u and v of shape (n, s) the (s, s) sum over
-        n of L(M dt_n, u_n v_n^T)."""
-        sched = _schedule(np.asarray(dt, dtype=float), group=False)
-        if u is None:
-            R = np.empty(sched.lengths.shape + self.P.shape[1:])
-            self.steps(sched.lengths, R)
-            return R[sched.index]
-        return self.frechet(sched, u, v)
 
     def _size(self) -> int:
         s = self.P.shape[1]
@@ -325,11 +301,10 @@ class _Expm:
 @dataclasses.dataclass
 class _Schedule:
     """Step lengths in the order _Expm takes them: lengths holds the
-    distinct lengths in increasing order (or, ungrouped, one per step) and
-    index[n] the position in lengths of step n (for a grid, its real steps
-    in the order of grid.dt[grid.real]); order lists the steps by
-    increasing length (stably), and the steps of each length start at
-    heads in that order."""
+    distinct lengths in increasing order and index[n] the position in
+    lengths of step n (for a grid, its real steps in the order of
+    grid.dt[grid.real]); order lists the steps by increasing length
+    (stably), and the steps of each length start at heads in that order."""
 
     lengths: np.ndarray
     index: np.ndarray
@@ -337,22 +312,16 @@ class _Schedule:
     heads: np.ndarray
 
 
-def _schedule(dt, group: bool = True) -> _Schedule:
-    """The _Schedule of step lengths dt (1-D, any order); without group,
-    each interval is a length of its own, repeated or not."""
-    order = np.argsort(dt, kind="stable")
+def _schedule(dt) -> _Schedule:
+    """The _Schedule of step lengths dt (1-D, any order)."""
+    order = dt.argsort(kind="stable")
     ordered = dt[order]
-    index = np.empty(dt.size, dtype=np.intp)
-    if not group:
-        heads = np.arange(dt.size)
-        index[order] = heads
-        return _Schedule(lengths=ordered, index=index, order=order,
-                         heads=heads)
     new = np.empty(dt.size, dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    heads = np.flatnonzero(new)
-    index[order] = np.cumsum(new) - 1
+    heads = new.nonzero()[0]
+    index = np.empty(dt.size, dtype=np.intp)
+    index[order] = new.cumsum() - 1
     return _Schedule(lengths=ordered[heads], index=index, order=order,
                      heads=heads)
 
@@ -473,8 +442,9 @@ def _grid(events, times, e: int) -> _Grid:
             counts[pos, b, k] = 1.0
     # knots are distinct, so the padding steps are exactly those of zero
     # length
-    return _Grid(rows=np.concatenate(rows), dt=dt, real=dt > 0,
-                 counts=counts)
+    real = dt > 0
+    return _Grid(rows=np.concatenate(rows), dt=dt, real=real, counts=counts,
+                 schedule=_schedule(dt[real]))
 
 
 def _scan(lays, grid: _Grid) -> _Scan:
@@ -482,7 +452,7 @@ def _scan(lays, grid: _Grid) -> _Scan:
     from x0 at 0 across the knots of every dataset of `grid`, all points
     and datasets at once, jumping at the observed events."""
     (N, B, _), P, s = grid.counts.shape, len(lays), lays[0].s
-    sched = grid.schedule()
+    sched = grid.schedule
     # each point's steps, one per distinct length after the identity (P[0])
     # that every padding step reads, set rather than evaluated, gathered
     # into the point's slot of the one step stack
@@ -627,7 +597,7 @@ def _scan_vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
     # its length, (real steps, Q, s); padding steps are left out
     u = (sc.X[:-1] + sc.jumps[:-1]).swapaxes(1, 2)[grid.real]
     v = (lam[1:] * grid.dt[:, None, :, None]).swapaxes(1, 2)[grid.real]
-    sched = grid.schedule()
+    sched = grid.schedule
     for p, lay, q, grad_p in zip(ps, lays, vals.slot, grad):
         _point_vjp(p, lay, grid, sched, u[:, q], v[:, q], lam[0, q],
                    mu[:, q], grad_p, include_gamma)
@@ -698,10 +668,7 @@ class PoiEvaluator:
                                                   self.params.e))
         if vals.plan.grid is not None:
             _scan_values([self.layout], vals, slice(None))
-        # the batch of one, as that point's values
-        if vals.sums:
-            cnt, esum, wsum = vals.sums
-            vals.sums = (cnt, esum[0], wsum[0])
+        # the batch of one: that point's xi and Xi, the rest as built
         vals.xi, vals.Xi = vals.xi[0], vals.Xi[0]
         return vals
 
@@ -712,10 +679,7 @@ class PoiEvaluator:
         p = self.params
         gxi = np.asarray(gxi, dtype=float)
         gXi = np.asarray(gXi, dtype=float)
-        sums = vals.sums and (vals.sums[0], vals.sums[1][None],
-                              vals.sums[2][None])
-        batch = dataclasses.replace(vals, sums=sums)
         grad = np.zeros((1, n_free(p.d, include_gamma)))
-        _vjp([p], [self.layout], batch, gxi[None], gXi[None], grad,
+        _vjp([p], [self.layout], vals, gxi[None], gXi[None], grad,
              include_gamma)
         return grad[0]

@@ -62,7 +62,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .params import Dataset, EventHistory, ModelParams, validate_events_for
+from .params import Dataset, EventHistory, ModelParams
 from .poi import _FACTORIALS, _TAYLOR_DEGREE, _Layout, _grid, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
@@ -97,7 +97,8 @@ class _Steps:
         self.c = c
         n = int(np.floor(np.log2(span / h))) + 1 if span >= h else 0
         self.widths = [h * 2.0 ** j for j in range(n)]
-        rungs = lay.expm(self.widths)
+        rungs = np.empty((n, s, s))
+        lay.expm.steps(np.array(self.widths), rungs)
         self.rungs = list(rungs)
         self.rises = list(c @ rungs - c)
 
@@ -306,8 +307,8 @@ def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
     if dataset.d != params.d or dataset.e != params.e:
         raise ParameterError("dataset split does not match the model")
     lay = _Layout(params, full=True)
-    observed = validate_events_for(params, dataset.event_list())
-    grid = _grid([observed], [np.array([T_train])], params.e)
+    # the events are validated by Dataset
+    grid = _grid([dataset.event_list()], [np.array([T_train])], params.e)
     x_train = _scan([lay], grid).X[-1, 0, 0]
     x_train[lay.I] = 0.0
     return lay, x_train, bnds

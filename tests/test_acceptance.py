@@ -4,7 +4,6 @@ Each test is one observable guarantee of the library, checked at a fixed
 tolerance and (where stated) a wall-clock budget.
 """
 
-import json
 import time
 
 import numpy as np

@@ -19,7 +19,6 @@ from oracles import (
     broadcast_intensity_compensator,
     dense_h,
     dense_xi,
-    kernel,
     mbp11_response,
 )
 

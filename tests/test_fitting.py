@@ -9,7 +9,6 @@ from pmbp import (
     CensoredSeries,
     Dataset,
     FitConfig,
-    FitResult,
     ModelParams,
     ParameterError,
     fd_gradient,

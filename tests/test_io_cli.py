@@ -381,6 +381,49 @@ def test_cli_invalid_flag_value_is_a_usage_error(runner, workdir, args):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_cli_non_finite_t_end_is_a_usage_error(runner, workdir, t_end):
+    res = runner.invoke(main, ["evaluate", "--params",
+                               str(workdir / "pmbp.json"), "--t-end", t_end])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+_WINDOW = {"dim": 1, "boundaries": [0.0, 2.0, 4.0], "counts": [1, 0]}
+_EVENTS = {"dim": 2, "events": [0.5, 3.0]}
+_BAD_FILES = {
+    "no-boundaries": ("--data", {"T": 4.0, "ec_dims": [_EVENTS], "e_dims": [
+        {"dim": 1, "counts": [1, 0]}]}),
+    "no-counts": ("--data", {"T": 4.0, "ec_dims": [_EVENTS], "e_dims": [
+        {"dim": 1, "boundaries": [0.0, 2.0, 4.0]}]}),
+    "no-events": ("--data", {"T": 4.0, "e_dims": [_WINDOW],
+                             "ec_dims": [{"dim": 2}]}),
+    "text-events": ("--data", {"T": 4.0, "e_dims": [_WINDOW],
+                               "ec_dims": [{"dim": 2, "events": ["x"]}]}),
+    "text-d": ("--params", "x"),
+    "list-params": ("--params", [1, 2]),
+}
+
+
+@pytest.mark.parametrize("flag,doc", list(_BAD_FILES.values()),
+                         ids=list(_BAD_FILES))
+def test_cli_malformed_file_is_a_one_line_error(runner, workdir, flag, doc):
+    # a malformed dataset or parameter file is a library error: one line
+    # on stderr and exit code 1
+    params = workdir / "pmbp.json"
+    if doc == "x":
+        doc = dict(json.loads(params.read_text()), d="x")
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = ["evaluate", "--t-end", "4", "--params", str(params)]
+    res = runner.invoke(main, args + [flag, str(bad)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "ParameterError" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("name", sorted(main.commands))
 def test_cli_help_lists_config(runner, name):
     res = runner.invoke(main, [name, "--help"])

@@ -535,15 +535,15 @@ def test_prepared_objective_keeps_no_state_between_calls(d, data):
 
 
 def test_fit_builds_its_step_schedule_once(monkeypatch):
-    # the plan's steps are grouped by length with the prepared data, once
-    # per fit; no evaluation groups them, whatever the batch
+    # the plan's steps are grouped by length when its grid is built with
+    # the prepared data, once per fit; no evaluation groups them, whatever
+    # the batch
     built = []
     make = pmbp.poi._schedule
 
-    def counting(dt, group=True):
-        if group:
-            built.append(dt.size)
-        return make(dt, group)
+    def counting(dt):
+        built.append(dt.size)
+        return make(dt)
 
     monkeypatch.setattr(pmbp.poi, "_schedule", counting)
     rng = np.random.default_rng(8)

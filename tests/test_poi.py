@@ -29,6 +29,7 @@ from pmbp.poi import (
     _CHUNK,
     _CHUNK_FLOATS,
     _decay_values,
+    _Expm,
     _grid,
     _Layout,
     _plan,
@@ -200,24 +201,33 @@ def _model(d, e, gamma, seed=4):
 
 
 @pytest.mark.parametrize(
-    "p,include_gamma",
+    "p,include_gamma,lattice",
     [
-        (_model(2, 1, [0.0, 0.0]), False),
-        (_model(2, 1, [0.4, 0.3]), False),
-        (_model(2, 1, [0.4, 0.3]), True),
-        (_model(3, 2, [0.0, 0.0, 0.0]), False),
-        (_model(3, 2, [0.4, 0.3, 0.2]), True),
-        (_model(3, 3, [0.4, 0.3, 0.2]), True),
+        (_model(2, 1, [0.0, 0.0]), False, False),
+        (_model(2, 1, [0.4, 0.3]), False, False),
+        (_model(2, 1, [0.4, 0.3]), True, False),
+        (_model(3, 2, [0.0, 0.0, 0.0]), False, False),
+        (_model(3, 2, [0.4, 0.3, 0.2]), True, False),
+        (_model(3, 3, [0.4, 0.3, 0.2]), True, False),
+        (_model(3, 1, [0.4, 0.3, 0.2]), True, True),
     ],
     ids=["gamma0-False", "gamma1-False", "gamma2-True",
-         "d3e2", "d3e2-gamma", "d3e3-gamma"],
+         "d3e2", "d3e2-gamma", "d3e3-gamma", "d3e1-lattice"],
 )
-def test_derivatives_match_fd(p, include_gamma):
-    # the adjoint gradient of an arbitrary linear functional of xi and Xi
+def test_derivatives_match_fd(p, include_gamma, lattice):
+    # the adjoint gradient of an arbitrary linear functional of xi and Xi;
+    # on the lattice (integer queries, half-integer events) many steps share
+    # a length, so the Frechet sum is taken per distinct length
     rng = np.random.default_rng(p.d + p.e)
     events = [np.array([0.9, 2.2, 4.5]), np.array([0.3, 1.7, 3.3]),
               np.array([2.9, 5.5])][: p.d]
     t = np.array([6.123, 0.0, 1.37, 3.0, 2.2, 1.37])
+    if lattice:
+        events = [np.zeros(0), np.array([0.5, 2.5, 3.5, 6.5]),
+                  np.array([1.5, 3.5, 7.5])]
+        t = np.arange(9.0)
+        sched = PoiEvaluator(p, events).values(t).plan.grid.schedule
+        assert sched.lengths.size < sched.index.size
     c_xi = rng.standard_normal((t.size, p.d))
     c_Xi = rng.standard_normal((t.size, p.d))
 
@@ -333,7 +343,10 @@ def _check_expm_stack(lay, dt, rng):
     derivatives, transposed, against the Van Loan oracle, both to 1e-12 of
     the reference's largest entry: each step's alone, and their sum over
     the whole stack to 1e-12 of the sum of the steps' largest entries."""
-    R = lay.expm(dt)
+    sched = _schedule(dt)
+    R = np.empty((sched.lengths.size, lay.s, lay.s))
+    lay.expm.steps(sched.lengths, R)
+    R = R[sched.index]
     x = rng.standard_normal((dt.size, lay.s))
     lam = rng.standard_normal((dt.size, lay.s))
     v = lam * dt[:, None]
@@ -346,11 +359,12 @@ def _check_expm_stack(lay, dt, rng):
         assert np.max(np.abs(R[n] - ref)) <= 1e-12 * np.max(np.abs(ref)), h
         step = slice(n, n + 1)
         ref = van_loan_frechet_sum(lay.M, dt[step], lam[step], x[step])
-        got = lay.expm(dt[step], x[step], v[step]).T
+        got = lay.expm.frechet(_schedule(dt[step]), x[step], v[step]).T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), h
         scale += np.max(np.abs(ref))
     ref = van_loan_frechet_sum(lay.M, dt, lam, x)
-    assert np.max(np.abs(lay.expm(dt, x, v).T - ref)) <= 1e-12 * scale
+    got = lay.expm.frechet(sched, x, v).T
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -375,8 +389,7 @@ def _check_grouped(lay, grid, rng):
     Frechet sums over its schedule against the Van Loan oracle, each
     length's alone and the whole schedule's, to 1e-12 as in
     _check_expm_stack."""
-    grid.group()
-    sched = grid.schedule()
+    sched = grid.schedule
     dt = grid.dt[grid.real]
     assert np.array_equal(sched.lengths[sched.index], dt)
     # the scan's steps: one per distinct length, gathered, identity padding
@@ -429,8 +442,7 @@ def test_grouped_steps_and_frechet_sums_on_repeated_lengths(d, data):
     events.append([np.zeros(0)] * d)
     grid = _grid(events, times, e)
     assert not grid.real.all()
-    grid.group()
-    sched = grid.schedule()
+    sched = grid.schedule
     sizes = np.diff(np.r_[sched.heads, sched.index.size])
     assert np.all(sizes[lay.expm.norm * sched.lengths > 1.0] > 1)
     _check_grouped(lay, grid, rng)
@@ -444,12 +456,33 @@ def test_grouped_frechet_sum_spans_chunks():
     rng = np.random.default_rng(3)
     grid = _grid([[np.zeros(0), np.sort(rng.uniform(0.0, 200.0, 12))]],
                  [np.arange(201.0)], 1)
-    grid.group()
-    sched = grid.schedule()
+    sched = grid.schedule
     size = min(_CHUNK, _CHUNK_FLOATS // lay.s**2) // 2
     ends = np.r_[sched.heads[1:], sched.index.size]
     assert np.any((sched.heads < size) & (ends > size))
     _check_grouped(lay, grid, rng)
+
+
+def test_evaluator_evaluates_each_distinct_length_once(monkeypatch):
+    # width-1 window boundaries with a few events: the evaluator's grid
+    # groups its steps, so _Expm.steps sees each distinct length once
+    p = _model(2, 1, [0.4, 0.3])
+    events = [np.zeros(0), np.array([2.5, 7.25, 11.5, 11.75])]
+    t = np.arange(21.0)
+    seen = []
+    steps = _Expm.steps
+
+    def recording(self, lengths, out):
+        seen.append(lengths.copy())
+        steps(self, lengths, out)
+
+    monkeypatch.setattr(_Expm, "steps", recording)
+    vals = PoiEvaluator(p, events).values(t)
+    grid = vals.plan.grid
+    lengths = np.concatenate(seen)
+    assert len(seen) == 1
+    assert lengths.size < grid.real.sum()
+    assert np.array_equal(lengths, np.unique(grid.dt[grid.real]))
 
 
 def _bytes(x):
