@@ -131,7 +131,17 @@ class _NumberList(click.ParamType):
         return [self.number(x) for x in nums]
 
 
-_POSITIVE = click.FloatRange(min=0, min_open=True)
+class _Finite(click.FloatRange):
+    """A FloatRange that also refuses NaN and inf, which FloatRange admits."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not np.isfinite(x):
+            self.fail(f"{x} is not a finite number.", param, ctx)
+        return x
+
+
+_POSITIVE = _Finite(min=0, min_open=True)
 
 
 # ---------------------------------------------------------------------------

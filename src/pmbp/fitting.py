@@ -467,7 +467,7 @@ def recovery_experiment(
     (parameter, likelihood mode).
 
     Group fits are independent; n_jobs > 1 runs them on a thread pool.  Every
-    fit owns a seed derived from its (mode, group) slot and results are
+    fit owns a seed derived from its (mode, group) pair and results are
     assembled in task order, so the output is identical for any n_jobs.
     """
     if not check_subcriticality(true_params).subcritical:

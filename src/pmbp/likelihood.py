@@ -18,13 +18,14 @@ events and T, and which dimensions need intensity.  Each evaluation does
 only parameter work, for a batch of P parameter points at once
 (`_evaluate`; `nll_and_grad` and `joint_nll` are the batch of one).  It
 first rejects a dead dimension (nu_i = 0, alpha[i, :] = 0) that carries an
-observation it cannot explain; then it runs the plan's decay pass for all
-points on a leading points axis, scores the dimensions that the scan does
-not reach in one pass per dimension over all datasets and points, runs
-each point's scan over every dataset, and scores the rest.  A point that
-fails leaves the batch, and every point's value and gradient are bitwise
-those of its evaluation alone: each term is the sum of its own segment,
-and the terms and gradients are added in the same order.
+observation it cannot explain; then it runs one forward pass for all
+points (`pmbp.poi._values`: the plan's decay pass on a leading points
+axis, then one scan of every point over every dataset), scores every
+dimension in one pass per dimension over all datasets and points, and
+runs one adjoint pass (`pmbp.poi._vjp`) for the points that scored a
+finite value.  Every point's value and gradient are bitwise those of its
+evaluation alone: each term is the sum of its own segment, and the terms
+and gradients are added in the same order.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .params import Dataset, ModelParams
 from .paramvec import n_free
-from .poi import _decay_values, _Layout, _plan, _scan_values, _vjp
+from .poi import _Layout, _plan, _values, _vjp
 
 _INCREMENT_SLACK = -1e-9  # tolerated negative compensator increment
 
@@ -228,26 +229,27 @@ def _prepared(params: ModelParams, data) -> _Prepared:
     return _Prepared(datasets)
 
 
-def _score(prep: _Prepared, vals, w, dims, terms, g_xi, g_Xi, fails):
-    """Score the terms of every dataset on the dimensions that dims (P, d)
-    flags for each of P points into terms (P, B, d) (weighted by w), and
-    their cotangents on vals.xi and vals.Xi into g_xi and g_Xi: one pass per
-    dimension over all datasets and flagged points.
+def _score(prep: _Prepared, vals, w, terms, g_xi, g_Xi, fails):
+    """Score the terms of every dataset on the dimensions of nonzero weight
+    for each of P points into terms (P, B, d) (weighted by w), and their
+    cotangents on vals.xi and vals.Xi into g_xi and g_Xi: one pass per
+    dimension over all datasets and points.
 
     Each (point, dataset, dimension) term is the sum of its own contiguous
-    segment, as in an evaluation of that point and dataset alone.  A term
-    that cannot be scored goes into fails[(p, b, j)]: the
+    segment, as in an evaluation of that point and dataset alone: the
+    gathers index every axis by array, so that each point's rows are
+    contiguous and summed in the same order whatever P is.  A term that
+    cannot be scored goes into fails[(p, b, j)]: the
     NumericalConsistencyError of a negative increment, or else the term
     itself where it is not finite (the observations are impossible)."""
     e = len(prep.windows)
+    at = np.arange(len(terms))[:, None]
     for j, (left, right, counts, cuts) in enumerate(prep.windows):
-        pts = np.flatnonzero(dims[:, j])
-        if not pts.size:
+        if w[j] == 0:
             continue
-        at = pts[:, None]
         inc = vals.Xi[at, right, j] - vals.Xi[at, left, j]
         if (inc < _INCREMENT_SLACK).any():
-            for p, row in zip(pts, inc):
+            for p, row in enumerate(inc):
                 for b, cut in enumerate(cuts):
                     exc = _negative_increment(row[cut])
                     if exc is not None:
@@ -258,15 +260,11 @@ def _score(prep: _Prepared, vals, w, dims, terms, g_xi, g_Xi, fails):
         with np.errstate(invalid="ignore"):
             g_Xi[at, right, j] += w[j] * dinc
             g_Xi[at, left, j] -= w[j] * dinc
-        sums = np.empty((pts.size, len(cuts)))
         for b, cut in enumerate(cuts):
-            sums[:, b] = value[:, cut].sum(axis=1)
-        terms[pts, :, j] = w[j] * sums
+            terms[:, b, j] = w[j] * value[:, cut].sum(axis=1)
     for j, (rows, cuts) in enumerate(prep.events, start=e):
-        pts = np.flatnonzero(dims[:, j])
-        if not pts.size:
+        if w[j] == 0:
             continue
-        at = pts[:, None]
         xi_ev = vals.xi[at, rows, j]
         with np.errstate(divide="ignore"):
             logs = np.log(xi_ev)
@@ -274,9 +272,9 @@ def _score(prep: _Prepared, vals, w, dims, terms, g_xi, g_Xi, fails):
         Xi_T = vals.Xi[at, prep.at_T, j]
         for b, cut in enumerate(cuts):
             Xi_T[:, b] -= logs[:, cut].sum(axis=1)
-        terms[pts, :, j] = w[j] * Xi_T
+        terms[:, :, j] = w[j] * Xi_T
         g_Xi[at, prep.at_T, j] += w[j]
-    for p, b, j in zip(*np.nonzero(dims[:, None, :] & ~np.isfinite(terms))):
+    for p, b, j in zip(*np.nonzero((w != 0) & ~np.isfinite(terms))):
         fails.setdefault((p, b, j), terms[p, b, j])
 
 
@@ -288,16 +286,13 @@ def _evaluate(ps, prep: _Prepared, config: LikelihoodConfig, need_grad: bool,
     raises.  The gradient is NaN where the value is not finite.  Every
     point's outcome is bitwise that of its evaluation alone.
 
-    Per point the work runs in the order of an evaluation alone, and a
-    point leaves the batch at its first failure.  The layout's regularity
-    check comes first.  A dead dimension (`_Prepared.dead_end`) scores +inf
-    before any sum.  The scan adds to dimension i only through
-    alpha[i, :e]; where that row is zero, xi_i and Xi_i are final from the
-    decay sums.  Those dimensions are scored after one decay pass over all
-    points, so an impossible observation there costs no scan.  The rest are
-    scored after each point's joint scan of every dataset, and the first
-    failure of a point, in order of dataset and then dimension, is its
-    outcome.
+    The layout's regularity check comes first.  A dead dimension
+    (`_Prepared.dead_end`) scores +inf before any sum.  The other points
+    take one forward pass together (`pmbp.poi._values`: the decay sums and
+    one scan of every dataset), and one scoring pass over every dimension.
+    The first failure of a point, in order of dataset and then dimension,
+    is its outcome, and the points that score a finite value take one
+    adjoint pass together.
     """
     d, e = ps[0].d, ps[0].e
     B = len(prep.datasets)
@@ -324,28 +319,19 @@ def _evaluate(ps, prep: _Prepared, config: LikelihoodConfig, need_grad: bool,
         live = [i for i, no in zip(live, dead) if not no]
     if not live:
         return out
-    vals = _decay_values([ps[i] for i in live], prep.plan)
+    vals = _values([ps[i] for i in live], [lays[i] for i in live], prep.plan)
     g_xi, g_Xi = np.zeros_like(vals.xi), np.zeros_like(vals.Xi)
-    scan_free = ~np.array([ps[i].alpha[:, :e] for i in live]).any(axis=2)
     terms = np.zeros((len(live), B, d))
+    fails = {}
+    _score(prep, vals, w, terms, g_xi, g_Xi, fails)
     ok = np.ones(len(live), dtype=bool)
-
-    def score(dims):
-        fails = {}
-        _score(prep, vals, w, dims & ok[:, None], terms, g_xi, g_Xi, fails)
-        for (p, b, j), bad in sorted(fails.items()):
-            if ok[p]:
-                ok[p] = False
-                if isinstance(bad, Exception):
-                    out[live[p]] = bad
-                else:
-                    impossible(live[p], bad)
-
-    score((w != 0) & scan_free)
-    if e > 0 and ok.any():
-        pts = np.flatnonzero(ok)
-        _scan_values([lays[live[p]] for p in pts], vals, pts)
-        score((w != 0) & ~scan_free)
+    for (p, b, j), bad in sorted(fails.items()):
+        if ok[p]:
+            ok[p] = False
+            if isinstance(bad, Exception):
+                out[live[p]] = bad
+            else:
+                impossible(live[p], bad)
     for p, i in enumerate(live):
         if not ok[p]:
             continue
@@ -361,16 +347,11 @@ def _evaluate(ps, prep: _Prepared, config: LikelihoodConfig, need_grad: bool,
     if not need_grad or not ok.any():
         return out
     keep = np.flatnonzero(ok)
-    if not ok.all():
-        vals = dataclasses.replace(
-            vals, sums=(vals.sums[:1] + tuple(x[keep] for x in vals.sums[1:])),
-            slot=None if vals.slot is None else vals.slot[keep])
-        g_xi, g_Xi = g_xi[keep], g_Xi[keep]
     grad = np.zeros((keep.size, n_free(d, include_gamma)))
     if config.w_nu:
         grad[:, 2 * d * d : 2 * d * d + d] += config.w_nu
     _vjp([ps[live[p]] for p in keep], [lays[live[p]] for p in keep], vals,
-         g_xi, g_Xi, grad, include_gamma)
+         keep, g_xi[keep], g_Xi[keep], grad, include_gamma)
     for p, g in zip(keep, grad):
         out[live[p]] = out[live[p]][0], g
     return out

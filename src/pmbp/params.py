@@ -230,8 +230,10 @@ class CensoredSeries:
 
 
 def censor_series(times, width: float, T: float) -> CensoredSeries:
-    """Aggregate event times into interval counts on fixed-width windows
-    [0, w), [w, 2w), ... with the last window clipped at the horizon T."""
+    """Aggregate event times (in any order) into interval counts on
+    fixed-width windows [0, w), [w, 2w), ... with the last window clipped
+    at the horizon T.  Every time must lie in [0, T), so that the counts
+    sum to the number of times."""
     if not np.isfinite(width) or width <= 0:
         raise ParameterError(f"censor width must be > 0, got {width}")
     if not np.isfinite(T) or T <= 0:
@@ -239,6 +241,9 @@ def censor_series(times, width: float, T: float) -> CensoredSeries:
     n_full = int(np.ceil(T / width - 1e-12))
     bounds = np.minimum(width * np.arange(n_full + 1), T)
     ts = np.asarray(times, dtype=float)
+    # NaN fails both comparisons
+    if not np.all((ts >= 0) & (ts < T)):
+        raise ParameterError(f"event times must be finite and in [0, T={T})")
     counts = np.histogram(ts, bounds)[0]
     return CensoredSeries(boundaries=bounds, counts=counts)
 

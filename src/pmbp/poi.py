@@ -39,15 +39,15 @@ dataset (`pmbp.decay._stack`) and the scan's knot grid (`_grid`: the step
 lengths, the knot of every query row, the event counts, the real steps and
 their schedule, grouped by length when the grid is built).  The fit
 objective builds one plan per fit, and `PoiEvaluator.values` and the
-sampler one per call.  The parameter passes read it: the decay sums
-(`_decay_values`), the scan (`_scan_values`: the steps, then one loop over
-the knot axis) and the adjoint of both (`_vjp`), whose scan part
-(`_scan_vjp`) is one loop back.  All of them run for P parameter points at
-once, with each point's entries the same arithmetic as alone: the decay
-sums and their adjoint on a leading points axis, and the scan and its
-reverse loop on (P, B, s) states, one batched product per knot for every
-point and dataset.  Each point's steps, Frechet sum and generator entries
-are its own.  The evaluator is the batch of one.
+sampler one per call.  The parameter passes read it: one forward pass
+(`_values`: the decay sums, then the scan, its steps and one loop over the
+knot axis) and one adjoint pass (`_vjp`: the decay sums' adjoint, then
+one loop back).  Both run for P parameter points at once, with each
+point's entries the same arithmetic as alone: the decay sums and their
+adjoint on a leading points axis, and the scan and its reverse loop on (P,
+B, s) states, one batched product per knot for every point and dataset.
+Each point's steps, Frechet sum and generator entries are its own.  The
+evaluator is the batch of one.
 
 Every step is expm(M dt) for the one generator M, so the steps of a scan
 come from one set of powers of M: each length's scaled step has norm at
@@ -63,8 +63,10 @@ The scan reaches dimension i only through alpha[i, :e].  Where that row is
 zero, M's rows for y[i, :] hold only the decay -theta_ij on the diagonal,
 and y_ij(0) = alpha_ij theta_ij gamma_j = 0.  Every power of M, and so every
 step, keeps those rows diagonal, so y[i, :] and I[i] stay exactly 0.0, and
-xi_i and Xi_i are exact from the decay sums alone (`_decay_values`).  The
-objective scores these dimensions before it scans.
+xi_i and Xi_i are the decay sums alone, bitwise.  A dimension with nu_i = 0
+and a zero row alpha[i, :] therefore has xi_i = 0 exactly, which the
+objective reads off the parameters before any pass
+(`pmbp.likelihood._Prepared.dead_end`).
 
 Gradients are vector-Jacobian products.  Given cotangents on xi and Xi, one
 reverse (adjoint) pass gives the adjoint state at every knot of every
@@ -112,17 +114,16 @@ class PoiValues:
     block per observed source, and the scan.
 
     Inside the parameter passes the values are those of P points at once:
-    xi and Xi are (P, m, d), esum and wsum carry the same leading axis, and
-    scan is the scan of the points that have one, point p on its points
-    axis at slot[p].  `PoiEvaluator` evaluates the batch of one and returns
-    that point's xi and Xi; the sums keep their points axis of one."""
+    xi and Xi are (P, m, d), and esum, wsum and the scan's states carry the
+    same points axis.  `PoiEvaluator` evaluates the batch of one and returns
+    that point's xi and Xi; the sums and the scan keep their points axis of
+    one."""
 
     xi: np.ndarray
     Xi: np.ndarray
     plan: "_Plan" = dataclasses.field(repr=False)
     sums: tuple = dataclasses.field(default=(), repr=False)
     scan: "_Scan | None" = dataclasses.field(default=None, repr=False)
-    slot: np.ndarray | None = dataclasses.field(default=None, repr=False)
 
     @property
     def t(self) -> np.ndarray:
@@ -455,7 +456,7 @@ def _scan(lays, grid: _Grid) -> _Scan:
     sched = grid.schedule
     # each point's steps, one per distinct length after the identity (P[0])
     # that every padding step reads, set rather than evaluated, gathered
-    # into the point's slot of the one step stack
+    # into the point's entry of the one step stack
     R = np.empty((sched.lengths.size + 1, s, s))
     R[0] = lays[0].expm.P[0]
     at = np.zeros(grid.real.shape, dtype=np.intp)
@@ -484,11 +485,12 @@ def _stacked(ps) -> tuple:
                  for k in ("alpha", "theta", "nu", "gamma"))
 
 
-def _decay_values(ps, plan: _Plan) -> PoiValues:
+def _values(ps, lays, plan: _Plan) -> PoiValues:
     """xi and Xi (P, m, d) of P points of one split at the plan's m query
-    rows, from one decay pass over its stack: the whole evaluator at e = 0,
-    and otherwise everything but the scan's part.  Each point's rows are the
-    same arithmetic as its evaluation alone."""
+    rows (lays[p] is point p's layout, or None at e = 0): one decay pass
+    over its stack, then, when the plan has a grid, one scan of every point
+    over every dataset, kept in the values for the adjoint.  Each point's
+    rows are the same arithmetic as its evaluation alone."""
     t, e, d = plan.t, ps[0].e, ps[0].d
     alpha, theta, nu, gamma = _stacked(ps)
     a = np.zeros((len(ps), t.size, d))
@@ -509,48 +511,38 @@ def _decay_values(ps, plan: _Plan) -> PoiValues:
     xi = nu[:, None, :] + a
     Xi = (gamma[:, None, :] * (t > 0)[:, None] + nu[:, None, :] * t[:, None]
           + A)
-    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums)
+    scan = None
+    if plan.grid is not None:
+        scan = _scan(lays, plan.grid)
+        rows = scan.X.swapaxes(0, 1).reshape(len(ps), -1, scan.X.shape[-1])
+        rows = rows[:, plan.grid.rows]
+        xi += rows[:, :, lays[0].Y].sum(axis=3)
+        Xi += rows[:, :, lays[0].I]
+    return PoiValues(xi=xi, Xi=Xi, plan=plan, sums=sums, scan=scan)
 
 
-def _scan_values(lays, vals: PoiValues, pts) -> None:
-    """One joint scan of the states of the points pts of vals (an index of
-    its points axis, in order; lays[i] is the layout of the i-th) over
-    every dataset of vals' plan; adds its part of xi and Xi to those
-    points' rows in place and keeps the scan in vals.scan, the i-th point
-    at slot i.  A dimension i whose row alpha[i, :e] is zero gets exactly
-    0.0."""
-    grid = vals.plan.grid
-    vals.scan = scan = _scan(lays, grid)
-    vals.slot = np.full(len(vals.xi), -1)
-    vals.slot[pts] = np.arange(len(lays))
-    rows = scan.X.swapaxes(0, 1).reshape(len(lays), -1, scan.X.shape[-1])
-    rows = rows[:, grid.rows]
-    lay = lays[0]
-    vals.xi[pts] += rows[:, :, lay.Y].sum(axis=3)
-    vals.Xi[pts] += rows[:, :, lay.I]
-
-
-def _vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
+def _vjp(ps, lays, vals: PoiValues, pts, gxi, gXi, grad,
          include_gamma: bool) -> None:
-    """Add to grad[p] the gradient of sum(gxi[p] * xi[p] + gXi[p] * Xi[p])
-    over vals' rows, for each of the P points ps (lays[p] is point p's
-    layout, or None).
+    """Add to grad[i] the gradient of sum(gxi[i] * xi[q] + gXi[i] * Xi[q])
+    over vals' rows, for the points ps at the positions q = pts[i] of vals'
+    points axis (lays[i] is ps[i]'s layout, or None).
 
     The decay sums, nu and gamma are summed over each dataset's rows in
-    turn, for all points at once.  Then, when the points have a scan, one
-    reverse pass over every dataset's knots for all of them, and for each
-    point one Frechet sum over all their real intervals."""
+    turn, for all points at once.  Then, when vals has a scan, one reverse
+    pass over every dataset's knots for every point of the scan (those not
+    in pts carry zero cotangents), and for each point of pts one Frechet
+    sum over all its real intervals."""
     d, e = ps[0].d, ps[0].e
     alpha, theta, _, _ = _stacked(ps)
     t = vals.t
+    sums = vals.sums[:1] + tuple(x[pts] for x in vals.sums[1:])
     # the row terms of the alpha and theta columns of each observed source,
     # then those of nu's xi part, summed over each dataset at once
     terms = np.empty((2 * (d - e) + 1,) + gxi.shape)
     cols = (np.arange(e, d)[:, None, None] + np.array([0, d * d])[:, None]
             + d * np.arange(d)).ravel()
     for k, src in enumerate(range(e, d)):
-        cnt, esum, wsum = (vals.sums[0][k], vals.sums[1][:, k],
-                           vals.sums[2][:, k])
+        cnt, esum, wsum = sums[0][k], sums[1][:, k], sums[2][:, k]
         al, th = alpha[:, None, :, src], theta[:, None, :, src]
         np.add(gxi * th * esum, gXi * (cnt[:, None] - esum), out=terms[2 * k])
         np.multiply(al, gxi * (esum - th * wsum) + gXi * wsum,
@@ -563,24 +555,16 @@ def _vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
         g_nu += S[-1] + t[rows] @ gXi[:, rows]
         if include_gamma:
             grad[:, 2 * d * d + d :] += (t[rows] > 0) @ gXi[:, rows]
-    if vals.scan is not None:
-        _scan_vjp(ps, lays, vals, gxi, gXi, grad, include_gamma)
-
-
-def _scan_vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
-              include_gamma: bool) -> None:
-    """Add to grad[p] the scan's part of the gradient of sum(gxi[p] * xi[p]
-    + gXi[p] * Xi[p]) for each point p: one reverse pass over every
-    dataset's knots for all points at once, then per point one Frechet sum
-    over all their real intervals and the generator's entries."""
-    sc, grid = vals.scan, vals.scan.grid
+    sc = vals.scan
+    if sc is None:
+        return
+    grid = sc.grid
     N, Q, B, s = sc.X.shape
-    Y, I = lays[0].Y, lays[0].I
-    # cotangents on the states at each knot, on the scan's slots; a slot
-    # whose point has left the batch keeps zero cotangents
+    Y, W, I = lays[0].Y, lays[0].W, lays[0].I
+    # cotangents on the states at each knot, on the scan's points axis
     g = np.zeros((N, Q, B, s))
     knot, b = np.divmod(grid.rows, B)
-    at = (knot[:, None], vals.slot[:, None, None], b[:, None])
+    at = (knot[:, None], np.asarray(pts)[:, None, None], b[:, None])
     np.add.at(g, (*(i[..., None] for i in at), Y), gxi[..., None])
     np.add.at(g, (*at, I), gXi)
     # (Q B, 1, s) rows: each step back is one batched vector-matrix
@@ -597,53 +581,31 @@ def _scan_vjp(ps, lays, vals: PoiValues, gxi, gXi, grad,
     # its length, (real steps, Q, s); padding steps are left out
     u = (sc.X[:-1] + sc.jumps[:-1]).swapaxes(1, 2)[grid.real]
     v = (lam[1:] * grid.dt[:, None, :, None]).swapaxes(1, 2)[grid.real]
-    sched = grid.schedule
-    for p, lay, q, grad_p in zip(ps, lays, vals.slot, grad):
-        _point_vjp(p, lay, grid, sched, u[:, q], v[:, q], lam[0, q],
-                   mu[:, q], grad_p, include_gamma)
-
-
-def _point_vjp(p: ModelParams, lay: _Layout, grid: _Grid, sched: _Schedule,
-               u, v, lam0, mu, grad, include_gamma: bool) -> None:
-    """Add to grad one point's gradient through its steps, initial state
-    and jumps, from the states u entering the real steps of the schedule
-    sched and the adjoints v of their ends times their lengths, and the
-    adjoints lam0 at knot 0 and mu after each knot's jump."""
-    d, e = p.d, p.e
-    g_alpha = grad[: d * d].reshape(d, d)
-    g_theta = grad[d * d : 2 * d * d].reshape(d, d)
-    g_nu = grad[2 * d * d : 2 * d * d + d]
-    # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
-    # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so that
-    # every derivative is of expm(M dt) and uses its powers of M
-    G = lay.expm.frechet(sched, u, v).T
-
-    # generator entries
-    R = np.zeros((d, e))
-    for i in range(d):
-        for j in range(e):
-            r = lay.Y[i, j]
-            R[i, j] = (
-                G[r, lay.Y[j]].sum() + G[r, lay.W[j]].sum()
-                + p.nu[j] * G[r, -1]
-            )
-    c = p.alpha * p.theta
-    diag_Y = G[lay.Y, lay.Y]
-    g_alpha[:, :e] += p.theta[:, :e] * R
-    g_theta[:, :e] += p.alpha[:, :e] * R - diag_Y
-    g_nu[:e] += np.sum(c[:, :e] * G[lay.Y, -1], axis=0)
-    g_theta[:e, e:] -= G[lay.W, lay.W]
-    # initial state y_ij(0) = alpha_ij theta_ij gamma_j, shared by every
-    # dataset: its adjoint is the sum of theirs at knot 0
-    lam_Y = lam0.sum(axis=0)[lay.Y]
-    g_alpha[:, :e] += p.theta[:, :e] * p.gamma[:e] * lam_Y
-    g_theta[:, :e] += p.alpha[:, :e] * p.gamma[:e] * lam_Y
-    if include_gamma:
-        grad[2 * d * d + d : 2 * d * d + d + e] += np.sum(c[:, :e] * lam_Y, axis=0)
-    # event jumps alpha_jk theta_jk on w[j, k]
-    S = np.einsum("nbjk,nbk->jk", mu[..., lay.W], grid.counts)
-    g_alpha[:e, e:] += p.theta[:e, e:] * S
-    g_theta[:e, e:] += p.alpha[:e, e:] * S
+    for p, lay, q, grad_p in zip(ps, lays, pts, grad):
+        # G = sum_n L(M^T dt_n, lam_{n+1} x_n^T dt_n), the expm Frechet
+        # adjoints, as transposes of L(M dt_n, x_n lam_{n+1}^T dt_n) so
+        # that every derivative is of expm(M dt) and uses its powers of M
+        G = lay.expm.frechet(grid.schedule, u[:, q], v[:, q]).T
+        # the adjoint of c = alpha * theta: M's rows M[Y[:, j]] = c[:, j]
+        # R[j], the initial state y_ij(0) = c_ij gamma_j shared by every
+        # dataset (its adjoint is the sum of theirs at knot 0), and the
+        # jumps c_jk on w[j, k] at the events of source k
+        lam_Y = lam[0, q].sum(axis=0)[Y]
+        dc = np.zeros((d, d))
+        dc[:, :e] = np.einsum("ijs,js->ij", G[Y], lay.R) + p.gamma[:e] * lam_Y
+        dc[:e, e:] = np.einsum("nbjk,nbk->jk", mu[:, q][..., W], grid.counts)
+        g_alpha = grad_p[: d * d].reshape(d, d)
+        g_theta = grad_p[d * d : 2 * d * d].reshape(d, d)
+        # the decays -theta on M's diagonal, then c and nu_j in R[j]
+        g_theta[:, :e] -= G[Y, Y]
+        g_theta[:e, e:] -= G[W, W]
+        g_alpha += p.theta * dc
+        g_theta += p.alpha * dc
+        c = p.alpha[:, :e] * p.theta[:, :e]
+        grad_p[2 * d * d : 2 * d * d + e] += np.sum(c * G[Y, -1], axis=0)
+        if include_gamma:
+            grad_p[2 * d * d + d : 2 * d * d + d + e] += np.sum(c * lam_Y,
+                                                                axis=0)
 
 
 class PoiEvaluator:
@@ -664,10 +626,8 @@ class PoiEvaluator:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(~np.isfinite(t)) or np.any(t < 0):
             raise DomainError("query times must be finite and >= 0")
-        vals = _decay_values([self.params], _plan([self.events], [t],
-                                                  self.params.e))
-        if vals.plan.grid is not None:
-            _scan_values([self.layout], vals, slice(None))
+        vals = _values([self.params], [self.layout],
+                       _plan([self.events], [t], self.params.e))
         # the batch of one: that point's xi and Xi, the rest as built
         vals.xi, vals.Xi = vals.xi[0], vals.Xi[0]
         return vals
@@ -680,6 +640,6 @@ class PoiEvaluator:
         gxi = np.asarray(gxi, dtype=float)
         gXi = np.asarray(gXi, dtype=float)
         grad = np.zeros((1, n_free(p.d, include_gamma)))
-        _vjp([p], [self.layout], vals, gxi[None], gXi[None], grad,
+        _vjp([p], [self.layout], vals, [0], gxi[None], gXi[None], grad,
              include_gamma)
         return grad[0]

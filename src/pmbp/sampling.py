@@ -296,12 +296,15 @@ def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
     T_train = dataset.T
     if bnds.size < 2:
         raise ParameterError("need at least two prediction boundaries")
-    if np.any(np.diff(bnds) <= 0):
+    # written so that NaN fails each comparison
+    if not np.all(np.diff(bnds) > 0):
         raise ParameterError("prediction boundaries must be strictly increasing")
-    if bnds[0] < T_train * (1 - 1e-12):
+    if not bnds[0] >= T_train * (1 - 1e-12):
         raise ParameterError(
             f"prediction starts at {bnds[0]} before the training horizon {T_train}"
         )
+    if not np.isfinite(bnds[-1]):
+        raise ParameterError("prediction boundaries must be finite")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
     if dataset.d != params.d or dataset.e != params.e:

@@ -220,6 +220,32 @@ def central_fd(fun, x, step=1e-6):
     return g
 
 
+def fourth_order_fd(fun, x, step=1e-4, lower=None):
+    """Fourth-order finite-difference gradient of a scalar function: the
+    five-point central stencil (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) /
+    12h, or, for an entry within 2h of its lower bound lower[i], the
+    one-sided (-25f(x) + 48f(x+h) - 36f(x+2h) + 16f(x+3h) - 3f(x+4h)) /
+    12h, which never steps below it."""
+    x = np.asarray(x, dtype=float)
+    if lower is None:
+        lower = np.full(x.size, -np.inf)
+    g = np.zeros_like(x)
+
+    def at(i, k):
+        y = x.copy()
+        y[i] += k * step
+        return fun(y)
+
+    for i in range(x.size):
+        if x[i] - 2 * step < lower[i]:
+            g[i] = (-25 * fun(x) + 48 * at(i, 1) - 36 * at(i, 2)
+                    + 16 * at(i, 3) - 3 * at(i, 4)) / (12 * step)
+        else:
+            g[i] = (-at(i, 2) + 8 * at(i, 1) - 8 * at(i, -1)
+                    + at(i, -2)) / (12 * step)
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Matrix exponential derivatives
 

@@ -390,7 +390,35 @@ def test_cli_non_finite_t_end_is_a_usage_error(runner, workdir, t_end):
     assert "Traceback" not in res.output
 
 
-_WINDOW = {"dim": 1, "boundaries": [0.0, 2.0, 4.0], "counts": [1, 0]}
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag", [
+    ("predict", "--horizon"), ("predict", "--width"), ("evaluate", "--step"),
+    ("censor", "--width")])
+def test_cli_non_finite_positive_flag_is_a_usage_error(runner, workdir,
+                                                       command, flag, value):
+    ev, ds = workdir / "ev.jsonl", workdir / "ds.json"
+    _run(runner, ["sample-pmbp", "--params", str(workdir / "pmbp.json"),
+                  "--t-end", "12", "--seed", "8", "--out", str(ev)])
+    _run(runner, ["censor", "--events", str(ev), "--dims", "1",
+                  "--width", "2", "--out", str(ds)])
+    args = {"predict": ["--params", str(workdir / "pmbp.json"), "--data",
+                        str(ds), "--horizon", "4", "--width", "2"],
+            "evaluate": ["--params", str(workdir / "pmbp.json"), "--data",
+                         str(ds)],
+            "censor": ["--events", str(ev), "--dims", "1", "--width", "2"]}
+    args = args[command]
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    res = runner.invoke(main, [command] + args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert flag in res.output
+    assert "Traceback" not in res.output
+
+
+_WINDOW ={"dim": 1, "boundaries": [0.0, 2.0, 4.0], "counts": [1, 0]}
 _EVENTS = {"dim": 2, "events": [0.5, 3.0]}
 _BAD_FILES = {
     "no-boundaries": ("--data", {"T": 4.0, "ec_dims": [_EVENTS], "e_dims": [

@@ -30,7 +30,12 @@ from pmbp import (
 from pmbp.likelihood import icll, ppll_nll
 from reference.closed_form import closed_form_pmbp21
 
-from oracles import central_fd, naive_pp_loglik, poisson_window_nll
+from oracles import (
+    central_fd,
+    fourth_order_fd,
+    naive_pp_loglik,
+    poisson_window_nll,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,8 @@ def test_nll_and_grad_fd_wide(d, e):
 def test_events_on_censor_boundaries(d, data):
     # observed events exactly on window boundaries share a knot with the
     # compensator's query there, which reads the left limit: the value is
-    # finite and the gradient matches central differences
+    # finite and the gradient matches fourth-order differences, one-sided
+    # within two steps of alpha's lower bound 0
     e = data.draw(st.integers(1, d - 1), label="e")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
@@ -233,7 +239,9 @@ def test_events_on_censor_boundaries(d, data):
 
     value, grad = nll_and_grad(params, ds, include_gamma=True)
     assert np.isfinite(value)
-    fd = central_fd(f, pack(params, include_gamma=True), step=1e-5)
+    x = pack(params, include_gamma=True)
+    lower = np.where(np.arange(x.size) < d * d, 0.0, -np.inf)
+    fd = fourth_order_fd(f, x, step=1e-4, lower=lower)
     assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-6
 
 
@@ -430,20 +438,48 @@ def _screen_case():
     return params, datasets
 
 
-def test_impossible_scan_free_dimension_skips_the_scan(monkeypatch):
+def test_impossible_scan_free_dimension_scores_inf():
     # nu_3 = 0 and alpha[3, :2] = 0: the first event of dimension 3 has
     # zero intensity whatever the censored block does, so the objective is
-    # +inf before any scan runs
+    # +inf with a NaN gradient
     params, datasets = _screen_case()
     params = params.replace(nu=np.array([0.4, 0.3, 0.0]))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the scan ran at an impossible point")
-
-    monkeypatch.setattr(pmbp.poi, "_scan", refuse)
     value, grad = nll_and_grad(params, datasets)
     assert value == np.inf and np.all(np.isnan(grad))
     assert joint_nll(params, datasets) == np.inf
+
+
+def test_one_evaluation_scans_every_live_point_once(monkeypatch):
+    # a batch of a regular point, one impossible on the scan-free dimension
+    # 3, a dead one and a supercritical one: one scan steps the first two
+    # together, in batch order, and each keeps its outcome
+    params, datasets = _screen_case()
+    impossible = params.replace(nu=np.array([0.4, 0.3, 0.0]))
+    alpha = params.alpha.copy()
+    alpha[2] = 0.0
+    dead = impossible.replace(alpha=alpha)
+    alpha = params.alpha.copy()
+    alpha[:2, :2] = 0.6
+    supercritical = params.replace(alpha=alpha)
+    ps = [params, supercritical, impossible, dead]
+    scanned = []
+    scan = pmbp.poi._scan
+
+    def recording(lays, grid):
+        scanned.append([lay.M for lay in lays])
+        return scan(lays, grid)
+
+    monkeypatch.setattr(pmbp.poi, "_scan", recording)
+    out = pmbp.likelihood._evaluate(ps, pmbp.likelihood._prepared(
+        params, datasets), LikelihoodConfig(), True, False)
+    assert len(scanned) == 1
+    assert len(scanned[0]) == 2
+    for M, p in zip(scanned[0], (params, impossible)):
+        assert np.array_equal(M, pmbp.poi._Layout(p).M)
+    assert np.isfinite(out[0][0]) and np.all(np.isfinite(out[0][1]))
+    assert isinstance(out[1], RegularityError)
+    for value, grad in out[2:]:
+        assert value == np.inf and np.all(np.isnan(grad))
 
 
 def test_scan_free_terms_equal_the_full_evaluation():
@@ -700,6 +736,25 @@ def _assert_outcomes_equal_solo(ps, datasets, cfg, include_gamma):
         assert np.float64(got_value[0]).tobytes() == np.float64(value).tobytes()
 
 
+@pytest.mark.parametrize("d,e", [(2, 1), (3, 2)])
+def test_batch_outcomes_equal_evaluations_alone_on_long_series(d, e):
+    # 60 width-1 windows and 40 events per dataset: each term sums a
+    # segment long enough that its summation order shows in the last bits
+    rng = np.random.default_rng(23)
+    for P in (2, 3, 4):
+        for B in (1, 3):
+            datasets = [Dataset(
+                T=60.0,
+                censored=tuple(CensoredSeries(np.arange(61.0),
+                                              rng.poisson(0.8, 60))
+                               for _ in range(e)),
+                events=tuple(np.sort(rng.uniform(0.0, 60.0, 40))
+                             for _ in range(d - e))) for _ in range(B)]
+            ps = [_batch_point(rng, d, e, "regular") for _ in range(P)]
+            _assert_outcomes_equal_solo(ps, datasets, LikelihoodConfig(),
+                                        True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 4), data=st.data())
 def test_batch_outcomes_equal_evaluations_alone(d, data):
@@ -773,7 +828,7 @@ def test_batch_reaches_every_outcome(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scan of an impossible point")
 
-    monkeypatch.setattr(pmbp.likelihood, "_scan_values", refuse)
+    monkeypatch.setattr(pmbp.poi, "_scan", refuse)
     assert nll_and_grad(ps[2], datasets)[0] == np.inf
     with pytest.raises(AssertionError):
         nll_and_grad(ps[3], datasets)

@@ -319,6 +319,16 @@ def test_censor_series_conserves_counts(times, width):
     assert np.all(np.diff(s.boundaries) > 0)
 
 
+@pytest.mark.parametrize("times", [[-1.0, 0.5, 1.5], [0.5, 2.0], [0.5, 5.0],
+                                   [np.nan, 0.5], [0.5, np.inf]],
+                         ids=["negative", "at-T", "after-T", "nan", "inf"])
+def test_censor_series_rejects_times_outside_the_horizon(times):
+    # a time outside [0, T): NaN, inf and times before 0 or after T would
+    # be left out of the counts
+    with pytest.raises(ParameterError):
+        censor_series(times, 1.0, 2.0)
+
+
 def test_censor_series_rejects_bad_width():
     with pytest.raises(ParameterError):
         censor_series([1.0], 0.0, 2.0)

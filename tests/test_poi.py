@@ -1,7 +1,5 @@
 """Exact evaluator: values against exact references, adjoint gradients."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,14 +26,13 @@ from pmbp.paramvec import n_free
 from pmbp.poi import (
     _CHUNK,
     _CHUNK_FLOATS,
-    _decay_values,
     _Expm,
     _grid,
     _Layout,
     _plan,
     _scan,
     _schedule,
-    _scan_values,
+    _values,
     _vjp,
 )
 from reference.closed_form import closed_form_pmbp21
@@ -521,19 +518,15 @@ def test_round_scan_gives_each_point_its_scan_alone(d, data):
     gXi = rng.standard_normal((P, m, d))
 
     def gradient(points, vals, rows):
-        sums = vals.sums[:1] + tuple(x[rows] for x in vals.sums[1:])
-        part = dataclasses.replace(vals, sums=sums, slot=vals.slot[rows])
         grad = np.zeros((len(rows), n_free(d, include_gamma)))
-        _vjp([ps[i] for i in points], [lays[i] for i in points], part,
+        _vjp([ps[i] for i in points], [lays[i] for i in points], vals, rows,
              gxi[points], gXi[points], grad, include_gamma)
         return grad
 
-    vals = _decay_values(ps, plan)
-    _scan_values(lays, vals, np.arange(P))
+    vals = _values(ps, lays, plan)
     grad = gradient(keep, vals, keep)
     for i in range(P):
-        one = _decay_values([ps[i]], plan)
-        _scan_values([lays[i]], one, [0])
+        one = _values([ps[i]], [lays[i]], plan)
         assert _bytes(vals.scan.X[:, i]) == _bytes(one.scan.X[:, 0])
         assert _bytes(vals.xi[i]) == _bytes(one.xi[0])
         assert _bytes(vals.Xi[i]) == _bytes(one.Xi[0])

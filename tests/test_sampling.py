@@ -295,6 +295,10 @@ def test_sampled_forecast_builds_steps_once(pmbp21_sub, monkeypatch):
     assert np.array_equal(shared.sd, rebuilt.sd)
 
 
+# boundaries that NaN or inf make invalid: each raises ParameterError
+_NON_FINITE = ([10.0, np.nan], [np.nan, 11.0], [10.0, np.inf])
+
+
 def test_predict_boundary_validation(pmbp21_sub):
     ds = _trained_dataset(pmbp21_sub)
     with pytest.raises(ParameterError):
@@ -303,12 +307,15 @@ def test_predict_boundary_validation(pmbp21_sub):
         predict_counts(pmbp21_sub, ds, [10.0], n_samples=5, seed=0)
     with pytest.raises(ParameterError):
         predict_counts(pmbp21_sub, ds, [10.0, 12.0, 11.0], n_samples=5, seed=0)
+    for bad in _NON_FINITE:
+        with pytest.raises(ParameterError):
+            predict_counts(pmbp21_sub, ds, bad, n_samples=5, seed=0)
     with pytest.raises(ParameterError):
         predict_counts(pmbp21_sub, ds, [10.0, 12.0], n_samples=0, seed=0)
     with pytest.raises(ParameterError):
         predict_counts(pmbp21_sub.replace(e=0), ds, [10.0, 12.0], n_samples=5,
                        seed=0)
-    for bad in ([5.0, 6.0], [10.0], [10.0, 12.0, 11.0]):
+    for bad in ([5.0, 6.0], [10.0], [10.0, 12.0, 11.0], *_NON_FINITE):
         with pytest.raises(ParameterError):
             predict_counts_sampled(pmbp21_sub, ds, bad, n_samples=5, seed=0)
     with pytest.raises(ParameterError):
