@@ -59,12 +59,7 @@ from .params import (
 )
 from .paramvec import n_free, pack, unpack
 from .poi import PoiEvaluator, PoiValues
-from .sampling import (
-    Prediction,
-    predict_counts,
-    predict_counts_sampled,
-    sample_pmbp,
-)
+from .sampling import Prediction, predict_counts, sample_pmbp
 
 __version__ = "0.1.0"
 
@@ -108,7 +103,6 @@ __all__ = [
     "pack",
     "ppll_nll",
     "predict_counts",
-    "predict_counts_sampled",
     "read_csv",
     "read_dataset",
     "read_events",

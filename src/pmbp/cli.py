@@ -425,10 +425,10 @@ def cmd_gof(params_path, data, out):
 @click.option("--params", "params_path", type=click.Path(exists=True),
               help="Center of the random parameter draws.")
 @click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--n-points", type=int, default=5,
+@click.option("--n-points", type=click.IntRange(min=1), default=5,
               help="Random test points (default 5).")
 @click.option("--seed", type=int, default=0)
-@click.option("--tolerance", type=float, default=1e-3,
+@click.option("--tolerance", type=_Finite(min=0), default=1e-3,
               help="Relative mismatch allowed (default 1e-3).")
 @click.option("--out", type=click.Path())
 def cmd_grad_check(params_path, data, n_points, seed, tolerance, out):

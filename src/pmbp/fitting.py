@@ -72,12 +72,25 @@ class FitConfig:
     likelihood: LikelihoodConfig = dataclasses.field(default_factory=LikelihoodConfig)
 
     def __post_init__(self):
-        if self.n_starts < 1:
+        # each comparison is written so that NaN fails it
+        for name in ("alpha_max", "theta_min", "theta_max", "gamma_max"):
+            value = getattr(self, name)
+            if not (0 < value < np.inf):
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
+        if not self.theta_min <= self.theta_max:
+            raise ParameterError("need theta_min <= theta_max")
+        if self.nu_max is not None and not 0 < self.nu_max < np.inf:
+            raise ParameterError(
+                f"nu_max must be None or finite and > 0, got {self.nu_max}")
+        if not self.n_starts >= 1:
             raise ParameterError("n_starts must be >= 1")
-        if not (0 < self.theta_min <= self.theta_max):
-            raise ParameterError("need 0 < theta_min <= theta_max")
-        if self.alpha_max <= 0:
-            raise ParameterError("alpha_max must be > 0")
+        if not self.max_iter >= 0:
+            raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not 0 <= self.tol_f < np.inf:
+            raise ParameterError(
+                f"tol_f must be finite and >= 0, got {self.tol_f}")
+        if not self.seed >= 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclasses.dataclass

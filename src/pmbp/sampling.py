@@ -20,7 +20,7 @@ per run (_Steps), with h = 1 / ||M||_1: the Taylor terms (M h)^k / k!,
 read off the powers of M h that the layout's expm (poi._Expm) shares with
 the scan, and a dyadic ladder of expm(M 2^j h).  Across a long gap the state
 gallops up and down the ladder, one matrix-vector product per rung, while
-a rung ends before the next stop and the compensator stays below the
+a rung ends before the end time and the compensator stays below the
 draw.  The event then lies within h, where the compensator is a
 polynomial in the step; Newton's method (the derivative is the summed
 intensity) inside a bisection bracket solves it.  There is no grid, bound
@@ -42,15 +42,15 @@ The count forecast (predict_counts) samples nothing.  Past the training
 horizon only the observed sources jump the state, each at a rate linear in
 it, so the state's mean and covariance solve a closed linear ODE (the
 moment closure of affine point processes), and each window's censored
-compensator increment has its exact mean and sd read off them.
-predict_counts_sampled keeps sampling every dimension, as the Monte Carlo
-reference.
+compensator increment has its exact mean and sd read off them.  The
+Monte Carlo forecast that samples every dimension past the horizon is a
+reference of the test suite (tests/reference/forecast.py), not part of the
+library.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -74,9 +74,8 @@ _SAME_WIDTH = 1e-12  # relative gap below which forecast windows share a step
 
 
 class _Steps:
-    """The steps of expm(M tau) that runs of the sampler take, for the
-    compensator sum of x[comp] over a span of time; runs with the same
-    layout, comp and span (the samples of one sampled forecast) share one.
+    """The steps of expm(M tau) that one run of the sampler takes, for the
+    compensator sum of x[comp] over a span of time.
 
     With h = 1 / ||M||_1, taylor stacks (M h)^k / k! for k <= _TAYLOR_DEGREE:
     the powers P[k] = (M h)^k that lay.expm holds for the scan, divided by
@@ -102,14 +101,14 @@ class _Steps:
         self.rungs = list(rungs)
         self.rises = list(c @ rungs - c)
 
-    def gallop(self, x, t: float, stop: float, room: float):
+    def gallop(self, x, t: float, end: float, room: float):
         """Advance x from t by whole rungs, up the ladder and back down, while
-        a rung ends by stop and raises the compensator by less than room.
+        a rung ends by end and raises the compensator by less than room.
         Returns the state and its time."""
         top = len(self.widths) - 1
         j, up = 0, True
         while j >= 0:
-            if j <= top and self.widths[j] <= stop - t:
+            if j <= top and self.widths[j] <= end - t:
                 rise = self.rises[j].dot(x)
                 if rise < room:
                     x = self.rungs[j].dot(x)
@@ -165,77 +164,60 @@ def _pick(lam: np.ndarray, u: float) -> int:
     return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
-def _continue(lay: _Layout, x, t: float, stops, sample_dims,
-              rng: np.random.Generator, max_events: int, *,
-              steps: _Steps | None = None):
-    """Run the process from state x (left unchanged) at time t to stops[-1],
-    drawing the events of sample_dims.  Runs that share lay, sample_dims, t
-    and stops[-1] may share their steps, built once as
-    _Steps(lay, lay.I[sample_dims], stops[-1] - t).
+def _continue(lay: _Layout, x, t: float, end: float, sample_dims,
+              rng: np.random.Generator, max_events: int):
+    """Run the process from state x (left unchanged) at time t to end,
+    drawing the events of sample_dims.
 
     The integrals of x must be zero, and they are zero again after every
-    event and every stop.  So each inversion's compensator starts at zero,
-    and its Exp(1) draw is the room the gallop starts with.
+    event.  So each inversion's compensator starts at zero, and its Exp(1)
+    draw is the room the gallop starts with.
 
-    Returns the new event times per dimension and a (len(stops), d) array
-    whose row n integrates xi from the previous stop (from t for n = 0) to
-    stops[n].
+    Returns the new event times per dimension.
     """
     d, e = lay.Y.shape
     ints = slice(lay.I[0], lay.I[-1] + 1)
     if np.any(x[ints]):
         raise ValueError("the state's integrals must start at zero")
     active = list(sample_dims)
-    comp = lay.I[active]
     rates = lay.R[active]
     jumps = list(lay.J)
-    if steps is None:
-        steps = _Steps(lay, comp, float(stops[-1]) - t)
+    end = float(end)
+    steps = _Steps(lay, lay.I[active], end - t)
     h, s = steps.h, lay.s
     new_times = [[] for _ in range(d)]
-    integrals = np.zeros((len(stops), d))
     n_new = 0
-    target = rng.exponential()
     # ndarray.dot, not @: the same BLAS calls, at about half the per-call
     # cost on arrays this small
-    for row, b in zip(integrals, map(float, stops)):
-        while True:
-            x, t = steps.gallop(x, t, b, target)
-            # the stop, or else the next event, lies within h of t
-            V = steps.taylor.dot(x).reshape(-1, s)
-            c = V.dot(steps.c).tolist()
-            last = b - t <= h
-            end = (b - t) / h if last else 1.0
-            if last:
-                p = 0.0
-                for ck in reversed(c):
-                    p = p * end + ck
-                if p <= target:
-                    x = (end ** _DEGREES).dot(V)
-                    break
-            u = _invert(c, end, target)
-            x = (u ** _DEGREES).dot(V)
-            t += u * h
-            # random() is uniform() without its 0 + 1 * r
-            j = active[_pick(rates.dot(x), rng.random())]
-            new_times[j].append(t)
-            n_new += 1
-            if n_new > max_events:
-                raise ExplosionError(
-                    f"more than {max_events} events accepted before t={t:.4g}; "
-                    "the configuration is likely supercritical"
-                )
-            row += x[ints]
-            x[ints] = 0.0
-            if j >= e:
-                x += jumps[j - e]
-            target = rng.exponential()
-        # the unused part of the Exp(1) draw carries past the stop
-        target -= x[comp].sum()
-        row += x[ints]
+    while True:
+        target = rng.exponential()
+        x, t = steps.gallop(x, t, end, target)
+        # the end, or else the next event, lies within h of t
+        V = steps.taylor.dot(x).reshape(-1, s)
+        c = V.dot(steps.c).tolist()
+        u_end = 1.0
+        if end - t <= h:
+            u_end = (end - t) / h
+            p = 0.0
+            for ck in reversed(c):
+                p = p * u_end + ck
+            if p <= target:
+                return new_times
+        u = _invert(c, u_end, target)
+        x = (u ** _DEGREES).dot(V)
+        t += u * h
+        # random() is uniform() without its 0 + 1 * r
+        j = active[_pick(rates.dot(x), rng.random())]
+        new_times[j].append(t)
+        n_new += 1
+        if n_new > max_events:
+            raise ExplosionError(
+                f"more than {max_events} events accepted before t={t:.4g}; "
+                "the configuration is likely supercritical"
+            )
         x[ints] = 0.0
-        t = b
-    return new_times, integrals
+        if j >= e:
+            x += jumps[j - e]
 
 
 def sample_pmbp(
@@ -258,8 +240,8 @@ def sample_pmbp(
         raise DomainError(f"T must be finite and > 0, got {T}")
     lay = _Layout(params, full=True)
     rng = np.random.default_rng(seed)
-    new_times, _ = _continue(lay, lay.x0, 0.0, [T], range(params.d), rng,
-                             max_events)
+    new_times = _continue(lay, lay.x0, 0.0, T, range(params.d), rng,
+                          max_events)
     times = []
     for ts in map(np.array, new_times):
         # open-interval guard: identical adjacent stamps get nudged apart
@@ -272,14 +254,13 @@ def sample_pmbp(
 
 @dataclasses.dataclass
 class Prediction:
-    """Forecast summary: interval boundaries, then per interval and censored
-    dim the mean and standard deviation of the forecast, with the number of
-    samples requested and the number dropped after exploding.
+    """Forecast summary from predict_counts: interval boundaries, then per
+    interval and censored dim the exact mean and sd of the censored block's
+    compensator increment over the observed dims' continuations.  The
+    realized count has the same mean and variance mean + sd**2.
 
-    predict_counts gives the exact mean and sd of the censored block's
-    compensator increment over the observed dims' continuations, with
-    n_failed = 0; predict_counts_sampled gives the sample mean and sd of
-    realized counts over the samples that did not explode."""
+    n_samples echoes the request and n_failed is always 0; both are
+    deprecated, kept for callers that still read them."""
 
     boundaries: np.ndarray
     mean: np.ndarray
@@ -424,55 +405,3 @@ def predict_counts(
     return Prediction(boundaries=bnds, mean=mean,
                       sd=np.sqrt(np.maximum(var, 0.0)), n_samples=n_samples,
                       n_failed=0)
-
-
-def predict_counts_sampled(
-    params: ModelParams,
-    dataset: Dataset,
-    boundaries,
-    n_samples: int,
-    seed,
-    *,
-    max_events: int = 1_000_000,
-) -> Prediction:
-    """Reference forecast that samples every dimension past the training
-    horizon, once per seeded sample, and averages the censored dims'
-    realized interval counts over the samples that did not explode
-    (dropped with a warning once they exceed 1% of n_samples).  Slower and
-    noisier than predict_counts, which it validates."""
-    lay, x_train, bnds = _start(params, dataset, boundaries, n_samples)
-    e = params.e
-    dims = range(params.d)
-    steps = _Steps(lay, lay.I[dims], float(bnds[-1]) - dataset.T)
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    mean = np.zeros((bnds.size - 1, e))
-    m2 = np.zeros_like(mean)
-    n_ok = 0
-    n_failed = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        try:
-            new_times, _ = _continue(lay, x_train, dataset.T, bnds, dims,
-                                     rng, max_events, steps=steps)
-        except ExplosionError:
-            n_failed += 1
-            continue
-        value = np.zeros_like(mean)
-        for j in range(e):
-            value[:, j] = np.histogram(new_times[j], bnds)[0]
-        n_ok += 1
-        delta = value - mean
-        mean += delta / n_ok
-        m2 += delta * (value - mean)
-    if n_ok == 0:
-        raise ExplosionError("every prediction sample exploded")
-    if n_failed > 0.01 * n_samples:
-        warnings.warn(
-            f"{n_failed} of {n_samples} prediction samples exploded and were "
-            "dropped",
-            stacklevel=2,
-        )
-    sd = np.sqrt(m2 / (n_ok - 1)) if n_ok > 1 else np.zeros_like(m2)
-    return Prediction(
-        boundaries=bnds, mean=mean, sd=sd, n_samples=n_ok, n_failed=n_failed
-    )

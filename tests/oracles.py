@@ -3,9 +3,9 @@
 Everything here is written the slow, obvious way (direct double loops, plain
 Riemann convolutions, fixed-point iteration) so that agreement with the
 package is meaningful.  Nothing in this module imports the package's
-numerical internals beyond the parameter container, except the
-Monte Carlo forecast estimator, which is built on the exact sampler's own
-continuation step on purpose.  The reference sampler step
+numerical internals beyond the parameter container, except
+exact_width_moments, which starts from the exact forecast's own training
+state and generators on purpose.  The reference sampler step
 (scipy_continue) reads the generator, readouts and jumps of a layout that
 the caller builds.
 """
@@ -308,30 +308,6 @@ def exact_width_moments(params, dataset, boundaries):
     return np.array(mean), np.sqrt(np.maximum(var, 0.0))
 
 
-def compensator_forecast_mc(params, dataset, boundaries, n_samples, seed):
-    """Monte Carlo forecast of the censored block's compensator increments:
-    continue the observed dims past the training horizon with the exact
-    sampler once per seeded sample, and return the per-window sample mean
-    and sd of the increments, each of shape (windows, e)."""
-    from pmbp.params import validate_events_for
-    from pmbp.poi import _Layout, _grid, _scan
-    from pmbp.sampling import _continue
-
-    bnds = np.asarray(boundaries, dtype=float)
-    e = params.e
-    lay = _Layout(params, full=True)
-    events = validate_events_for(params, dataset.event_list())
-    x = _scan([lay], _grid([events], [np.array([dataset.T])], e)).X[-1, 0, 0]
-    x[lay.I] = 0.0
-    draws = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        _, integrals = _continue(lay, x, dataset.T, bnds, range(e, params.d),
-                                 np.random.default_rng(child), 1_000_000)
-        draws.append(integrals[1:, :e])
-    draws = np.asarray(draws)
-    return draws.mean(axis=0), draws.std(axis=0, ddof=1)
-
-
 # ---------------------------------------------------------------------------
 # Sampler
 
@@ -389,9 +365,13 @@ def scipy_invert(lay, x, span, target, comp, rate_row):
 
 def scipy_continue(lay, x, t, stops, sample_dims, rng, max_events):
     """The exact sampler's continuation from state x at time t to
-    stops[-1] (the contract of pmbp.sampling._continue), with one
+    stops[-1] (pmbp.sampling._continue with end = stops[-1]), with one
     scipy.linalg.expm per trial step: the state at each stop, then the
-    inversion of the compensator whenever it passes the Exp(1) target."""
+    inversion of the compensator whenever it passes the Exp(1) target.
+    The unused part of the draw carries past each stop, so the stops do not
+    change the events.  Returns the new event times per dimension and a
+    (len(stops), d) array whose row n integrates xi from the previous stop
+    (from t for n = 0) to stops[n]."""
     from pmbp.errors import ExplosionError
 
     d, e = lay.Y.shape

@@ -5,9 +5,13 @@
   Carlo estimate of the expected intensity (`xi_monte_carlo`) over
   completions drawn by `sample_conditional_hawkes`.
 * `closed_form`: the analytic expected intensity of the (d=2, e=1) model.
+* `forecast`: the Monte Carlo count forecast (`sampled_forecast`), whose
+  realized counts and compensator increments check the moments that
+  `pmbp.predict_counts` computes exactly.
 
 None of this is part of `pmbp`: the library evaluates the expected
-intensity exactly in `pmbp.poi`.
+intensity exactly in `pmbp.poi`, and its forecast moments exactly in
+`pmbp.sampling`.
 """
 
 import pmbp

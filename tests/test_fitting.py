@@ -200,12 +200,16 @@ def test_supercritical_censored_block_scores_inf():
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        FitConfig(n_starts=0)
-    with pytest.raises(ParameterError):
-        FitConfig(theta_min=0.0)
-    with pytest.raises(ParameterError):
-        FitConfig(alpha_max=-1.0)
+    for kwargs in [
+        dict(n_starts=0), dict(theta_min=0.0), dict(alpha_max=-1.0),
+        # values that the fit cannot use, refused when the config is built
+        dict(alpha_max=np.nan), dict(nu_max=-1.0), dict(nu_max=np.inf),
+        dict(gamma_max=np.nan, include_gamma=True), dict(max_iter=-3),
+        dict(tol_f=-1.0), dict(tol_f=np.nan), dict(theta_max=np.inf),
+        dict(seed=-1),
+    ]:
+        with pytest.raises(ParameterError):
+            FitConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,45 @@ def test_cli_grad_check(runner, workdir):
     assert doc["max_relative_error"] < 1e-3
 
 
+def _small_dataset(runner, workdir):
+    ev, ds = workdir / "ev.jsonl", workdir / "ds.json"
+    _run(runner, ["sample-pmbp", "--params", str(workdir / "pmbp.json"),
+                  "--t-end", "10", "--seed", "8", "--out", str(ev)])
+    _run(runner, ["censor", "--events", str(ev), "--dims", "1",
+                  "--width", "2", "--out", str(ds)])
+    return ds
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n-points", "0"), ("--n-points", "-2"), ("--tolerance", "inf"),
+    ("--tolerance", "nan")])
+def test_cli_grad_check_that_checks_nothing_is_a_usage_error(runner, workdir,
+                                                            flag, value):
+    # no test points, or a tolerance that passes or fails every mismatch,
+    # would report a verdict (and write Infinity or NaN, which is not JSON)
+    ds = _small_dataset(runner, workdir)
+    res = runner.invoke(main, ["grad-check", "--params",
+                               str(workdir / "pmbp.json"), "--data", str(ds),
+                               flag, value])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert flag in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("flag,value", [("--max-iter", "-1"),
+                                        ("--tol-f", "nan"), ("--seed", "-1")])
+def test_cli_fit_unusable_setting_is_a_one_line_error(runner, workdir, flag,
+                                                      value):
+    ds = _small_dataset(runner, workdir)
+    res = runner.invoke(main, ["fit", "--data", str(ds), "--n-starts", "1",
+                               flag, value])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.count("\n") == 1 and "ParameterError" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_cli_recover_schema_and_thread_invariance(runner, workdir):
     rows_p, sum_p = workdir / "rows.csv", workdir / "summary.csv"
     base = ["recover", "--params", str(workdir / "hawkes.json"),

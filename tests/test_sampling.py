@@ -20,19 +20,14 @@ from pmbp import (
     censor,
     gof_time_rescaling,
     predict_counts,
-    predict_counts_sampled,
     sample_hawkes,
     sample_pmbp,
     write_dataset,
 )
 from pmbp.cli import main as cli_main
 from pmbp.poi import _Layout
-from oracles import (
-    compensator_forecast_mc,
-    exact_width_moments,
-    kron_moment_step,
-    scipy_continue,
-)
+from oracles import exact_width_moments, kron_moment_step, scipy_continue
+from reference.forecast import sampled_forecast
 
 
 def test_pure_poisson_counts():
@@ -149,21 +144,29 @@ def test_sampler_matches_scipy_reference(d, data, seed, theta):
     T = 30.0 / rate.sum()
     lay = _Layout(params, full=True)
 
-    def run(cont, stops):
-        return cont(lay, lay.x0, 0.0, stops, range(d),
+    def run(cont, end):
+        return cont(lay, lay.x0, 0.0, end, range(d),
                     np.random.default_rng(seed), 10_000)
 
-    events = np.sort(np.concatenate(run(scipy_continue, [T])[0]))
+    times = run(pmbp.sampling._continue, T)
+    events = np.sort(np.concatenate(times))
     # stops just after events, midway between others, and the horizon
     near = events[::3] + 1e-9 * T
     far = 0.5 * (events[:-1] + events[1:])[1::3]
     stops = np.unique(np.concatenate([near, far, [T]]))
     stops = stops[stops <= T]
-    times, integrals = run(pmbp.sampling._continue, stops)
+    # the oracle carries its Exp(1) draw past each stop, so it draws the
+    # same events with stops as without
     ref_times, ref_integrals = run(scipy_continue, stops)
     for got, want in zip(times, ref_times):
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+    # the compensator of the sampled history between the stops; the
+    # evaluator's Xi holds gamma's atom at zero, which the sampler's state
+    # does not integrate
+    Xi = PoiEvaluator(params, times).values(np.append(0.0, stops)).Xi
+    integrals = np.diff(Xi, axis=0)
+    integrals[0] -= params.gamma
     # a shift of 1e-8 in an event time moves a window's integral by up to
     # 1e-8 times the intensity's jump at the event
     jump = (params.alpha * params.theta).sum(axis=1).max()
@@ -210,7 +213,7 @@ def test_continue_requires_zero_integrals(pmbp21_sub):
     x = lay.x0.copy()
     x[lay.I[0]] = 1.0
     with pytest.raises(ValueError):
-        pmbp.sampling._continue(lay, x, 0.0, [1.0], range(2),
+        pmbp.sampling._continue(lay, x, 0.0, 1.0, range(2),
                                 np.random.default_rng(0), 100)
 
 
@@ -243,11 +246,13 @@ def test_predict_zero_alpha_is_exact():
 
 
 def test_predict_without_censored_block(hawkes2):
-    # no censored dimension: both forecasts return an empty count table
+    # no censored dimension: the forecast and its sampled reference return
+    # empty tables
     ds = Dataset(T=5.0, censored=(), events=(np.array([1.0]), np.array([2.0])))
-    for predict in (predict_counts, predict_counts_sampled):
-        pred = predict(hawkes2, ds, [5.0, 6.0, 7.0], n_samples=3, seed=0)
-        assert pred.mean.shape == (2, 0) and pred.n_samples == 3
+    pred = predict_counts(hawkes2, ds, [5.0, 6.0, 7.0], n_samples=3, seed=0)
+    assert pred.mean.shape == (2, 0) and pred.n_samples == 3
+    ref = sampled_forecast(hawkes2, ds, [5.0, 6.0, 7.0], n_samples=3, seed=0)
+    assert ref.count_mean.shape == ref.comp_mean.shape == (2, 0)
 
 
 def test_predict_determinism(pmbp21_sub):
@@ -263,36 +268,11 @@ def test_predict_agrees_with_sampled_reference(pmbp21_sub):
     ds = _trained_dataset(pmbp21_sub)
     bnds = np.array([10.0, 12.0, 14.0])
     fast = predict_counts(pmbp21_sub, ds, bnds, n_samples=150, seed=9)
-    ref = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=400, seed=10)
-    se = ref.sd[:, 0] / np.sqrt(ref.n_samples)
-    assert np.all(np.abs(fast.mean[:, 0] - ref.mean[:, 0]) < 4 * se + 0.05)
-
-
-def test_sampled_forecast_builds_steps_once(pmbp21_sub, monkeypatch):
-    # the samples of one call share one set of step tables, and draw the
-    # same counts as when every sample builds its own
-    ds = _trained_dataset(pmbp21_sub)
-    bnds = np.array([10.0, 12.0, 14.0])
-    built = []
-
-    class Counted(pmbp.sampling._Steps):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(pmbp.sampling, "_Steps", Counted)
-    shared = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=20, seed=3)
-    assert len(built) == 1
-    # dropping the shared tables makes every sample build its own
-    cont = pmbp.sampling._continue
-    monkeypatch.setattr(pmbp.sampling, "_continue",
-                        lambda *args, steps: cont(*args))
-    built.clear()
-    rebuilt = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=20,
-                                     seed=3)
-    assert len(built) == 1 + 20
-    assert np.array_equal(shared.mean, rebuilt.mean)
-    assert np.array_equal(shared.sd, rebuilt.sd)
+    n = 400
+    ref = sampled_forecast(pmbp21_sub, ds, bnds, n_samples=n, seed=10)
+    se = ref.count_sd[:, 0] / np.sqrt(n)
+    assert np.all(np.abs(fast.mean[:, 0] - ref.count_mean[:, 0])
+                  < 4 * se + 0.05)
 
 
 # boundaries that NaN or inf make invalid: each raises ParameterError
@@ -315,14 +295,6 @@ def test_predict_boundary_validation(pmbp21_sub):
     with pytest.raises(ParameterError):
         predict_counts(pmbp21_sub.replace(e=0), ds, [10.0, 12.0], n_samples=5,
                        seed=0)
-    for bad in ([5.0, 6.0], [10.0], [10.0, 12.0, 11.0], *_NON_FINITE):
-        with pytest.raises(ParameterError):
-            predict_counts_sampled(pmbp21_sub, ds, bad, n_samples=5, seed=0)
-    with pytest.raises(ParameterError):
-        predict_counts_sampled(pmbp21_sub, ds, [10.0, 12.0], n_samples=0, seed=0)
-    with pytest.raises(ParameterError):
-        predict_counts_sampled(pmbp21_sub.replace(e=0), ds, [10.0, 12.0],
-                               n_samples=5, seed=0)
 
 
 # pmbp predict --horizon 10 --width 0.1 after T = 60.3: T + k * 0.1 gives
@@ -400,10 +372,11 @@ def test_predict_variance_is_cox_count_variance(pmbp21_sub):
     bnds = np.array([10.0, 11.0, 12.0, 14.0])
     exact = predict_counts(pmbp21_sub, ds, bnds, n_samples=1, seed=0)
     n = 2000
-    ref = predict_counts_sampled(pmbp21_sub, ds, bnds, n_samples=n, seed=11)
+    ref = sampled_forecast(pmbp21_sub, ds, bnds, n_samples=n, seed=11)
     var = exact.mean + exact.sd ** 2
     se = var * np.sqrt(2.0 / (n - 1))
-    assert np.all(np.abs(ref.sd ** 2 - var) < 4 * se), (ref.sd ** 2, var)
+    assert np.all(np.abs(ref.count_sd ** 2 - var) < 4 * se), (
+        ref.count_sd ** 2, var)
 
 
 @pytest.mark.parametrize("d,e", [(2, 1), (3, 1)])
@@ -413,7 +386,8 @@ def test_predict_matches_monte_carlo_compensator_estimator(d, e):
     bnds = np.array([10.0, 11.0, 12.0, 14.0])
     exact = predict_counts(params, ds, bnds, n_samples=1, seed=0)
     n = 2000
-    mc_mean, mc_sd = compensator_forecast_mc(params, ds, bnds, n, seed=12)
+    ref = sampled_forecast(params, ds, bnds, n, seed=12)
+    mc_mean, mc_sd = ref.comp_mean, ref.comp_sd
     z = (exact.mean - mc_mean) / (mc_sd / np.sqrt(n))
     assert np.all(np.abs(z) < 4), z
     assert np.all(np.abs(exact.sd / mc_sd - 1) < 0.1), (exact.sd, mc_sd)
