@@ -179,7 +179,8 @@ def main(verbose: int) -> None:
 @click.option("--params", "params_path", type=click.Path(exists=True),
               help="Model parameter JSON file.")
 @click.option("--t-end", type=float, required=True, help="Simulation horizon.")
-@click.option("--seed", type=int, default=0, help="RNG seed (default 0).")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              help="RNG seed (default 0).")
 @click.option("--out", type=click.Path(), help="Output JSONL (default stdout).")
 def cmd_sample_hawkes(params_path, t_end, seed, out):
     """Simulate a self-exciting process by thinning; emit events as JSONL."""
@@ -195,7 +196,8 @@ def cmd_sample_hawkes(params_path, t_end, seed, out):
 @_config
 @click.option("--params", "params_path", type=click.Path(exists=True))
 @click.option("--t-end", type=float, required=True, help="Simulation horizon.")
-@click.option("--seed", type=int, default=0, help="RNG seed (default 0).")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              help="RNG seed (default 0).")
 @click.option("--out", type=click.Path())
 def cmd_sample_pmbp(params_path, t_end, seed, out):
     """Simulate the partially-censored model exactly; emit JSONL events.
@@ -363,7 +365,7 @@ def cmd_predict(params_path, data, horizon, width, out):
 @click.option("--censor-widths", type=_NumberList(float), default="1",
               help="Comma-separated widths, e.g. '1' or '0.5,1,2'.")
 @click.option("--t-end", type=float, default=60.0)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--n-starts", type=int, default=2)
 @click.option("--max-iter", type=int, default=250)
 @click.option("--threads", type=int, default=lambda: os.cpu_count() or 1,
@@ -427,7 +429,7 @@ def cmd_gof(params_path, data, out):
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--n-points", type=click.IntRange(min=1), default=5,
               help="Random test points (default 5).")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--tolerance", type=_Finite(min=0), default=1e-3,
               help="Relative mismatch allowed (default 1e-3).")
 @click.option("--out", type=click.Path())

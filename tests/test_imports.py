@@ -1,8 +1,12 @@
-"""Every imported name is read somewhere in its module, and every private
-top-level name of the package somewhere in the package."""
+"""Every imported name is read somewhere in its module, every private
+top-level name of the package somewhere in the package, and the library's
+sampling, forecast, likelihood and fit paths never load SciPy."""
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,29 @@ def test_no_private_name_that_only_the_tests_read(path):
     unread = sorted((line, name) for name, line in defined.items()
                     if name not in _package_reads())
     assert not unread, [f"{path.name}:{line} {name}" for line, name in unread]
+
+
+_SCIPY_FREE = """
+import sys
+import numpy as np
+import pmbp
+p = pmbp.ModelParams(d=2, e=1, theta=np.ones((2, 2)),
+                     alpha=[[0.3, 0.2], [0.2, 0.3]], gamma=[0.0, 0.0],
+                     nu=[0.4, 0.4])
+ds = pmbp.censor(pmbp.sample_pmbp(p, 30.0, seed=1), dims=[1], width=1.0)
+pmbp.predict_counts(p, ds, [30.0, 31.0, 32.0], 1, 0)
+pmbp.nll_and_grad(p, ds)
+pmbp.fit([ds], pmbp.FitConfig(n_starts=1, max_iter=1))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_library_paths_do_not_load_scipy():
+    # importing SciPy would add to every run's start-up time and memory;
+    # only pmbp.gof reaches for it.  A fresh interpreter, since this one
+    # has SciPy loaded already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -246,6 +246,27 @@ def test_cli_grad_check_that_checks_nothing_is_a_usage_error(runner, workdir,
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command", ["sample-pmbp", "sample-hawkes", "recover",
+                                     "grad-check"])
+def test_cli_negative_seed_is_a_usage_error(runner, workdir, command):
+    # NumPy refuses a negative seed with a ValueError traceback; the option
+    # refuses it first
+    args = {"sample-pmbp": ["--params", str(workdir / "pmbp.json"),
+                            "--t-end", "10"],
+            "sample-hawkes": ["--params", str(workdir / "hawkes.json"),
+                              "--t-end", "10"],
+            "recover": ["--params", str(workdir / "hawkes.json"),
+                        "--n-sequences", "1", "--group-size", "1",
+                        "--t-end", "5", "--n-starts", "1", "--max-iter", "1"],
+            "grad-check": ["--params", str(workdir / "pmbp.json"),
+                           "--data", str(_small_dataset(runner, workdir))]}
+    res = runner.invoke(main, [command, *args[command], "--seed", "-1"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--seed" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("flag,value", [("--max-iter", "-1"),
                                         ("--tol-f", "nan"), ("--seed", "-1")])
 def test_cli_fit_unusable_setting_is_a_one_line_error(runner, workdir, flag,

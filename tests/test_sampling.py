@@ -174,6 +174,35 @@ def test_sampler_matches_scipy_reference(d, data, seed, theta):
                                atol=1e-8 * (1.0 + jump))
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       theta=st.sampled_from([None, 1.0, 1e-3, 1e3]))
+def test_censored_events_sit_at_their_targets(d, data, seed, theta):
+    # the censored pass places the sorted targets U * Lambda(T) in the
+    # censored block's compensator time; replaying the generator's draws,
+    # the evaluator's compensator at each censored event is its target
+    e = data.draw(st.integers(1, d), label="e")
+    params = _subcritical_model(d, e, theta, seed)
+    rate = np.linalg.solve(np.eye(d) - params.alpha, params.nu)
+    T = 30.0 / rate.sum()
+    hist = sample_pmbp(params, T, seed=seed)
+    rng = np.random.default_rng(seed)
+    if e < d:
+        lay = _Layout(params, full=True)
+        observed = pmbp.sampling._continue(lay, lay.x0, 0.0, T, range(e, d),
+                                           rng, 1_000_000)
+        for got, want in zip(hist.times[e:], observed[e:]):
+            assert np.array_equal(got, want)
+    events = np.sort(np.concatenate(hist.times[:e]))
+    # the evaluator's Xi holds gamma's atom at zero, which the sampler does
+    # not realize
+    Xi = PoiEvaluator(params, hist.times).values(np.r_[0.0, events, T]).Xi
+    comp = Xi[:, :e].sum(axis=1) - Xi[0, :e].sum() - params.gamma[:e].sum()
+    assert rng.poisson(comp[-1]) == events.size
+    targets = np.sort(rng.random(events.size)) * comp[-1]
+    np.testing.assert_allclose(comp[1:-1], targets, rtol=1e-9, atol=1e-9)
+
+
 # intensities in tenths put u * sum(lam) on a cumulative boundary often
 _TENTHS = st.integers(0, 40).map(lambda v: v / 10)
 
@@ -222,6 +251,87 @@ def test_explosion_guard():
                          gamma=[0.0], nu=[1.0])
     with pytest.raises(ExplosionError):
         sample_pmbp(params, 200.0, seed=0, max_events=1000)
+
+
+def test_censored_explosion_guard():
+    # about 1e4 censored events against a limit of 100, and no observed pass
+    params = ModelParams(d=1, e=1, theta=[[1.0]], alpha=[[0.0]],
+                         gamma=[0.0], nu=[1e4])
+    with pytest.raises(ExplosionError, match="censored events"):
+        sample_pmbp(params, 1.0, seed=0, max_events=100)
+
+
+def test_unconverged_censored_inversion_raises(monkeypatch):
+    # fully censored, so there is no observed pass to raise instead; the
+    # censored intensities vary, so no start is exact
+    monkeypatch.setattr(pmbp.sampling, "_NEWTON_MAX_ITER", 1)
+    params = _rescaling_model(3, 3)
+    with pytest.raises(NumericalConsistencyError,
+                       match="censored compensator inversion"):
+        sample_pmbp(params, 50.0, seed=3)
+
+
+def test_no_censored_block_is_one_observed_pass(hawkes2):
+    # at e = 0 the draw is _continue over every dimension, from the same
+    # generator
+    lay = _Layout(hawkes2, full=True)
+    for seed in range(3):
+        hist = sample_pmbp(hawkes2, 100.0, seed=seed)
+        times = pmbp.sampling._continue(lay, lay.x0, 0.0, 100.0, range(2),
+                                        np.random.default_rng(seed),
+                                        1_000_000)
+        for got, want in zip(hist.times, times):
+            assert np.array_equal(got, pmbp.sampling._open(np.array(want)))
+
+
+@pytest.mark.parametrize("d,e", [(2, 1), (3, 3)])
+def test_censored_gaps_are_unit_exponential_pooled(d, e):
+    # given each path's own observed events a censored dimension is Poisson
+    # in its compensator's time.  40 independent paths laid end to end in
+    # that time make one unit-rate Poisson stream, whose waiting times
+    # (about 3000 per dimension) are unit exponential, those across the
+    # joins too.  Pooling each path's own gaps instead would drop the gap
+    # cut by T, and on [0, Lambda] the rest have mean about 1 - 1 / Lambda
+    from scipy import stats
+
+    params = _rescaling_model(d, e)
+    T = 100.0
+    rescaled = [[] for _ in range(e)]
+    joins = np.zeros(e)
+    for seed in range(40):
+        hist = sample_pmbp(params, T, seed=seed)
+        ev = PoiEvaluator(params, hist.times)
+        for dim in range(e):
+            # the evaluator's Xi holds gamma's atom at zero, which the
+            # sampler does not realize
+            Xi = ev.values(np.r_[0.0, hist.times[dim], T]).Xi[:, dim]
+            lam = Xi - Xi[0] - params.gamma[dim]
+            rescaled[dim].append(joins[dim] + lam[1:-1])
+            joins[dim] += lam[-1]
+    for dim in range(e):
+        gaps = np.diff(np.r_[0.0, np.concatenate(rescaled[dim])])
+        p = stats.kstest(gaps, "expon").pvalue
+        assert p >= 0.01, (dim, p)
+
+
+def _open_sequential(ts):
+    out = np.array(ts, dtype=float)
+    for k in range(1, out.size):
+        if out[k] <= out[k - 1]:
+            out[k] = np.nextafter(out[k - 1], np.inf)
+    return out
+
+
+@pytest.mark.parametrize("ts", [
+    [], [1.0], [0.5, 1.0, 2.0], [1.0, 1.0], [0.5, 1.0, 1.0, 2.0],
+    [0.5, 1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.5, 2.0, 2.0, 3.0, 3.0],
+    [1.0, np.nextafter(1.0, 2.0), 1.0, 1.5]])
+def test_open_interval_guard_matches_sequential_loop(ts):
+    # two and three equal stamps in a row, one after a nudge, and at the end
+    got = pmbp.sampling._open(np.array(ts, dtype=float))
+    want = _open_sequential(ts)
+    assert np.array_equal(got, want)
+    assert np.all(np.diff(got) > 0)
 
 
 def _trained_dataset(params, T=10.0, seed=123, width=1.0):
