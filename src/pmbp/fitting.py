@@ -42,6 +42,7 @@ from .params import (
     Dataset,
     ModelParams,
     RegularityReport,
+    _seeded,
     censor_series,
     check_subcriticality,
     spectral_radius,
@@ -482,6 +483,7 @@ def recovery_experiment(
     Group fits are independent; n_jobs > 1 runs them on a thread pool.  Every
     fit owns a seed derived from its (mode, group) pair and results are
     assembled in task order, so the output is identical for any n_jobs.
+    Raises ParameterError for a seed NumPy refuses.
     """
     if not check_subcriticality(true_params).subcritical:
         raise ParameterError("recovery requires subcritical true parameters")
@@ -495,7 +497,7 @@ def recovery_experiment(
     d = true_params.d
     base_cfg = fit_config or FitConfig(n_starts=2, max_iter=250, tol_f=1e-6)
     seqs = []
-    children = np.random.SeedSequence(seed).spawn(n_sequences)
+    children = _seeded(np.random.SeedSequence, seed).spawn(n_sequences)
     for child in children:
         seqs.append(sample_hawkes(true_params, T, child))
     names = _param_names(d)

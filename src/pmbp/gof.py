@@ -173,9 +173,11 @@ def gof_report(params: ModelParams, dataset: Dataset) -> GofReport:
 
     Censored dimensions get the normality test and the exact coverage
     score (:func:`fit_score`) on their window counts; dimensions with exact
-    event times get the time-rescaling KS test.  Dimensions whose data
-    defeat a test are reported under ``skipped`` instead of raising.  The
-    report is a function of ``params`` and ``dataset`` alone.
+    event times get the time-rescaling KS test.  Each test runs on its own:
+    one that the data defeat (too few windows or events, or a zero
+    increment for the normality test) is reported under ``skipped``
+    instead of raising, and the other tests of that dimension still run.
+    The report is a function of ``params`` and ``dataset`` alone.
     """
     d, e = params.d, params.e
     if dataset.d != d or dataset.e != e:
@@ -187,21 +189,23 @@ def gof_report(params: ModelParams, dataset: Dataset) -> GofReport:
     normality: dict[int, tuple[float, float]] = {}
     scores: dict[int, float] = {}
     skipped: dict[int, str] = {}
-    for dim in range(1, d + 1):
+
+    def run(dim, store, test):
         try:
-            if dim <= e:
-                series = dataset.censored[dim - 1]
-                Xi = ev.values(series.boundaries).Xi[:, dim - 1]
-                inc = np.diff(Xi)
-                _, stat, p = gof_anscombe(series.counts, inc)
-                normality[dim] = (stat, p)
-                scores[dim] = fit_score(series.counts, inc)
-            else:
-                times = dataset.events[dim - 1 - e]
-                _, stat, p = gof_time_rescaling(
-                    times, lambda ts: ev.values(ts).Xi[:, dim - 1])
-                ks[dim] = (stat, p)
+            store[dim] = test()
         except (InsufficientDataError, NumericalConsistencyError) as exc:
             skipped[dim] = str(exc)
+
+    for dim in range(1, d + 1):
+        if dim <= e:
+            series = dataset.censored[dim - 1]
+            inc = np.diff(ev.values(series.boundaries).Xi[:, dim - 1])
+            run(dim, normality,
+                lambda: gof_anscombe(series.counts, inc)[1:])
+            run(dim, scores, lambda: fit_score(series.counts, inc))
+        else:
+            times = dataset.events[dim - 1 - e]
+            run(dim, ks, lambda: gof_time_rescaling(
+                times, lambda ts: ev.values(ts).Xi[:, dim - 1])[1:])
     return GofReport(ks=ks, normality=normality, fit_scores=scores,
                      skipped=skipped)

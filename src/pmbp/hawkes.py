@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ExplosionError
-from .params import EventHistory, ModelParams
+from .params import EventHistory, ModelParams, _seeded
 
 
 def sample_hawkes(
@@ -33,11 +33,12 @@ def sample_hawkes(
     (exponential kernels only decay between events), refreshed at every
     proposal.  One uniform per proposal drives both acceptance and the
     dimension choice by cumulative inversion; the final overshooting proposal
-    is discarded.  Deterministic for a fixed seed.
+    is discarded.  Deterministic for a fixed seed; ParameterError for a
+    seed NumPy refuses.
     """
     if not np.isfinite(T) or T <= 0:
         raise DomainError(f"T must be finite and > 0, got {T}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(np.random.default_rng, seed)
     d = params.d
     at = params.alpha * params.theta
     R = np.zeros((d, d))  # R[i, j] = decayed sum over past source-j events
@@ -71,6 +72,4 @@ def sample_hawkes(
                     f"sampler exceeded {max_events} events before T={T}"
                 )
         t = t_new
-    return EventHistory(
-        times=tuple(np.asarray(ts, dtype=float) for ts in times), T=float(T)
-    )
+    return EventHistory(times=tuple(times), T=float(T))

@@ -94,7 +94,7 @@ def read_events(path_or_fp) -> EventHistory:
             raise DimensionError(
                 f"event record has dim={dim}, outside 1..{d}")
         per_dim[dim - 1].append(t)
-    return EventHistory(times=tuple(np.asarray(ts) for ts in per_dim), T=T)
+    return EventHistory(times=tuple(per_dim), T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,7 @@ def censor(history: EventHistory, dims, width: float) -> Dataset:
     censored = tuple(
         censor_series(history.times[j], width, history.T) for j in range(k)
     )
-    events = tuple(np.asarray(ts) for ts in history.times[k:])
-    return Dataset(T=history.T, censored=censored, events=events)
+    return Dataset(T=history.T, censored=censored, events=history.times[k:])
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def _query_times(ds: Dataset) -> np.ndarray:
     observed events, sorted and unique."""
     pieces = [np.array([ds.T])]
     pieces += [series.boundaries for series in ds.censored]
-    pieces += [np.asarray(ts, dtype=float) for ts in ds.events]
+    pieces += ds.events
     return np.unique(np.concatenate(pieces))
 
 

@@ -143,19 +143,42 @@ class ModelParams:
 # Data containers
 
 
-def _check_times(times: np.ndarray, T: float, what: str) -> np.ndarray:
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size:
-        if not np.all(np.isfinite(times)):
-            raise ParameterError(f"{what}: timestamps must be finite")
-        if times[0] < 0:
-            raise ParameterError(f"{what}: timestamps must be >= 0")
-        if np.any(np.diff(times) <= 0):
-            raise ParameterError(f"{what}: timestamps must be strictly increasing")
-        if times[-1] >= T:
-            raise ParameterError(f"{what}: timestamps must be < T={T}")
-    times.setflags(write=False)
-    return times
+def _times(values, what: str, *, increasing: bool = False,
+           below: float = np.inf, error=ParameterError) -> np.ndarray:
+    """values as a read-only 1-D float array of finite times in [0, below),
+    strictly increasing if increasing.  Raises DimensionError for any other
+    shape, ragged nesting included, and error for any other entries."""
+    try:
+        ts = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        try:
+            np.asarray(values)
+        except ValueError:  # ragged nesting has no array shape
+            raise DimensionError(
+                f"{what} must be one-dimensional: {exc}") from exc
+        raise error(f"{what} must be numbers: {exc}") from exc
+    if ts.ndim != 1:
+        raise DimensionError(
+            f"{what} must be one-dimensional, got shape {ts.shape}")
+    # written so that NaN fails each comparison
+    if not (np.all((ts >= 0) & (ts < below))
+            and (not increasing or np.all(ts[1:] > ts[:-1]))):
+        rule = "finite and >= 0" if below == np.inf else f"in [0, {below})"
+        order = ", strictly increasing" if increasing else ""
+        raise error(f"{what} must be {rule}{order}")
+    # a view, so that the caller's own array stays writable
+    ts = ts.view()
+    ts.setflags(write=False)
+    return ts
+
+
+def _seeded(make, seed):
+    """make(seed) for np.random.default_rng or SeedSequence, raising
+    ParameterError where NumPy refuses the seed."""
+    try:
+        return make(seed)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"seed {seed!r} is refused: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,7 +195,8 @@ class EventHistory:
         if not np.isfinite(self.T) or self.T <= 0:
             raise ParameterError(f"T must be finite and > 0, got {self.T}")
         checked = tuple(
-            _check_times(ts, self.T, f"dimension {j + 1}")
+            _times(ts, f"dimension {j + 1}: event times", increasing=True,
+                   below=self.T)
             for j, ts in enumerate(self.times)
         )
         if not checked:
@@ -200,24 +224,18 @@ class CensoredSeries:
     counts: np.ndarray
 
     def __post_init__(self):
-        bounds = np.asarray(self.boundaries, dtype=float).reshape(-1)
-        counts = np.asarray(self.counts, dtype=float).reshape(-1)
+        bounds = _times(self.boundaries, "boundaries", increasing=True)
+        counts = _times(self.counts, "counts")
         if bounds.size < 2:
             raise ParameterError("need at least two observation boundaries")
         if bounds[0] != 0.0:
             raise ParameterError(f"first boundary must be 0, got {bounds[0]}")
-        if not np.all(np.isfinite(bounds)) or np.any(np.diff(bounds) <= 0):
-            raise ParameterError("boundaries must be finite and strictly increasing")
         if counts.shape != (bounds.size - 1,):
             raise DimensionError(
                 f"counts must have length {bounds.size - 1}, got {counts.size}"
             )
-        if np.any(~np.isfinite(counts)) or np.any(counts < 0):
-            raise ParameterError("counts must be finite and >= 0")
         if np.any(counts != np.round(counts)):
             raise ParameterError("counts must be integers")
-        bounds.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "counts", counts)
 
@@ -240,10 +258,7 @@ def censor_series(times, width: float, T: float) -> CensoredSeries:
         raise ParameterError(f"horizon must be > 0, got {T}")
     n_full = int(np.ceil(T / width - 1e-12))
     bounds = np.minimum(width * np.arange(n_full + 1), T)
-    ts = np.asarray(times, dtype=float)
-    # NaN fails both comparisons
-    if not np.all((ts >= 0) & (ts < T)):
-        raise ParameterError(f"event times must be finite and in [0, T={T})")
+    ts = _times(times, "event times", below=T)
     counts = np.histogram(ts, bounds)[0]
     return CensoredSeries(boundaries=bounds, counts=counts)
 
@@ -273,7 +288,8 @@ class Dataset:
                     f"censored[{k}]: boundaries extend beyond T={self.T}"
                 )
         events = tuple(
-            _check_times(ts, self.T, f"dimension {self.e + j + 1}")
+            _times(ts, f"dimension {self.e + j + 1}: event times",
+                   increasing=True, below=self.T)
             for j, ts in enumerate(self.events)
         )
         if not censored and not events:
@@ -293,7 +309,7 @@ class Dataset:
     def event_list(self) -> list:
         """Per-dimension event arrays, empty for the censored block."""
         empty = np.zeros(0)
-        return [empty] * self.e + [np.asarray(ts) for ts in self.events]
+        return [empty] * self.e + list(self.events)
 
     def to_dict(self) -> dict:
         return {
@@ -323,8 +339,7 @@ class Dataset:
             ec_recs = sorted(obj.get("ec_dims", []), key=lambda r: r["dim"])
             censored = tuple(CensoredSeries(rec["boundaries"], rec["counts"])
                              for rec in e_recs)
-            events = tuple(np.asarray(rec["events"], dtype=float)
-                           for rec in ec_recs)
+            events = tuple(rec["events"] for rec in ec_recs)
         except KeyError as exc:
             raise ParameterError(f"missing dataset field {exc}") from exc
         except PMBPError:
@@ -442,9 +457,10 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
 
     Exactly d arrays are required (use empty arrays for dimensions without
     events, e.g. the censored block); anything shorter is ambiguous about
-    which dimensions the arrays belong to, so it is rejected outright, as is
-    an entry that is not one-dimensional.  An EventHistory stands for its
-    per-dimension times.
+    which dimensions the arrays belong to, so it is rejected outright.  Each
+    array takes the check of every time array (_times), strictly increasing
+    with no horizon, and comes back read-only.  An EventHistory stands for
+    its per-dimension times.
     """
     if isinstance(events, EventHistory):
         events = events.times
@@ -454,31 +470,5 @@ def validate_events_for(params: ModelParams, events: Sequence) -> list:
             f"{len(events)}; pass an empty array for each dimension without "
             "events (Dataset.event_list() does this for the censored block)"
         )
-    out = []
-    for j in range(params.d):
-        try:
-            ts = np.asarray(events[j], dtype=float)
-        except (TypeError, ValueError) as exc:
-            try:
-                np.asarray(events[j])
-            except ValueError:  # ragged nesting has no array shape
-                raise DimensionError(
-                    f"dimension {j + 1}: event times must be "
-                    f"one-dimensional: {exc}"
-                ) from exc
-            raise ParameterError(
-                f"dimension {j + 1}: event times must be numbers: {exc}"
-            ) from exc
-        if ts.ndim != 1:
-            raise DimensionError(
-                f"dimension {j + 1}: event times must be one-dimensional, "
-                f"got shape {ts.shape}"
-            )
-        if ts.size and (np.any(~np.isfinite(ts)) or np.any(np.diff(ts) <= 0)
-                        or ts[0] < 0):
-            raise ParameterError(
-                f"dimension {j + 1}: event times must be finite, non-negative "
-                "and strictly increasing"
-            )
-        out.append(ts)
-    return out
+    return [_times(ts, f"dimension {j + 1}: event times", increasing=True)
+            for j, ts in enumerate(events)]

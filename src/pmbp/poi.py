@@ -87,7 +87,7 @@ import numpy as np
 
 from .decay import SourceDecay, _stack
 from .errors import DomainError, RegularityError
-from .params import ModelParams, spectral_radius, validate_events_for
+from .params import ModelParams, _times, spectral_radius, validate_events_for
 from .paramvec import n_free
 
 # intervals per batch of (chunk, s, s) expm temporaries: at most _CHUNK, and
@@ -428,8 +428,7 @@ def _grid(events, times, e: int) -> _Grid:
     knots, rows, hits = [], [], []
     for b, (ev, t) in enumerate(zip(events, times)):
         tq, inv = np.unique(t, return_inverse=True)
-        sources = [np.asarray(ts, dtype=float) for ts in ev[e:]]
-        sources = [ts[ts < tq[-1]] for ts in sources]
+        sources = [ts[ts < tq[-1]] for ts in ev[e:]]
         kn = np.unique(np.concatenate([[0.0], tq, *sources]))
         knots.append(kn)
         rows.append(np.searchsorted(kn, tq)[inv] * B + b)
@@ -623,9 +622,10 @@ class PoiEvaluator:
         self.layout = _Layout(params) if params.e > 0 else None
 
     def values(self, times) -> PoiValues:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(~np.isfinite(t)) or np.any(t < 0):
-            raise DomainError("query times must be finite and >= 0")
+        # a scalar query is one time
+        if np.isscalar(times) or getattr(times, "ndim", None) == 0:
+            times = [times]
+        t = _times(times, "query times", error=DomainError)
         vals = _values([self.params], [self.layout],
                        _plan([self.events], [t], self.params.e))
         # the batch of one: that point's xi and Xi, the rest as built

@@ -11,7 +11,8 @@ sampled dimensions is a sum of coordinates of expm(M tau) x.
 By the time-rescaling theorem (Brown et al. 2002; Dassios & Zhao 2013 use
 the same inversion for exponential Hawkes processes) the events of a set
 of dimensions are the times at which their summed compensator passes the
-points of a unit-rate Poisson stream.  sample_pmbp draws in two passes.
+points of a unit-rate Poisson stream.  Every draw (_draw), from any
+state and time, takes two passes.
 
 The observed pass (_continue) inverts the summed compensator of the
 observed dimensions event by event, since each of their events jumps the
@@ -52,9 +53,9 @@ horizon only the observed sources jump the state, each at a rate linear in
 it, so the state's mean and covariance solve a closed linear ODE (the
 moment closure of affine point processes), and each window's censored
 compensator increment has its exact mean and sd read off them.  The
-Monte Carlo forecast that samples every dimension past the horizon is a
-reference of the test suite (tests/reference/forecast.py), not part of the
-library.
+Monte Carlo forecast that draws every dimension past the horizon with
+_draw is a reference of the test suite (tests/reference/forecast.py), not
+part of the library.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .params import Dataset, EventHistory, ModelParams
+from .params import Dataset, EventHistory, ModelParams, _seeded, _times
 from .poi import _FACTORIALS, _TAYLOR_DEGREE, _Layout, _grid, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
@@ -173,32 +174,30 @@ def _pick(lam: np.ndarray, u: float) -> int:
     return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
-def _continue(lay: _Layout, x, t: float, end: float, sample_dims,
+def _continue(lay: _Layout, x, t: float, end: float,
               rng: np.random.Generator, max_events: int, stops=None):
-    """Run the process from state x (left unchanged) at time t to end,
-    drawing the events of sample_dims one at a time: the observed pass of
-    sample_pmbp, or every dimension at once.
+    """The observed pass: run the process from state x (left unchanged) at
+    time t to end, drawing the observed dimensions' events one at a time.
 
     The integrals of x must be zero, and they are zero again after every
     event.  So each inversion's compensator starts at zero, and its Exp(1)
     draw is the room the gallop starts with.  The state also integrates
-    the intensities of the dimensions not drawn.  When stops is a list,
-    each event appends (time, state before the reset and the jump,
-    dimension), and the end appends (end, state there, -1): the other
-    dimensions' compensators since the stop before are that state's
-    integrals.
+    the censored intensities.  When stops is a list, each event appends
+    (time, state before the reset and the jump, dimension), and the end
+    appends (end, state there, -1): the censored compensators since the
+    stop before are that state's integrals.  At e = d the first gallop
+    carries the state to within h of the end, and no event is drawn.
 
-    Returns the new event times per dimension.
+    Returns the new event times per dimension, empty for the censored ones.
     """
     d, e = lay.Y.shape
     ints = slice(lay.I[0], lay.I[-1] + 1)
     if np.any(x[ints]):
         raise ValueError("the state's integrals must start at zero")
-    active = list(sample_dims)
-    rates = lay.R[active]
+    rates = lay.R[e:]
     jumps = list(lay.J)
     end = float(end)
-    steps = _Steps(lay, lay.I[active], end - t)
+    steps = _Steps(lay, lay.I[e:], end - t)
     h, s = steps.h, lay.s
     new_times = [[] for _ in range(d)]
     n_new = 0
@@ -224,7 +223,7 @@ def _continue(lay: _Layout, x, t: float, end: float, sample_dims,
         x = (u ** _DEGREES).dot(V)
         t += u * h
         # random() is uniform() without its 0 + 1 * r
-        j = active[_pick(rates.dot(x), rng.random())]
+        j = e + _pick(rates.dot(x), rng.random())
         new_times[j].append(t)
         n_new += 1
         if n_new > max_events:
@@ -236,15 +235,15 @@ def _continue(lay: _Layout, x, t: float, end: float, sample_dims,
             stops.append((t, x, j))
             x = x.copy()
         x[ints] = 0.0
-        if j >= e:
-            x += jumps[j - e]
+        x += jumps[j - e]
 
 
-def _censored(lay: _Layout, stops, rng: np.random.Generator, room: int):
-    """The events of the censored dimensions on [0, end), given the observed
-    path from lay.x0 at 0, drawn in one pass.  stops holds what _continue
-    keeps: (time, state before the reset and the jump, dimension) at each
-    observed event, then (end, state there, -1).
+def _censored(lay: _Layout, x, t: float, stops, rng: np.random.Generator,
+              room: int):
+    """The events of the censored dimensions on [t, end), given the observed
+    path from the state x at t, drawn in one pass.  stops holds what
+    _continue keeps: (time, state before the reset and the jump, dimension)
+    at each observed event, then (end, state there, -1).
 
     Those dimensions' events never jump the state, so each one's place in
     their summed compensator's time is known in advance: N ~ Poisson of
@@ -258,7 +257,7 @@ def _censored(lay: _Layout, stops, rng: np.random.Generator, room: int):
     e, s = lay.Y.shape[1], lay.s
     cens = slice(lay.I[0], lay.I[0] + e)
     ints = slice(lay.I[0], lay.I[-1] + 1)
-    t = np.array([0.0] + [stop[0] for stop in stops])
+    t = np.array([t] + [stop[0] for stop in stops])
     pre = np.array([stop[1] for stop in stops])
     # the censored compensator over each stop interval; rounding can leave
     # one a hair below zero where the intensities vanish
@@ -267,12 +266,12 @@ def _censored(lay: _Layout, stops, rng: np.random.Generator, room: int):
     n = int(rng.poisson(cum[-1]))
     if n > room:
         raise ExplosionError(
-            f"{n} censored events on [0, {t[-1]:.4g}) exceed the {room} "
+            f"{n} censored events on [{t[0]:.4g}, {t[-1]:.4g}) exceed the {room} "
             "left of max_events; the configuration is likely supercritical"
         )
     # the state just after each stop: the integrals reset, the jump added
     X = np.empty((len(stops), s))
-    X[0] = lay.x0
+    X[0] = x
     X[1:] = pre[:-1]
     X[1:, ints] = 0.0
     X[1:] += lay.J[np.array([stop[2] for stop in stops[:-1]], dtype=int) - e]
@@ -354,6 +353,20 @@ def _open(ts: np.ndarray) -> np.ndarray:
     return ts
 
 
+def _draw(lay: _Layout, x, t: float, end: float, rng: np.random.Generator,
+          max_events: int) -> list:
+    """The event times per dimension on [t, end) from the state x at t (its
+    integrals zero): the observed pass (_continue), then, when e > 0, the
+    censored pass (_censored) given its stops."""
+    e = lay.Y.shape[1]
+    stops = [] if e else None
+    times = _continue(lay, x, t, end, rng, max_events, stops)
+    if e:
+        room = max_events - sum(map(len, times))
+        times[:e] = _censored(lay, x, t, stops, rng, room)
+    return times
+
+
 def sample_pmbp(
     params: ModelParams,
     T: float,
@@ -362,38 +375,25 @@ def sample_pmbp(
     max_events: int = 1_000_000,
 ) -> EventHistory:
     """Draw one realization of all d dimensions on [0, T) exactly, in two
-    passes.
+    passes (_draw).
 
     The observed pass inverts the compensator of the observed dimensions
     event by event (_continue), since each of their events jumps the state.
     When e > 0 it keeps its stops, and the censored pass (_censored) then
     draws every censored event at once given that path: those dimensions
     are Cox streams driven by the expected intensity, so their events are
-    outputs only.  At e = d there is no observed pass, and the one stop
-    is T.  At d = 2 an observed event costs about 13-16 us and a censored
-    one about 3.6 us (see the module docstring).  The impulse weight
-    contributes to the smooth intensity but is not realized as events at
-    t=0.  Deterministic for a fixed seed.
-    Raises RegularityError when the censored block is not subcritical and
-    ExplosionError past max_events events in all.
+    outputs only.  At d = 2 an observed event costs about 13-16 us and a
+    censored one about 3.6 us (see the module docstring).  The impulse
+    weight contributes to the smooth intensity but is not realized as
+    events at t=0.  Deterministic for a fixed seed.  Raises ParameterError
+    for a seed NumPy refuses, RegularityError when the censored block is
+    not subcritical and ExplosionError past max_events events in all.
     """
     if not np.isfinite(T) or T <= 0:
         raise DomainError(f"T must be finite and > 0, got {T}")
     lay = _Layout(params, full=True)
-    rng = np.random.default_rng(seed)
-    d, e = params.d, params.e
-    stops = [] if e else None
-    if e < d:
-        times = _continue(lay, lay.x0, 0.0, T, range(e, d), rng, max_events,
-                          stops)
-    else:
-        E = np.empty((1, lay.s, lay.s))
-        lay.expm.steps(np.array([float(T)]), E)
-        times = [[] for _ in range(d)]
-        stops.append((T, E[0].dot(lay.x0), -1))
-    if e:
-        room = max_events - sum(map(len, times))
-        times[:e] = _censored(lay, stops, rng, room)
+    rng = _seeded(np.random.default_rng, seed)
+    times = _draw(lay, lay.x0, 0.0, T, rng, max_events)
     return EventHistory(times=tuple(_open(np.array(ts, dtype=float))
                                     for ts in times), T=T)
 
@@ -419,19 +419,14 @@ def _start(params: ModelParams, dataset: Dataset, boundaries, n_samples: int):
     """Validate a forecast request.  Returns the sampler layout, its state at
     the training horizon with the integrals restarted there, and the
     boundaries as an array."""
-    bnds = np.asarray(boundaries, dtype=float).reshape(-1)
+    bnds = _times(boundaries, "prediction boundaries", increasing=True)
     T_train = dataset.T
     if bnds.size < 2:
         raise ParameterError("need at least two prediction boundaries")
-    # written so that NaN fails each comparison
-    if not np.all(np.diff(bnds) > 0):
-        raise ParameterError("prediction boundaries must be strictly increasing")
     if not bnds[0] >= T_train * (1 - 1e-12):
         raise ParameterError(
             f"prediction starts at {bnds[0]} before the training horizon {T_train}"
         )
-    if not np.isfinite(bnds[-1]):
-        raise ParameterError("prediction boundaries must be finite")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
     if dataset.d != params.d or dataset.e != params.e:

@@ -140,12 +140,14 @@ def riemann_conv(f, g, dt):
     f : (P+1, d, d); g : (P+1, d, d) or (P+1, d).
     """
     P1 = f.shape[0]
-    shape = (P1, f.shape[1], g.shape[2]) if g.ndim == 3 else (P1, f.shape[1])
-    out = np.zeros(shape)
-    for p in range(P1):
-        for r in range(p):
-            out[p] += f[r] @ g[p - r] * dt
-    return out
+    # a vector sample is a one-column matrix
+    col = g if g.ndim == 3 else g[..., None]
+    out = np.zeros((P1, f.shape[1], col.shape[2]))
+    # lag r for every p > r at once: out[p] += f[r] g[p - r] dt, added in
+    # the order of the sum over r
+    for r in range(P1 - 1):
+        out[r + 1:] += f[r] @ col[1:P1 - r] * dt
+    return out if g.ndim == 3 else out[..., 0]
 
 
 def dense_h(params, t_grid):
@@ -365,7 +367,8 @@ def scipy_invert(lay, x, span, target, comp, rate_row):
 
 def scipy_continue(lay, x, t, stops, sample_dims, rng, max_events):
     """The exact sampler's continuation from state x at time t to
-    stops[-1] (pmbp.sampling._continue with end = stops[-1]), with one
+    stops[-1], drawing the events of sample_dims (pmbp.sampling._continue
+    with end = stops[-1] when they are the observed dimensions), with one
     scipy.linalg.expm per trial step: the state at each stop, then the
     inversion of the compensator whenever it passes the Exp(1) target.
     The unused part of the draw carries past each stop, so the stops do not

@@ -1,9 +1,11 @@
 """The Monte Carlo count forecast that `pmbp.predict_counts` computes
 exactly.
 
-Each seeded sample continues every dimension past the training horizon
-with the library's exact sampler, from the state at the end of the
-training data.  Per window and censored dimension, the sample yields two
+Each seeded sample draws every dimension past the training horizon with
+the library's exact sampler (`pmbp.sampling._draw`, the routine behind
+`sample_pmbp`: the observed pass event by event, then the censored pass
+given that path), from the state at the end of the training data.  Per
+window and censored dimension, the sample yields two
 numbers: the realized count, from a histogram of its drawn events, and the
 compensator increment, from `PoiEvaluator` on the training plus the
 continued observed events.  `predict_counts` gives the exact mean and sd
@@ -18,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from pmbp import PoiEvaluator
-from pmbp.sampling import _continue, _start
+from pmbp.sampling import _draw, _start
 
 
 @dataclasses.dataclass
@@ -43,8 +45,8 @@ def sampled_forecast(params, dataset, boundaries, n_samples, seed):
     m2 = np.zeros_like(mean)
     children = np.random.SeedSequence(seed).spawn(n_samples)
     for n, child in enumerate(children, start=1):
-        new = _continue(lay, x_train, dataset.T, bnds[-1], range(d),
-                        np.random.default_rng(child), 1_000_000)
+        new = _draw(lay, x_train, dataset.T, bnds[-1],
+                    np.random.default_rng(child), 1_000_000)
         value = np.zeros_like(mean)
         for j in range(e):
             value[0, :, j] = np.histogram(new[j], bnds)[0]

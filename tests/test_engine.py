@@ -20,6 +20,7 @@ from oracles import (
     dense_h,
     dense_xi,
     mbp11_response,
+    riemann_conv,
 )
 
 
@@ -122,6 +123,20 @@ def test_compute_h_residual_below_tolerance(tables21):
 
 # ---------------------------------------------------------------------------
 # Expected intensity / compensator on the grid
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_riemann_conv_matches_the_double_loop(d):
+    # the oracle adds one product per lag for every sample at once, in the
+    # order of the plain double loop, so the results are equal
+    rng = np.random.default_rng(d)
+    f = rng.random((30, d, d))
+    for g in (rng.random((30, d, d)), rng.random((30, d))):
+        want = np.zeros((30,) + np.shape(f[0] @ g[0]))
+        for p in range(30):
+            for r in range(p):
+                want[p] += f[r] @ g[p - r] * 0.1
+        assert np.array_equal(riemann_conv(f, g, 0.1), want)
 
 
 @pytest.mark.slow

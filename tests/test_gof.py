@@ -190,3 +190,19 @@ def test_gof_report_skips_underpowered_dimensions(pmbp21_sub):
     assert 1 in rep.skipped
     assert 2 in rep.skipped
     assert 1 not in rep.normality and 2 not in rep.ks
+
+
+def test_gof_report_scores_coverage_without_the_normality_test(pmbp21_sub):
+    # five windows are too few for the normality test, not for the coverage
+    # score, which the report still gives
+    ds = Dataset(
+        T=5.0,
+        censored=(CensoredSeries(np.arange(6.0), [1.0, 0.0, 2.0, 0.0, 1.0]),),
+        events=(np.array([0.5, 1.5, 3.0]),),
+    )
+    rep = gof_report(pmbp21_sub, ds)
+    assert "8 windows" in rep.skipped[1] and 1 not in rep.normality
+    inc = np.diff(PoiEvaluator(pmbp21_sub, ds.event_list())
+                  .values(np.arange(6.0)).Xi[:, 0])
+    assert rep.fit_scores[1] == fit_score(ds.censored[0].counts, inc)
+    assert 2 in rep.ks

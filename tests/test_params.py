@@ -10,12 +10,14 @@ from pmbp import (
     Dataset,
     DimensionError,
     EventHistory,
+    DomainError,
     ModelParams,
     ParameterError,
     PoiEvaluator,
     censor_series,
     check_subcriticality,
     pack,
+    predict_counts,
     spectral_radius,
     unpack,
 )
@@ -272,6 +274,78 @@ def test_validate_events_rejects_non_numeric_entries(entry):
         validate_events_for(p, [[], entry])
     with pytest.raises(ParameterError):
         PoiEvaluator(p, [[], entry]).values([3.0])
+
+
+def _forecast_dataset():
+    return Dataset(T=4.0, censored=(CensoredSeries([0.0, 2.0, 4.0], [1, 0]),),
+                   events=(np.array([0.5, 3.0]),))
+
+
+# entry point: (call on a time array, a valid array a < b < c, whether the
+# order matters, whether the times are bounded by T = 4, the error for bad
+# values)
+_TIME_ENTRIES = {
+    "EventHistory": (lambda ts: EventHistory(times=(ts,), T=4.0),
+                     (0.5, 1.0, 2.0), True, True, ParameterError),
+    "Dataset": (lambda ts: Dataset(T=4.0, censored=(), events=(ts,)),
+                (0.5, 1.0, 2.0), True, True, ParameterError),
+    "CensoredSeries": (lambda ts: CensoredSeries(ts, [1, 0]),
+                       (0.0, 1.0, 2.0), True, False, ParameterError),
+    "censor_series": (lambda ts: censor_series(ts, 1.0, 4.0),
+                      (2.0, 0.5, 1.0), False, True, ParameterError),
+    "PoiEvaluator-events": (lambda ts: PoiEvaluator(make_params(), [[], ts]),
+                            (0.5, 1.0, 2.0), True, False, ParameterError),
+    "PoiEvaluator-queries": (
+        lambda ts: PoiEvaluator(make_params(), [[], [0.5]]).values(ts),
+        (2.0, 0.5, 1.0), False, False, DomainError),
+    "predict_counts": (
+        lambda ts: predict_counts(make_params(), _forecast_dataset(), ts,
+                                  n_samples=1, seed=0),
+        (4.0, 5.0, 6.0), True, False, ParameterError),
+}
+
+# malformed input: (built from the valid a, b, c, what it breaks)
+_MALFORMED_TIMES = {
+    "2-d": (lambda a, b, c: [[a], [b], [c]], "shape"),
+    "ragged": (lambda a, b, c: [[a], [b, c]], "shape"),
+    "non-numeric": (lambda a, b, c: [a, "x", c], "value"),
+    "nan": (lambda a, b, c: [a, np.nan, c], "value"),
+    "negative": (lambda a, b, c: [-1.0, b, c], "value"),
+    "out-of-order": (lambda a, b, c: [a, c, b], "order"),
+    "at-T": (lambda a, b, c: [a, b, 4.0], "bound"),
+    "past-T": (lambda a, b, c: [a, b, 5.0], "bound"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,bad",
+    [(entry, bad) for entry, spec in _TIME_ENTRIES.items()
+     for bad, (_, kind) in _MALFORMED_TIMES.items()
+     if (kind != "order" or spec[2]) and (kind != "bound" or spec[3])])
+def test_malformed_times_raise_typed_errors(entry, bad):
+    # every array of times takes one check: DimensionError for its shape,
+    # the entry point's own error for its values
+    call, valid, _, _, value_error = _TIME_ENTRIES[entry]
+    make, kind = _MALFORMED_TIMES[bad]
+    call(list(valid))
+    with pytest.raises(DimensionError if kind == "shape" else value_error):
+        call(make(*valid))
+
+
+def test_times_stay_writable_for_their_caller():
+    # the containers hold read-only arrays, not the caller's own
+    ts = np.array([0.5, 1.0])
+    h = EventHistory(times=(ts,), T=2.0)
+    assert not h.times[0].flags.writeable
+    ts[0] = 0.25
+    assert ts.flags.writeable
+
+
+def test_scalar_query_is_one_time():
+    ev = PoiEvaluator(make_params(), [[], [0.5]])
+    want = ev.values([1.5]).Xi
+    for t in (1.5, np.float64(1.5), np.array(1.5)):
+        assert np.array_equal(ev.values(t).Xi, want)
 
 
 def test_public_names_resolve():

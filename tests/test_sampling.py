@@ -20,6 +20,7 @@ from pmbp import (
     censor,
     gof_time_rescaling,
     predict_counts,
+    recovery_experiment,
     sample_hawkes,
     sample_pmbp,
     write_dataset,
@@ -135,8 +136,8 @@ def _subcritical_model(d, e, theta, seed):
 @given(d=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1),
        theta=st.sampled_from([None, 1.0, 1e-3, 1e3]))
 def test_sampler_matches_scipy_reference(d, data, seed, theta):
-    # the Taylor table and the expm ladder draw the same events as one
-    # scipy.linalg.expm per trial step, for the same Exp(1) and uniform
+    # the Taylor table and the expm ladder draw the same observed events as
+    # one scipy.linalg.expm per trial step, for the same Exp(1) and uniform
     # draws; theta = 1 everywhere makes the generator defective
     e = data.draw(st.integers(0, d), label="e")
     params = _subcritical_model(d, e, theta, seed)
@@ -144,11 +145,8 @@ def test_sampler_matches_scipy_reference(d, data, seed, theta):
     T = 30.0 / rate.sum()
     lay = _Layout(params, full=True)
 
-    def run(cont, end):
-        return cont(lay, lay.x0, 0.0, end, range(d),
-                    np.random.default_rng(seed), 10_000)
-
-    times = run(pmbp.sampling._continue, T)
+    times = pmbp.sampling._continue(lay, lay.x0, 0.0, T,
+                                    np.random.default_rng(seed), 10_000)
     events = np.sort(np.concatenate(times))
     # stops just after events, midway between others, and the horizon
     near = events[::3] + 1e-9 * T
@@ -157,7 +155,9 @@ def test_sampler_matches_scipy_reference(d, data, seed, theta):
     stops = stops[stops <= T]
     # the oracle carries its Exp(1) draw past each stop, so it draws the
     # same events with stops as without
-    ref_times, ref_integrals = run(scipy_continue, stops)
+    ref_times, ref_integrals = scipy_continue(
+        lay, lay.x0, 0.0, stops, range(e, d), np.random.default_rng(seed),
+        10_000)
     for got, want in zip(times, ref_times):
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
@@ -186,13 +186,12 @@ def test_censored_events_sit_at_their_targets(d, data, seed, theta):
     rate = np.linalg.solve(np.eye(d) - params.alpha, params.nu)
     T = 30.0 / rate.sum()
     hist = sample_pmbp(params, T, seed=seed)
+    # the observed pass draws first, at e = d too
     rng = np.random.default_rng(seed)
-    if e < d:
-        lay = _Layout(params, full=True)
-        observed = pmbp.sampling._continue(lay, lay.x0, 0.0, T, range(e, d),
-                                           rng, 1_000_000)
-        for got, want in zip(hist.times[e:], observed[e:]):
-            assert np.array_equal(got, want)
+    lay = _Layout(params, full=True)
+    observed = pmbp.sampling._continue(lay, lay.x0, 0.0, T, rng, 1_000_000)
+    for got, want in zip(hist.times[e:], observed[e:]):
+        assert np.array_equal(got, want)
     events = np.sort(np.concatenate(hist.times[:e]))
     # the evaluator's Xi holds gamma's atom at zero, which the sampler does
     # not realize
@@ -242,8 +241,22 @@ def test_continue_requires_zero_integrals(pmbp21_sub):
     x = lay.x0.copy()
     x[lay.I[0]] = 1.0
     with pytest.raises(ValueError):
-        pmbp.sampling._continue(lay, x, 0.0, 1.0, range(2),
-                                np.random.default_rng(0), 100)
+        pmbp.sampling._continue(lay, x, 0.0, 1.0, np.random.default_rng(0),
+                                100)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, [1, -2]],
+                         ids=["negative", "float", "negative-entry"])
+@pytest.mark.parametrize("draw", [
+    lambda p, seed: sample_pmbp(p, 5.0, seed),
+    lambda p, seed: sample_hawkes(p.replace(e=0), 5.0, seed),
+    lambda p, seed: recovery_experiment(p.replace(e=0), 2, 1, [1.0], seed,
+                                        T=5.0),
+], ids=["sample_pmbp", "sample_hawkes", "recovery_experiment"])
+def test_seeds_numpy_refuses_raise_parameter_error(pmbp21_sub, draw, seed):
+    # NumPy's own ValueError or TypeError is no PMBPError
+    with pytest.raises(ParameterError, match="seed"):
+        draw(pmbp21_sub, seed)
 
 
 def test_explosion_guard():
@@ -277,7 +290,7 @@ def test_no_censored_block_is_one_observed_pass(hawkes2):
     lay = _Layout(hawkes2, full=True)
     for seed in range(3):
         hist = sample_pmbp(hawkes2, 100.0, seed=seed)
-        times = pmbp.sampling._continue(lay, lay.x0, 0.0, 100.0, range(2),
+        times = pmbp.sampling._continue(lay, lay.x0, 0.0, 100.0,
                                         np.random.default_rng(seed),
                                         1_000_000)
         for got, want in zip(hist.times, times):
