@@ -22,17 +22,23 @@ its dimension is drawn in proportion to xi(t + tau).  M never changes
 within a run, so every step reads two tables built once per run (_Steps),
 with h = 1 / ||M||_1: the Taylor terms (M h)^k / k!, read off the powers
 of M h that the layout's expm (poi._Expm) shares with the scan, and a
-dyadic ladder of expm(M 2^j h).  Across a long gap the state gallops up
-and down the ladder, one matrix-vector product per rung, while a rung
-ends before the end time and the compensator stays below the draw.  The
-event then lies within h, where the compensator is a polynomial in the
-step; Newton's method (the derivative is the summed intensity) inside a
-bisection bracket solves it.  There is no grid, bound or rejection, and
-an event costs the same whatever the history's length: about ten NumPy
-calls on arrays of a few dozen entries, whose per-call cost, not the
-arithmetic, sets the price.  At d = 2 on a 2-vCPU x86-64 machine an event
-costs about 13 us at e = 0, and 16 us at e = 1, where the gaps between
-observed events are twice as long.
+dyadic ladder of expm(M 2^j h).  Both carry the compensator as one more
+row, so one matrix-vector product gives the state and the compensator
+together.  Across a long gap the state gallops up and down the ladder,
+one product per rung, while a rung ends before the end time and the
+compensator at its end stays below the draw.  The event then lies within
+h, where one product with the Taylor table gives the state and the
+compensator as polynomials in the step.  Newton's method (the derivative
+is the summed intensity) inside a bisection bracket solves it by Horner's
+rule in Python floats, from the root of the compensator's quadratic part,
+and its last step is checked on the state it returns.  There is no grid,
+bound or rejection, and an event costs the same whatever the history's
+length.  At d = 2 (T = 600) an event takes 2.0 rung products at e = 0 and
+3.2 at e = 1, then one Taylor product, 1.8-2.0 Horner passes and one
+state evaluation, on arrays of a few dozen entries whose per-call cost,
+not the arithmetic, sets the price.  On a 2-vCPU x86-64 machine that is
+about 12.7 us at e = 0 and 12.4 us at e = 1, where the gaps between
+observed events are twice as long and the dimension draw is skipped.
 
 The censored dimensions are driven by the expected response, so their
 events never jump the state and are outputs only: given the observed
@@ -61,6 +67,7 @@ part of the library.
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -77,53 +84,56 @@ from .poi import _FACTORIALS, _TAYLOR_DEGREE, _Layout, _grid, _scan
 
 _NEWTON_TOL = 1e-10  # |compensator - target| accepted at an event time
 _NEWTON_MAX_ITER = 60  # bisection alone shrinks the bracket by 2**-60
-_DEGREES = np.arange(_TAYLOR_DEGREE + 1)
+_DEGREES = np.arange(_TAYLOR_DEGREE + 1.0)  # float: u ** k casts no ints
 _TAYLOR_MAX_TERMS = 30  # at ||A||_1 h <= 1/4 about 16 terms reach _EPS
 _EPS = np.finfo(float).eps
 _SAME_WIDTH = 1e-12  # relative gap below which forecast windows share a step
 
 
 class _Steps:
-    """The steps of expm(M tau) that one run of the sampler takes, for the
-    compensator sum of x[comp] over a span of time.
+    """The steps of expm(M tau) that one run of the sampler takes, each with
+    one more row for the compensator sum of x[comp].
 
-    With h = 1 / ||M||_1, taylor stacks (M h)^k / k! for k <= _TAYLOR_DEGREE:
-    the powers P[k] = (M h)^k that lay.expm holds for the scan, divided by
-    k!.  V = (taylor @ x).reshape(-1, s) gives the state at u h, u <= 1, as
-    sum_k u^k V[k], and the compensator there as a polynomial in u.  The
-    dyadic ladder holds rungs[j] = expm(M 2^j h) for the widths that fit in
-    the span, with rises[j] = c (rungs[j] - I), c the indicator of comp: the
-    compensator's increase over rung j from x is rises[j] @ x.  Rungs and
-    rises are lists of rows, so that a gallop indexes no array.
+    With h = 1 / ||M||_1 and c the indicator of comp, taylor stacks the
+    blocks [P[k]; c P[k]] / k!, k <= _TAYLOR_DEGREE, of the powers P[k] =
+    (M h)^k that lay.expm holds for the scan.  Z = (taylor @ x).reshape(-1,
+    s + 1) gives the state at u h, u <= 1, followed by the compensator
+    there, as sum_k u^k Z[k]: the last column holds the compensator's
+    polynomial coefficients.  The dyadic ladder holds rungs[j] = [E; c E],
+    E = expm(M 2^j h), for the widths that fit in the span, so rungs[j] @ x
+    is the state at the rung's end followed by the compensator there.  The
+    rungs are a list, so that a gallop indexes no array.
     """
 
     def __init__(self, lay: _Layout, comp, span: float):
         s = lay.s
         self.h = h = 1.0 / lay.expm.norm
-        self.taylor = (lay.expm.P / _FACTORIALS[:, None, None]).reshape(-1, s)
         c = np.zeros(s)
         c[comp] = 1.0
-        self.c = c
+        taylor = lay.expm.P / _FACTORIALS[:, None, None]
+        self.taylor = np.concatenate([taylor, (c @ taylor)[:, None]],
+                                     axis=1).reshape(-1, s)
         n = int(np.floor(np.log2(span / h))) + 1 if span >= h else 0
         self.widths = [h * 2.0 ** j for j in range(n)]
         rungs = np.empty((n, s, s))
         lay.expm.steps(np.array(self.widths), rungs)
-        self.rungs = list(rungs)
-        self.rises = list(c @ rungs - c)
+        self.rungs = list(np.concatenate([rungs, (c @ rungs)[:, None]],
+                                         axis=1))
 
-    def gallop(self, x, t: float, end: float, room: float):
+    def gallop(self, x, t: float, end: float, target: float):
         """Advance x from t by whole rungs, up the ladder and back down, while
-        a rung ends by end and raises the compensator by less than room.
-        Returns the state and its time."""
-        top = len(self.widths) - 1
+        a rung ends by end and the compensator at its end stays below
+        target.  Returns the state and its time."""
+        widths, rungs = self.widths, self.rungs
+        top = len(widths) - 1
+        s = x.size
         j, up = 0, True
         while j >= 0:
-            if j <= top and self.widths[j] <= end - t:
-                rise = self.rises[j].dot(x)
-                if rise < room:
-                    x = self.rungs[j].dot(x)
-                    t += self.widths[j]
-                    room -= rise
+            if j <= top and widths[j] <= end - t:
+                y = rungs[j].dot(x)
+                if y[s] < target:
+                    x = y[:s]
+                    t += widths[j]
                     j = min(j + 1, top) if up else j - 1
                     continue
             up = False
@@ -131,31 +141,55 @@ class _Steps:
         return x, t
 
 
-def _invert(c: list, end: float, target: float) -> float:
-    """The u in (0, end) at which the compensator polynomial sum_k c[k] u^k
-    reaches target; the caller has checked that it reaches it before end.
-    Each Newton step evaluates the polynomial and its derivative in u, the
-    summed intensity in units of the step h, by Horner's rule.
+def _invert(Z: np.ndarray, end: float, target: float):
+    """The u in (0, end) at which the compensator polynomial sum_k c[k] u^k,
+    c the last column of Z, reaches target, and sum_k u^k Z[k] there: the
+    state followed by the compensator.  The caller has checked that the
+    compensator reaches target before end.
+
+    Newton's method starts at the root of the quadratic c[0] + c[1] u +
+    c[2] u^2 = target (at twice the linear start where the quadratic never
+    reaches target) and keeps a bisection bracket.  Each step evaluates
+    the polynomial and its derivative in u, the summed intensity in units
+    of the step h, by Horner's rule.  Once a residual is below
+    sqrt(_NEWTON_TOL), the next step's residual is about its square, so
+    that step is checked on the state it returns rather than by one more
+    Horner pass; if the check fails Newton goes on from there.
 
     Raises NumericalConsistencyError if the compensator is not within
-    _NEWTON_TOL of target after _NEWTON_MAX_ITER iterations."""
+    _NEWTON_TOL of target after _NEWTON_MAX_ITER iterations, checks
+    included."""
+    c = Z[:, -1].tolist()
     lo, hi = 0.0, end
     gap = target - c[0]
-    u = gap / c[1] if c[1] * end > gap else 0.5 * end
+    q = c[1] + math.sqrt(max(c[1] * c[1] + 4.0 * c[2] * gap, 0.0))
+    u = 2.0 * gap / q if q * end > 2.0 * gap else 0.5 * end
+    check = False
     for _ in range(_NEWTON_MAX_ITER):
+        if check:
+            y = (u ** _DEGREES).dot(Z)
+            f = y[-1] - target
+            if abs(f) <= _NEWTON_TOL:
+                return u, y
+            check = False
+            continue
         p = rate = 0.0
         for ck in reversed(c):
             rate = rate * u + p
             p = p * u + ck
         f = p - target
         if abs(f) <= _NEWTON_TOL:
-            return u
+            return u, (u ** _DEGREES).dot(Z)
         if f < 0:
             lo = u
         else:
             hi = u
         step = u - f / rate if rate > 0 else hi
-        u = step if lo < step < hi else 0.5 * (lo + hi)
+        if lo < step < hi:
+            u = step
+            check = f * f <= _NEWTON_TOL
+        else:
+            u = 0.5 * (lo + hi)
     raise NumericalConsistencyError(
         f"compensator inversion left a residual of {f:.3g} after "
         f"{_NEWTON_MAX_ITER} iterations"
@@ -180,13 +214,14 @@ def _continue(lay: _Layout, x, t: float, end: float,
     time t to end, drawing the observed dimensions' events one at a time.
 
     The integrals of x must be zero, and they are zero again after every
-    event.  So each inversion's compensator starts at zero, and its Exp(1)
-    draw is the room the gallop starts with.  The state also integrates
-    the censored intensities.  When stops is a list, each event appends
-    (time, state before the reset and the jump, dimension), and the end
-    appends (end, state there, -1): the censored compensators since the
-    stop before are that state's integrals.  At e = d the first gallop
-    carries the state to within h of the end, and no event is drawn.
+    event.  So the observed integrals are the compensator since the last
+    event, which the gallop and then _invert carry to its Exp(1) draw.
+    The state also integrates the censored intensities.  When stops is a
+    list, each event appends (time, state before the reset and the jump,
+    dimension), and the end appends (end, state there, -1): the censored
+    compensators since the stop before are that state's integrals.  At
+    e = d no event is drawn, and one expm step carries the state to the
+    end.
 
     Returns the new event times per dimension, empty for the censored ones.
     """
@@ -194,12 +229,24 @@ def _continue(lay: _Layout, x, t: float, end: float,
     ints = slice(lay.I[0], lay.I[-1] + 1)
     if np.any(x[ints]):
         raise ValueError("the state's integrals must start at zero")
+    end = float(end)
+    s = lay.s
+    new_times = [[] for _ in range(d)]
+    if e == d:
+        # the one Exp(1) draw the loop would take, so that the censored
+        # pass reads the same stream
+        rng.exponential()
+        if stops is not None:
+            E = np.empty((1, s, s))
+            lay.expm.steps(np.array([end - t]), E)
+            stops.append((end, E[0].dot(x), -1))
+        return new_times
     rates = lay.R[e:]
     jumps = list(lay.J)
-    end = float(end)
+    keep = np.ones(s)
+    keep[ints] = 0.0
     steps = _Steps(lay, lay.I[e:], end - t)
-    h, s = steps.h, lay.s
-    new_times = [[] for _ in range(d)]
+    h = steps.h
     n_new = 0
     # ndarray.dot, not @: the same BLAS calls, at about half the per-call
     # cost on arrays this small
@@ -207,23 +254,22 @@ def _continue(lay: _Layout, x, t: float, end: float,
         target = rng.exponential()
         x, t = steps.gallop(x, t, end, target)
         # the end, or else the next event, lies within h of t
-        V = steps.taylor.dot(x).reshape(-1, s)
-        c = V.dot(steps.c).tolist()
+        Z = steps.taylor.dot(x).reshape(-1, s + 1)
         u_end = 1.0
         if end - t <= h:
             u_end = (end - t) / h
-            p = 0.0
-            for ck in reversed(c):
-                p = p * u_end + ck
-            if p <= target:
+            y = (u_end ** _DEGREES).dot(Z)
+            if y[s] <= target:
                 if stops is not None:
-                    stops.append((end, (u_end ** _DEGREES).dot(V), -1))
+                    stops.append((end, y[:s], -1))
                 return new_times
-        u = _invert(c, u_end, target)
-        x = (u ** _DEGREES).dot(V)
+        u, y = _invert(Z, u_end, target)
+        x = y[:s]
         t += u * h
-        # random() is uniform() without its 0 + 1 * r
-        j = e + _pick(rates.dot(x), rng.random())
+        # random() is uniform() without its 0 + 1 * r; with one observed
+        # dimension it is drawn all the same, to keep the stream
+        v = rng.random()
+        j = e + _pick(rates.dot(x), v) if d - e > 1 else e
         new_times[j].append(t)
         n_new += 1
         if n_new > max_events:
@@ -233,9 +279,8 @@ def _continue(lay: _Layout, x, t: float, end: float,
             )
         if stops is not None:
             stops.append((t, x, j))
-            x = x.copy()
-        x[ints] = 0.0
-        x += jumps[j - e]
+        # the integrals restart at zero, and the event's jump is added
+        x = x * keep + jumps[j - e]
 
 
 def _censored(lay: _Layout, x, t: float, stops, rng: np.random.Generator,
@@ -382,7 +427,7 @@ def sample_pmbp(
     When e > 0 it keeps its stops, and the censored pass (_censored) then
     draws every censored event at once given that path: those dimensions
     are Cox streams driven by the expected intensity, so their events are
-    outputs only.  At d = 2 an observed event costs about 13-16 us and a
+    outputs only.  At d = 2 an observed event costs about 12.5 us and a
     censored one about 3.6 us (see the module docstring).  The impulse
     weight contributes to the smooth intensity but is not realized as
     events at t=0.  Deterministic for a fixed seed.  Raises ParameterError

@@ -26,7 +26,7 @@ from pmbp import (
     write_dataset,
 )
 from pmbp.cli import main as cli_main
-from pmbp.poi import _Layout
+from pmbp.poi import _Expm, _Layout
 from oracles import exact_width_moments, kron_moment_step, scipy_continue
 from reference.forecast import sampled_forecast
 
@@ -200,6 +200,80 @@ def test_censored_events_sit_at_their_targets(d, data, seed, theta):
     assert rng.poisson(comp[-1]) == events.size
     targets = np.sort(rng.random(events.size)) * comp[-1]
     np.testing.assert_allclose(comp[1:-1], targets, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       theta=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_observed_events_sit_at_their_targets(d, data, seed, theta):
+    # the observed pass draws one Exp(1) and then one uniform per observed
+    # event, the uniform also when one observed dimension leaves nothing to
+    # choose; replaying the generator's draws, the observed compensator
+    # gained since the observed event before is each event's Exp(1) draw
+    e = data.draw(st.integers(0, d - 1), label="e")
+    params = _subcritical_model(d, e, theta, seed)
+    rate = np.linalg.solve(np.eye(d) - params.alpha, params.nu)
+    T = 30.0 / rate.sum()
+    hist = sample_pmbp(params, T, seed=seed)
+    events = np.sort(np.concatenate(hist.times[e:]))
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in events:
+        draws.append(rng.exponential())
+        rng.random()
+    # the evaluator's Xi holds gamma's atom at zero, which the sampler does
+    # not realize
+    Xi = PoiEvaluator(params, hist.times).values(np.r_[0.0, events]).Xi
+    comp = Xi[1:, e:].sum(axis=1) - Xi[0, e:].sum() - params.gamma[e:].sum()
+    np.testing.assert_allclose(np.diff(comp, prepend=0.0), draws, rtol=1e-9,
+                               atol=1e-9)
+
+
+@pytest.mark.parametrize("c,root", [
+    ([0.0, 1.0, 0.0, 0.0], 0.6),
+    ([0.2, 1.5, -0.6, 0.1, -0.01], 0.6),
+    ([0.0, 1e-3, 0.0, 0.0, 2.0], 0.6),
+    # a small rate under a steep rise: a step checked on the state misses
+    # the tolerance (once, then twice), and Newton goes on
+    ([0.0, 1e-3, 0.0, 1e-2], 0.6),
+    ([0.0, 1e-4, 0.0, 1e-2], 0.1),
+])
+def test_inversion_returns_the_state_at_its_target(c, root):
+    # the returned u and state: the compensator column within _NEWTON_TOL
+    # of the target, and every column the Taylor sum at u
+    rng = np.random.default_rng(len(c))
+    coef = np.zeros(pmbp.sampling._DEGREES.size)
+    coef[:len(c)] = c
+    Z = np.column_stack([rng.normal(size=(coef.size, 3)), coef])
+    target = float(np.polyval(coef[::-1], root))
+    u, y = pmbp.sampling._invert(Z, 1.0, target)
+    assert abs(y[-1] - target) <= pmbp.sampling._NEWTON_TOL
+    np.testing.assert_allclose(y, (u ** np.arange(coef.size)) @ Z,
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_fully_censored_observed_pass_takes_one_step(monkeypatch):
+    # at e = d no observed event can come: the pass asks the layout's expm
+    # for one length, the whole span, and keeps the state at the end
+    lengths = []
+    steps = _Expm.steps
+
+    def counted(self, dt, out):
+        lengths.append(dt.copy())
+        return steps(self, dt, out)
+
+    monkeypatch.setattr(_Expm, "steps", counted)
+    lay = _Layout(_rescaling_model(3, 3), full=True)
+    stops = []
+    times = pmbp.sampling._continue(lay, lay.x0, 0.0, 50.0,
+                                    np.random.default_rng(0), 100, stops)
+    assert not any(times)
+    assert len(lengths) == 1 and lengths[0].tolist() == [50.0]
+    assert len(stops) == 1 and stops[0][0] == 50.0 and stops[0][2] == -1
+    from scipy.linalg import expm
+
+    np.testing.assert_allclose(stops[0][1], expm(lay.M * 50.0) @ lay.x0,
+                               rtol=1e-12, atol=1e-12)
 
 
 # intensities in tenths put u * sum(lam) on a cumulative boundary often
