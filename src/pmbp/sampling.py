@@ -126,13 +126,12 @@ class _Steps:
         target.  Returns the state and its time."""
         widths, rungs = self.widths, self.rungs
         top = len(widths) - 1
-        s = x.size
         j, up = 0, True
         while j >= 0:
             if j <= top and widths[j] <= end - t:
                 y = rungs[j].dot(x)
-                if y[s] < target:
-                    x = y[:s]
+                if y[-1] < target:
+                    x = y[:-1]
                     t += widths[j]
                     j = min(j + 1, top) if up else j - 1
                     continue
